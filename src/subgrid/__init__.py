@@ -13,12 +13,14 @@ from .core import (
 from .errors import SubgridError
 from .functions import Objective, get_objective, objective_names
 from .harness import ExperimentConfig, Metrics, run_experiment
-from .kernels import BACKEND
 from .labeling import LabelRule, LabelVariant
 from .slm import NeighborScheme, Sense, SlmConfig, slm_run
 from .slmga import GaConfig, ga_run
 
 __version__ = "0.1.0"
+
+# How objective values are computed: always plain Python.
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -10,11 +10,11 @@ give only budgets) and are echoed into each report's metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import BoxDomain, Candidate, RunReport, StepRecord, Vector
+from .core import Candidate, RunReport, StepRecord, rank
 from .errors import ConfigError, DomainError
 from .functions import Objective
 
@@ -27,12 +27,6 @@ REPORTED_GENERATIONS = {
     "eshelman": {"f1": 1538, "f2": 9477, "f3": 1740, "f4": 4137, "f5": 3004},
     "de": {"f1": 260, "f2": 670, "f3": 125, "f4": 2300, "f5": 1200},
 }
-
-
-def _eval(obj: Objective, x, rng) -> float:
-    if obj.stochastic:
-        return obj.evaluate(tuple(x), rng=rng)
-    return obj.evaluate(tuple(x))
 
 
 def _report(algo: str, steps, best, evaluations, meta=None) -> RunReport:
@@ -66,9 +60,9 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     steps = []
     for i in range(cfg.budget):
         x = tuple(rng.uniform(lo, hi))
-        f = _eval(obj, x, rng)
-        if best is None or f < best.f or (f == best.f and x < best.x):
-            best = Candidate(x, f)
+        cand = Candidate(x, obj.evaluate(x, rng=rng))
+        if best is None or rank(cand) < rank(best):
+            best = cand
             _track(steps, i + 1, (), best)
     return _report("rs", steps, best, cfg.budget, {"budget": cfg.budget, "seed": cfg.seed})
 
@@ -98,7 +92,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     hi = np.asarray(obj.box.upper)
     n = obj.dim
     x = np.asarray(cfg.initial, dtype=float)
-    f = _eval(obj, x, rng)
+    f = obj.evaluate(tuple(x), rng=rng)
     best = Candidate(tuple(x), f)
     steps = []
     _track(steps, 0, (cfg.step_scale,), best)
@@ -112,7 +106,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
             continue
         radius = scale * rng.uniform() ** (1.0 / n)
         trial = np.clip(x + direction * (radius / norm), lo, hi)
-        ft = _eval(obj, trial, rng)
+        ft = obj.evaluate(tuple(trial), rng=rng)
         if ft < f:
             x, f = trial, ft
             rejections = 0
@@ -159,7 +153,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
         raise DomainError("initial point %r outside box" % (start,))
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
     x = np.asarray(start, dtype=float)
-    f = _eval(obj, x, rng)
+    f = obj.evaluate(tuple(x), rng=rng)
     best = Candidate(tuple(x), f)
     steps = []
     _track(steps, 0, (sigma0,), best)
@@ -167,7 +161,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
         trial = np.clip(x + rng.standard_normal(obj.dim) * sigma, lo, hi)
-        ft = _eval(obj, trial, rng)
+        ft = obj.evaluate(tuple(trial), rng=rng)
         delta = ft - f
         if delta <= 0.0 or rng.uniform() < np.exp(-delta / t):
             x, f = trial, ft
@@ -207,7 +201,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     n = obj.dim
     np_ = cfg.pop_size
     pop = rng.uniform(lo, hi, size=(np_, n))
-    fit = np.array([_eval(obj, row, rng) for row in pop])
+    fit = np.array([obj.evaluate(tuple(row), rng=rng) for row in pop])
     evaluations = np_
     steps = []
 
@@ -228,7 +222,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
             cross = rng.uniform(size=n) < cfg.cr
             cross[rng.integers(n)] = True  # at least one mutant gene
             trial = np.where(cross, mutant, pop[i])
-            ft = _eval(obj, trial, rng)
+            ft = obj.evaluate(tuple(trial), rng=rng)
             evaluations += 1
             if ft <= fit[i]:
                 pop[i] = trial

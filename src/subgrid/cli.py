@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import harness, kernels, svgtrace
+from . import BACKEND, harness, svgtrace
 from .errors import ConfigError, ExprError, ExprEvalError, SubgridError
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
@@ -105,7 +105,7 @@ def _cmd_list(args) -> int:
     print("algorithms:")
     for name in harness.algorithm_names():
         print("  %s" % name)
-    print("kernel backend: %s" % kernels.BACKEND)
+    print("kernel backend: %s" % BACKEND)
     return EXIT_OK
 
 
@@ -215,9 +215,6 @@ def main(argv=None) -> int:
         return EXIT_OBJECTIVE
     except SubgridError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_OBJECTIVE
-    except KeyError as exc:
-        print("unknown objective: %s" % exc, file=sys.stderr)
         return EXIT_OBJECTIVE
 
 

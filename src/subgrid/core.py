@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     InvalidCellError,
@@ -229,14 +229,12 @@ class RunReport:
         return len(self.steps)
 
 
-def lex_less(a: Sequence[float], b: Sequence[float]) -> bool:
-    return tuple(a) < tuple(b)
+def rank(c: Candidate) -> tuple[float, Vector]:
+    """The tie-break rule as a sort key: smaller f first, then the
+    lexicographically smaller position."""
+    return (c.f, c.x)
 
 
 def argmin_candidate(cands: Sequence[Candidate]) -> Candidate:
-    """Deterministic argmin: smallest f, ties by lexicographically smallest x."""
-    best = cands[0]
-    for c in cands[1:]:
-        if c.f < best.f or (c.f == best.f and c.x < best.x):
-            best = c
-    return best
+    """Deterministic argmin under ``rank``; the earliest of equal candidates."""
+    return min(cands, key=rank)

@@ -8,21 +8,22 @@ stays strict.
 F4 is stochastic: each of its 30 quartic terms gets one standard-normal
 draw from the caller-supplied random source, so reproducibility is the
 caller's choice of seed.  ``noiseless`` evaluates the quartic part alone.
+
+The grid engines evaluate through ``Evaluator`` (cache, count, sense,
+common random numbers); the baselines call ``Objective.evaluate`` directly
+and pass their own random stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from .core import BoxDomain, Vector
 from .errors import DomainError, GradientUnavailableError, SubgridError
-
-_K = kernels.ACTIVE
 
 
 @dataclass
@@ -89,8 +90,48 @@ class Objective:
         return tuple(out)
 
 
+class Evaluator:
+    """The grid engines' single path from a point to its objective value.
+
+    Counts each evaluation, caches values by position, negates them when
+    maximizing, and evaluates stochastic objectives under common random
+    numbers: every point of one generation sees the same noise draw, seeded
+    by ``(seed, generation)``.  ``start_generation`` clears the cache and
+    moves the noise on, so a point evaluated again in a later generation
+    counts again.  SLM stays in generation 0 for its whole run."""
+
+    def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
+        self.obj = obj
+        self.negate = negate
+        self.seed = seed
+        self.generation = 0
+        self.count = 0
+        self.cache: dict[Vector, float] = {}
+
+    def start_generation(self, generation: int) -> None:
+        self.generation = generation
+        self.cache = {}
+
+    def __call__(self, x: Vector) -> float:
+        got = self.cache.get(x)
+        if got is not None:
+            return got
+        self.count += 1
+        rng = np.random.default_rng([self.seed, self.generation]) if self.obj.stochastic else None
+        f = self.obj.evaluate(x, rng=rng)
+        if self.negate:
+            f = -f
+        self.cache[x] = f
+        return f
+
+
 def _gp(x):
-    return _K["goldstein_price"](x[0], x[1])
+    x1, x2 = x
+    a = x1 + x2 + 1.0
+    b = 2.0 * x1 - 3.0 * x2
+    p = 19.0 - 14.0 * x1 + 3.0 * x1 * x1 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2 * x2
+    q = 18.0 - 32.0 * x1 + 12.0 * x1 * x1 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2 * x2
+    return (1.0 + a * a * p) * (30.0 + b * b * q)
 
 
 def _gp_grad(x):
@@ -109,7 +150,10 @@ def _gp_grad(x):
 
 
 def _easom(x):
-    return _K["easom"](x[0], x[1])
+    x1, x2 = x
+    u = x1 - math.pi
+    v = x2 - math.pi
+    return -math.cos(x1) * math.cos(x2) * math.exp(-(u * u + v * v))
 
 
 def _easom_grad(x):
@@ -123,7 +167,10 @@ def _easom_grad(x):
 
 
 def _f1(x):
-    return _K["sphere"](x)
+    s = 0.0
+    for v in x:
+        s += v * v
+    return s
 
 
 def _f1_grad(x):
@@ -131,7 +178,10 @@ def _f1_grad(x):
 
 
 def _f2(x):
-    return _K["rosenbrock"](x[0], x[1])
+    x1, x2 = x
+    u = x1 * x1 - x2
+    v = 1.0 - x1
+    return 100.0 * u * u + v * v
 
 
 def _f2_grad(x):
@@ -141,31 +191,48 @@ def _f2_grad(x):
 
 
 def _f3(x):
-    return _K["step_floor"](x)
+    s = 30.0
+    for v in x:
+        s += math.floor(v)
+    return s
 
 
 def _f4_noiseless(x):
-    return _K["quartic_noiseless"](x)
+    s = 0.0
+    for i, v in enumerate(x, start=1):
+        v2 = v * v
+        s += i * v2 * v2
+    return s
 
 
 def _f4(x, rng):
     noise = rng.standard_normal(len(x))
-    return _K["quartic_noiseless"](x) + float(noise.sum())
+    return _f4_noiseless(x) + float(noise.sum())
+
+
+_FOXHOLE = (-32.0, -16.0, 0.0, 16.0, 32.0)
 
 
 def _f5(x):
-    return _K["shekel_foxholes"](x[0], x[1])
+    x1, x2 = x
+    s = 0.002
+    for i in range(25):
+        u = x1 - _FOXHOLE[i % 5]
+        v = x2 - _FOXHOLE[i // 5]
+        u3 = u * u * u
+        v3 = v * v * v
+        s += 1.0 / ((i + 1) + u3 * u3 + v3 * v3)
+    return 1.0 / s
 
 
 def _f5_grad(x):
     x1, x2 = x
-    fox = (-32.0, -16.0, 0.0, 16.0, 32.0)
     denom = 0.002
     d1 = 0.0
     d2 = 0.0
     for i in range(25):
-        u = x1 - fox[i % 5]
-        v = x2 - fox[i // 5]
+        u = x1 - _FOXHOLE[i % 5]
+        v = x2 - _FOXHOLE[i // 5]
         c = (i + 1) + u**6 + v**6
         denom += 1.0 / c
         d1 += 6.0 * u**5 / (c * c)

@@ -9,6 +9,7 @@ stored DE reference counts.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import itertools
 import json
@@ -23,7 +24,7 @@ from .core import BoxDomain, Candidate, GridPoint, GridSpec, RunReport, position
 from .errors import ConfigError, GridTooLargeError, SubgridError
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
-from .functions import Objective, get_objective, objective_names
+from .functions import Objective, get_objective
 from .labeling import LabelRule, LabelVariant
 from .slm import NeighborScheme, Sense, SlmConfig
 from .slmga import GaConfig
@@ -106,26 +107,38 @@ def resolve_objective(cfg: ExperimentConfig) -> Objective:
     return expression_objective(cfg.expr, cfg.dim, cfg.lower, cfg.upper)
 
 
+@contextlib.contextmanager
+def _params_checked():
+    """Turn a bad algorithm parameter (unparsable, unknown enum value or out
+    of range) into a configuration error while a runner builds its config."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError("bad algorithm parameter: %s" % exc) from None
+
+
 def _run_slm(obj, params, seed):
     del seed  # deterministic
-    cfg = SlmConfig(
-        h_tol=float(params.get("h_tol", 1e-4)),
-        max_levels=int(params.get("max_levels", 40)),
-        neighbor_scheme=NeighborScheme(params.get("neighbor_scheme", "sign-uniform")),
-        sense=Sense(params.get("sense", "min")),
-        label_rule=_label_rule(params),
-    )
+    with _params_checked():
+        cfg = SlmConfig(
+            h_tol=float(params.get("h_tol", 1e-4)),
+            max_levels=int(params.get("max_levels", 40)),
+            neighbor_scheme=NeighborScheme(params.get("neighbor_scheme", "sign-uniform")),
+            sense=Sense(params.get("sense", "min")),
+            label_rule=_label_rule(params),
+        )
     return slm.slm_run(obj, cfg)
 
 
 def _run_slmga(obj, params, seed):
-    cfg = GaConfig(
-        h_tol=float(params.get("h_tol", 1e-4)),
-        max_generations=int(params.get("max_generations", 64)),
-        seed=seed,
-        label_rule=_label_rule(params),
-        mutation_rate=float(params.get("mutation_rate", 1.0)),
-    )
+    with _params_checked():
+        cfg = GaConfig(
+            h_tol=float(params.get("h_tol", 1e-4)),
+            max_generations=int(params.get("max_generations", 64)),
+            seed=seed,
+            label_rule=_label_rule(params),
+            mutation_rate=float(params.get("mutation_rate", 1.0)),
+        )
     return slmga.ga_run(obj, cfg)
 
 
@@ -137,45 +150,52 @@ def _label_rule(params) -> LabelRule:
 
 
 def _run_rs(obj, params, seed):
-    return baselines.random_search(obj, RsConfig(
-        budget=int(params.get("budget", 1000)), seed=seed))
+    with _params_checked():
+        cfg = RsConfig(budget=int(params.get("budget", 1000)), seed=seed)
+    return baselines.random_search(obj, cfg)
 
 
 def _run_rsw(obj, params, seed):
-    initial = params.get("initial", obj.box.center())
-    if isinstance(initial, str):
-        initial = tuple(float(v) for v in initial.split(","))
-    return baselines.random_walk_search(obj, RswConfig(
-        initial=tuple(initial),
-        budget=int(params.get("budget", 500)),
-        seed=seed,
-        step_scale=float(params.get("step_scale", 2.0)),
-        contraction=float(params.get("contraction", 0.95)),
-        patience=int(params.get("patience", 10))))
+    with _params_checked():
+        initial = params.get("initial", obj.box.center())
+        if isinstance(initial, str):
+            initial = tuple(float(v) for v in initial.split(","))
+        cfg = RswConfig(
+            initial=tuple(initial),
+            budget=int(params.get("budget", 500)),
+            seed=seed,
+            step_scale=float(params.get("step_scale", 2.0)),
+            contraction=float(params.get("contraction", 0.95)),
+            patience=int(params.get("patience", 10)))
+    return baselines.random_walk_search(obj, cfg)
 
 
 def _run_sa(obj, params, seed):
-    initial = params.get("initial")
-    if isinstance(initial, str):
-        initial = tuple(float(v) for v in initial.split(","))
-    step_scale = params.get("step_scale")
-    return baselines.simulated_annealing(obj, SaConfig(
-        budget=int(params.get("budget", 400)),
-        seed=seed,
-        initial=initial,
-        t0=float(params.get("t0", 1e-3)),
-        cooling=float(params.get("cooling", 0.995)),
-        step_scale=float(step_scale) if step_scale is not None else None))
+    with _params_checked():
+        initial = params.get("initial")
+        if isinstance(initial, str):
+            initial = tuple(float(v) for v in initial.split(","))
+        step_scale = params.get("step_scale")
+        cfg = SaConfig(
+            budget=int(params.get("budget", 400)),
+            seed=seed,
+            initial=initial,
+            t0=float(params.get("t0", 1e-3)),
+            cooling=float(params.get("cooling", 0.995)),
+            step_scale=float(step_scale) if step_scale is not None else None)
+    return baselines.simulated_annealing(obj, cfg)
 
 
 def _run_de(obj, params, seed):
-    fw = params.get("f_weight")
-    return baselines.differential_evolution(obj, DeConfig(
-        generations=int(params.get("generations", 260)),
-        seed=seed,
-        pop_size=int(params.get("pop_size", 20)),
-        cr=float(params.get("cr", 0.9)),
-        f_weight=float(fw) if fw is not None else None))
+    with _params_checked():
+        fw = params.get("f_weight")
+        cfg = DeConfig(
+            generations=int(params.get("generations", 260)),
+            seed=seed,
+            pop_size=int(params.get("pop_size", 20)),
+            cr=float(params.get("cr", 0.9)),
+            f_weight=float(fw) if fw is not None else None)
+    return baselines.differential_evolution(obj, cfg)
 
 
 ALGORITHMS: dict[str, Callable] = {

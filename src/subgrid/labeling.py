@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import Candidate, Cell, GridPoint, cell_vertices
-from .errors import DimensionMismatchError, InvalidDeltaError, NonFiniteGradientError
+from .errors import (
+    DimensionMismatchError,
+    InvalidCellError,
+    InvalidDeltaError,
+    NonFiniteGradientError,
+)
 
 
 class LabelVariant(enum.Enum):
@@ -86,7 +91,7 @@ def find_complete_cells(labels: Mapping[GridPoint, int]) -> list[Cell]:
         cell = Cell(p)
         try:
             verts = cell_vertices(cell)
-        except Exception:
+        except InvalidCellError:
             continue
         if not all(v.k in present for v in verts):
             continue

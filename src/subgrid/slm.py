@@ -23,13 +23,14 @@ from .core import (
     RunReport,
     StepRecord,
     Vector,
+    argmin_candidate,
     cell_vertices,
     lattice_points,
     position_of,
     refine,
 )
 from .errors import DimensionTooLargeError
-from .functions import Objective
+from .functions import Evaluator, Objective
 from .labeling import LabelRule, delta_of, find_complete_cells, label_from_delta
 
 MAX_CORNER_DIM = 20
@@ -116,27 +117,6 @@ def best_neighbor(
     return best
 
 
-class _Evaluator:
-    """Counting, caching adapter around an objective (optionally negated)."""
-
-    def __init__(self, obj: Objective, negate: bool):
-        self.obj = obj
-        self.negate = negate
-        self.count = 0
-        self.cache: dict[Vector, float] = {}
-
-    def __call__(self, x: Vector) -> float:
-        got = self.cache.get(x)
-        if got is not None:
-            return got
-        self.count += 1
-        f = self.obj.evaluate(x)
-        if self.negate:
-            f = -f
-        self.cache[x] = f
-        return f
-
-
 def _choose_cell(
     complete: list[Cell],
     grid: GridSpec,
@@ -182,7 +162,7 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     box = obj.box
     n = box.dim
     negate = cfg.sense is Sense.MAXIMIZE
-    ev = _Evaluator(obj, negate)
+    ev = Evaluator(obj, negate=negate)
     rule = cfg.label_rule
 
     active: list[GridPoint] = initial_corners(box)
@@ -207,14 +187,12 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
             cand = Candidate(x, fx, point=p)
             population.append(cand)
             vertex_values[p] = fx
-            if best is None or fx < best.f or (fx == best.f and x < best.x):
-                best = cand
+            best = cand if best is None else argmin_candidate((best, cand))
             if p in labels:
                 continue
             neighbors = slm_neighbors(x, h_next, cfg.neighbor_scheme, box)
             winner = best_neighbor(ev, cand, neighbors)
-            if winner.f < best.f or (winner.f == best.f and winner.x < best.x):
-                best = winner
+            best = argmin_candidate((best, winner))
             delta = delta_of(cand, winner)
             labels[p] = label_from_delta(delta, rule)
             deltas[p] = delta

@@ -16,26 +16,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from .core import (
     BoxDomain,
     Candidate,
-    Cell,
     GridPoint,
     GridSpec,
     LabeledVertex,
     RunReport,
     StepRecord,
     Vector,
+    argmin_candidate,
     lattice_points,
     position_of,
+    rank,
     refine,
 )
 from .errors import GradientUnavailableError
-from .functions import Objective
+from .functions import Evaluator, Objective
 from .labeling import (
     LabelRule,
     LabelVariant,
@@ -126,23 +125,20 @@ def mutate(
         return out
 
     # coordinate-greedy: accept strict single-axis improvements in order
-    cur_k = list(base)
-    cur_x = position_of(GridPoint(tuple(cur_k), level), grid)
-    cur_f = evaluate(cur_x)
-    out = [Candidate(cur_x, cur_f, point=GridPoint(tuple(cur_k), level))]
+    start = GridPoint(base, level)
+    x = position_of(start, grid)
+    cur = Candidate(x, evaluate(x), point=start)
+    out = [cur]
     for d in range(n):
         for a in (1, -1):
-            kd = cur_k[d] + a
+            kd = cur.point.k[d] + a
             if kd < 0 or kd > top:
                 continue
-            trial_k = list(cur_k)
-            trial_k[d] = kd
-            x = position_of(GridPoint(tuple(trial_k), level), grid)
-            f = evaluate(x)
-            cand = Candidate(x, f, point=GridPoint(tuple(trial_k), level))
+            trial = GridPoint(cur.point.k[:d] + (kd,) + cur.point.k[d + 1:], level)
+            x = position_of(trial, grid)
+            cand = Candidate(x, evaluate(x), point=trial)
             out.append(cand)
-            if f < cur_f or (f == cur_f and x < cur_x):
-                cur_k, cur_x, cur_f = trial_k, x, f
+            cur = argmin_candidate((cur, cand))
     return out
 
 
@@ -162,34 +158,12 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     box = obj.box
     n = box.dim
     rule = cfg.label_rule
-    evaluations = 0
     steps: list[StepRecord] = []
-    best: Optional[Candidate] = None
+    evaluate = Evaluator(obj, seed=cfg.seed)
+    pop = init_population(box, evaluate)
+    best = argmin_candidate(pop.members)
 
     gen = 0
-    cache: dict[Vector, float] = {}
-
-    def make_evaluator(generation: int) -> Callable[[Vector], float]:
-        def evaluate(x: Vector) -> float:
-            nonlocal evaluations
-            got = cache.get(x)
-            if got is not None:
-                return got
-            evaluations += 1
-            if obj.stochastic:
-                rng = np.random.default_rng([cfg.seed, generation])
-                f = obj.evaluate(x, rng=rng)
-            else:
-                f = obj.evaluate(x)
-            cache[x] = f
-            return f
-        return evaluate
-
-    pop = init_population(box, make_evaluator(0))
-    for c in pop.members:
-        if best is None or c.f < best.f or (c.f == best.f and c.x < best.x):
-            best = c
-
     while True:
         gen += 1
         grid = GridSpec(box, gen)
@@ -197,19 +171,17 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         if gen > cfg.max_generations or all(hd < cfg.h_tol for hd in h):
             gen -= 1
             break
-        cache = {}
-        evaluate = make_evaluator(gen)
-        members = sorted(pop.members, key=lambda c: (c.f, c.x))
+        evaluate.start_generation(gen)
+        members = sorted(pop.members, key=rank)
         # re-evaluate under this generation's noise so comparisons are fair
         if obj.stochastic:
             members = [Candidate(c.x, evaluate(c.x), point=c.point) for c in members]
-            members.sort(key=lambda c: (c.f, c.x))
+            members.sort(key=rank)
         n_mutate = max(1, int(round(cfg.mutation_rate * len(members))))
 
         labels: dict[GridPoint, int] = {}
         recorded: list[LabeledVertex] = []
         survivors: list[Candidate] = []
-        gen_best: Optional[Candidate] = None
         for i, parent in enumerate(members):
             if i < n_mutate:
                 offspring = mutate(evaluate, parent, box)
@@ -221,11 +193,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
             delta = _label_delta(obj, rule, parent, child)
             labels[parent.point] = label_from_delta(delta, rule)
             recorded.append(LabeledVertex(parent, labels[parent.point], delta))
-            for c in (parent, child):
-                if gen_best is None or c.f < gen_best.f or (c.f == gen_best.f and c.x < gen_best.x):
-                    gen_best = c
-                if best is None or c.f < best.f or (c.f == best.f and c.x < best.x):
-                    best = c
+            best = argmin_candidate((best, parent, child))
 
         vertex_values = {c.point: c.f for c in members}
         if 3**n <= MAX_ENUMERATED_OFFSPRING:
@@ -250,18 +218,18 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
                             for p in lattice_points(chosen)]
         else:
             next_members = list(survivors)
-        pop = Population(sorted(next_members, key=lambda c: (c.f, c.x)), gen)
+        pop = Population(sorted(next_members, key=rank), gen)
 
     final = GridSpec(box, gen + 1)
     converged = all(hd < cfg.h_tol for hd in final.step)
     # the answer is the best member of the converged population; probes may
     # have seen a lower value elsewhere, which best_value keeps
-    solution = min(pop.members, key=lambda c: (c.f, c.x)) if pop.members else best
+    solution = argmin_candidate(pop.members) if pop.members else best
     return RunReport(
         steps=steps,
         best=solution,
         best_value=best.f,
-        evaluations=evaluations,
+        evaluations=evaluate.count,
         converged=converged,
         meta={
             "algorithm": "slmga",

@@ -6,7 +6,6 @@ marker on the best point found.
 from __future__ import annotations
 
 import math
-from typing import Optional
 from xml.etree import ElementTree as ET
 
 from .core import Cell, GridSpec, RunReport, cell_vertices, position_of

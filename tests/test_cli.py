@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,28 @@ class TestRun:
         data = json.loads(out[:summary_at])
         assert data[0]["meta"]["seed"] == 123
 
+    @pytest.mark.parametrize("algo,flag,value", [
+        ("slm", "--h-tol", "0"),
+        ("slmga", "--max-gens", "0"),
+    ])
+    def test_bad_algorithm_flag_is_config_error(self, capsys, algo, flag, value):
+        code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
+                               flag, value)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("algo,line", [
+        ("slmga", "label_rule = bogus"),
+        ("slmga", "h_tol = abc"),
+        ("rs", "budget = abc"),
+    ])
+    def test_bad_config_parameter_is_config_error(self, capsys, tmp_path, algo, line):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = %s\n%s\n" % (algo, line))
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+
     def test_bad_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBGRID_SEED", "twelve")
         code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", "rs",
@@ -95,6 +118,9 @@ class TestBench:
         by_fn = {r["function"]: r for r in rows}
         assert by_fn["f1"]["generations"] == 18
         assert by_fn["f4"]["png"] == 144
+        # byte pin of the whole table at seed 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fae20df8914451699c249797451d50bb76d0f0da7b562cb695d31c8b040fd569")
 
 
 class TestTrace:

@@ -8,10 +8,11 @@ from subgrid.core import (
     Cell,
     GridPoint,
     GridSpec,
+    argmin_candidate,
     cell_vertices,
     lattice_points,
-    lex_less,
     position_of,
+    rank,
     refine,
 )
 from subgrid.errors import (
@@ -134,14 +135,12 @@ class TestCell:
 
 
 class TestOrdering:
-    def test_lex_less(self):
-        assert lex_less((0.0, 1.0), (0.0, 2.0))
-        assert not lex_less((1.0, 0.0), (0.0, 9.0))
-        assert not lex_less((1.0, 1.0), (1.0, 1.0))
-
     def test_candidate_sort_by_value_then_position(self):
         a = Candidate((1.0, 0.0), 5.0)
         b = Candidate((0.0, 0.0), 5.0)
         c = Candidate((9.0, 9.0), 1.0)
-        ordered = sorted([a, b, c], key=lambda q: (q.f, q.x))
+        ordered = sorted([a, b, c], key=rank)
         assert ordered == [c, b, a]
+        assert argmin_candidate([a, b]) is b
+        # exact ties keep the earliest candidate
+        assert argmin_candidate([b, Candidate((0.0, 0.0), 5.0)]) is b

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subgrid.errors import DomainError, GradientUnavailableError, SubgridError
-from subgrid.functions import REGISTRY, get_objective, objective_names
+from subgrid.functions import REGISTRY, Evaluator, get_objective, objective_names
 
 # Values frozen from an independent 40-digit computation.
 KNOWN_VALUES = [
@@ -80,6 +80,89 @@ class TestValues:
         with pytest.raises(DomainError):
             gp.evaluate((3.0, 0.0))
         assert gp.evaluate((3.0, 0.0), clamp=True) == gp.evaluate((2.0, 0.0))
+
+
+class TestFormulas:
+    """Spot values of each objective's formula; lower-dimensional points are
+    padded with zeros to the objective's dimension."""
+
+    def test_goldstein_price_optimum(self):
+        assert get_objective("goldstein-price").evaluate((0.0, -1.0)) == 3.0
+
+    def test_easom_optimum(self):
+        got = get_objective("easom").evaluate((math.pi, math.pi))
+        assert got == pytest.approx(-1.0, abs=1e-15)
+
+    def test_easom_underflows_far_away(self):
+        # the exponential dies long before the box edge
+        assert get_objective("easom").evaluate((-100.0, -100.0)) == 0.0
+
+    def test_sphere(self):
+        assert get_objective("f1").evaluate((1.0, -2.0, 3.0)) == 14.0
+
+    def test_rosenbrock(self):
+        f2 = get_objective("f2")
+        assert f2.evaluate((1.0, 1.0)) == 0.0
+        assert f2.evaluate((0.0, 0.0)) == 1.0
+
+    def test_step_floor(self):
+        f3 = get_objective("f3")
+        assert f3.evaluate((-5.12,) * 5) == 0.0
+        assert f3.evaluate((0.9, -0.9, 0.0, 0.0, 0.0)) == 29.0
+
+    def test_quartic(self):
+        f4 = get_objective("f4")
+        assert f4.noiseless((0.0,) * 30) == 0.0
+        # term i is i * x_i^4: 1 * 1 + 2 * 0.5^4
+        assert f4.noiseless((1.0, 0.5) + (0.0,) * 28) == 1.125
+
+    def test_shekel_foxholes_basins(self):
+        # each foxhole center (a, b) nearly attains its basin value
+        f5 = get_objective("f5")
+        fox = (-32.0, -16.0, 0.0, 16.0, 32.0)
+        for i in range(25):
+            a, b = fox[i % 5], fox[i // 5]
+            v = f5.evaluate((a, b))
+            assert abs(v - 1.0 / (0.002 + 1.0 / (i + 1))) < 1e-3, (i, a, b)
+
+
+class TestEvaluator:
+    def test_counts_cache_misses_only(self):
+        ev = Evaluator(get_objective("f1"))
+        assert ev((1.0, 2.0, 3.0)) == 14.0
+        assert ev((1.0, 2.0, 3.0)) == 14.0
+        ev((0.0, 0.0, 0.0))
+        assert ev.count == 2
+
+    def test_maximizing_negates(self):
+        f2 = get_objective("f2")
+        x = (0.5, -0.7)
+        assert Evaluator(f2, negate=True)(x) == -f2.evaluate(x)
+
+    def test_new_generation_counts_again(self):
+        ev = Evaluator(get_objective("f1"))
+        x = (1.0, 2.0, 3.0)
+        ev.start_generation(1)
+        first = ev(x)
+        ev.start_generation(2)
+        assert ev(x) == first
+        assert ev.count == 2
+
+    def test_common_noise_within_a_generation(self):
+        f4 = get_objective("f4")
+        ev = Evaluator(f4, seed=3)
+        points = [(0.0,) * 30, (0.5,) * 30, (1.0,) + (-0.25,) * 29]
+
+        def noise():
+            return [ev(x) - f4.noiseless(x) for x in points]
+
+        ev.start_generation(1)
+        first = noise()
+        assert first == pytest.approx([first[0]] * len(points), abs=1e-12)
+        ev.start_generation(2)
+        second = noise()
+        assert second == pytest.approx([second[0]] * len(points), abs=1e-12)
+        assert second[0] != pytest.approx(first[0], abs=1e-6)
 
 
 class TestStochasticF4:
