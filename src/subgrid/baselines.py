@@ -69,7 +69,7 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class RswConfig:
-    initial: tuple[float, ...]
+    initial: Optional[tuple[float, ...]] = None  # None: box center
     budget: int = 500
     seed: int = 0
     step_scale: float = 2.0
@@ -85,13 +85,14 @@ class RswConfig:
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     """Local random steps from a start point, accepting strict improvements."""
-    if not obj.box.contains(cfg.initial):
-        raise DomainError("initial point %r outside box" % (cfg.initial,))
+    start = cfg.initial if cfg.initial is not None else obj.box.center()
+    if not obj.box.contains(start):
+        raise DomainError("initial point %r outside box" % (start,))
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(obj.box.lower)
     hi = np.asarray(obj.box.upper)
     n = obj.dim
-    x = np.asarray(cfg.initial, dtype=float)
+    x = np.asarray(start, dtype=float)
     f = obj.evaluate(tuple(x), rng=rng)
     best = Candidate(tuple(x), f)
     steps = []
@@ -120,7 +121,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
                 rejections = 0
     return _report("rsw", steps, best, cfg.budget + 1,
                    {"budget": cfg.budget, "seed": cfg.seed,
-                    "initial": tuple(cfg.initial), "step_scale": cfg.step_scale,
+                    "initial": tuple(start), "step_scale": cfg.step_scale,
                     "contraction": cfg.contraction, "patience": cfg.patience})
 
 

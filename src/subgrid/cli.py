@@ -173,11 +173,7 @@ def _cmd_trace(args) -> int:
     if args.max_gens is not None:
         params["max_generations"] = args.max_gens
         params["max_levels"] = args.max_gens
-    if args.algo == "slm":
-        report = harness._run_slm(obj, params, seed)
-    else:
-        params.pop("sense")
-        report = harness._run_slmga(obj, params, seed)
+    report = harness.run_algorithm(args.algo, obj, params, seed)
     _write(svgtrace.emit_trace_svg(report, obj), args.out)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

@@ -1,9 +1,16 @@
 """Domain types for dyadic refinement grids.
 
-Positions are always derived from integer relative coordinates ``k`` via
-``lower + k * step``, never accumulated in floating point, so a point keeps
-the exact same position through any number of refinements (all benchmark
-boxes have dyadic widths).
+A grid point's position is derived from its integer relative coordinates
+``k`` via ``lower + k * step``.  Refinement doubles ``k`` and halves the
+step, so ``k * step`` is the same double at every level and a point keeps
+the same position through any number of refinements.  That position is
+rounded unless the box width is dyadic: Easom and Goldstein-Price have
+dyadic widths, but F1-F5 (10.24, 4.096, 2.56, 131.072) do not.
+
+SLM's neighbour probes are the exception to the integer rule:
+``slm.slm_neighbors`` adds the half step to a position in floating point,
+so on a non-dyadic box a probe can differ in its last bits from the
+lattice point ``lower + k * step`` it stands for.
 """
 
 from __future__ import annotations

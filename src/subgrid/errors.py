@@ -22,7 +22,7 @@ class DimensionTooLargeError(SubgridError):
 
 
 class InvalidDeltaError(SubgridError):
-    """A difference vector contains NaN or infinity."""
+    """A difference vector is empty or contains NaN or infinity."""
 
 
 class DimensionMismatchError(SubgridError):

@@ -75,18 +75,25 @@ class Objective:
         return self.fd_gradient(x)
 
     def fd_gradient(self, x: Sequence[float]) -> Vector:
-        """Central differences with per-coordinate step 1e-6*max(1, |x_d|)."""
+        """Central differences with per-coordinate step 1e-6*max(1, |x_d|)
+        (at most half the box width); one-sided along a coordinate where a
+        step would leave the box."""
         if not self.smooth:
             raise GradientUnavailableError("%s has no usable gradient" % self.name)
         x = tuple(float(v) for v in x)
         out = []
         for d in range(self.dim):
-            h = 1e-6 * max(1.0, abs(x[d]))
+            h = min(1e-6 * max(1.0, abs(x[d])), self.box.width[d] / 2.0)
+            up = x[d] + h <= self.box.upper[d]
+            down = x[d] - h >= self.box.lower[d]
             hi = list(x)
             lo = list(x)
-            hi[d] += h
-            lo[d] -= h
-            out.append((self.noiseless(hi, clamp=False) - self.noiseless(lo, clamp=False)) / (2.0 * h))
+            if up:
+                hi[d] += h
+            if down:
+                lo[d] -= h
+            out.append((self.noiseless(hi, clamp=False) - self.noiseless(lo, clamp=False))
+                       / ((up + down) * h))
         return tuple(out)
 
 

@@ -9,14 +9,16 @@ stored DE reference counts.
 from __future__ import annotations
 
 import configparser
-import contextlib
+import dataclasses
 import io
 import itertools
 import json
 import math
 import statistics
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
@@ -25,8 +27,7 @@ from .errors import ConfigError, GridTooLargeError, SubgridError
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
 from .functions import Objective, get_objective
-from .labeling import LabelRule, LabelVariant
-from .slm import NeighborScheme, Sense, SlmConfig
+from .slm import SlmConfig
 from .slmga import GaConfig
 
 MAX_BRUTE_FORCE_POINTS = 10**7
@@ -107,105 +108,68 @@ def resolve_objective(cfg: ExperimentConfig) -> Objective:
     return expression_objective(cfg.expr, cfg.dim, cfg.lower, cfg.upper)
 
 
-@contextlib.contextmanager
-def _params_checked():
-    """Turn a bad algorithm parameter (unparsable, unknown enum value or out
-    of range) into a configuration error while a runner builds its config."""
+# Each algorithm's config class and its engine, named by module and
+# attribute: the engine is looked up when a run starts, so a rebinding of
+# the module attribute (as a tracer does) is seen.
+ALGORITHMS: dict[str, tuple[type, types.ModuleType, str]] = {
+    "slm": (SlmConfig, slm, "slm_run"),
+    "slmga": (GaConfig, slmga, "ga_run"),
+    "rs": (RsConfig, baselines, "random_search"),
+    "rsw": (RswConfig, baselines, "random_walk_search"),
+    "sa": (SaConfig, baselines, "simulated_annealing"),
+    "de": (DeConfig, baselines, "differential_evolution"),
+}
+
+# The keys that set the one nested config (`LabelRule`), by its field names.
+NESTED_KEYS = {"label_rule": {"variant": "label_rule", "epsilon": "epsilon"}}
+
+
+def _parse(tp, value):
+    """``value`` (a string from an INI file or an already typed value) as
+    type ``tp``: float, int, an enum, ``Optional[...]`` or a tuple of floats
+    written ``"a,b"``."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+    if typing.get_origin(tp) is tuple:
+        parts = value.split(",") if isinstance(value, str) else value
+        return tuple(float(v) for v in parts)
+    return tp(value)
+
+
+def build_config(cls, params: dict, **fixed):
+    """An instance of the config dataclass ``cls``: each field named in
+    ``params`` parsed by its type, ``fixed`` values taken as they are,
+    every other field left at its default.  Keys that name no field are
+    ignored, so one parameter set can serve several algorithms.  A bad
+    value is a ``ConfigError``."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
     try:
-        yield
+        for f in dataclasses.fields(cls):
+            if f.name in fixed:
+                kwargs[f.name] = fixed[f.name]
+            elif f.name in NESTED_KEYS:
+                keys = NESTED_KEYS[f.name]
+                kwargs[f.name] = build_config(hints[f.name], {
+                    sub: params[key] for sub, key in keys.items() if key in params})
+            elif f.name in params:
+                kwargs[f.name] = _parse(hints[f.name], params[f.name])
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError("bad algorithm parameter: %s" % exc) from None
 
 
-def _run_slm(obj, params, seed):
-    del seed  # deterministic
-    with _params_checked():
-        cfg = SlmConfig(
-            h_tol=float(params.get("h_tol", 1e-4)),
-            max_levels=int(params.get("max_levels", 40)),
-            neighbor_scheme=NeighborScheme(params.get("neighbor_scheme", "sign-uniform")),
-            sense=Sense(params.get("sense", "min")),
-            label_rule=_label_rule(params),
-        )
-    return slm.slm_run(obj, cfg)
-
-
-def _run_slmga(obj, params, seed):
-    with _params_checked():
-        cfg = GaConfig(
-            h_tol=float(params.get("h_tol", 1e-4)),
-            max_generations=int(params.get("max_generations", 64)),
-            seed=seed,
-            label_rule=_label_rule(params),
-            mutation_rate=float(params.get("mutation_rate", 1.0)),
-        )
-    return slmga.ga_run(obj, cfg)
-
-
-def _label_rule(params) -> LabelRule:
-    return LabelRule(
-        variant=LabelVariant(params.get("label_rule", "best-neighbor")),
-        epsilon=float(params.get("epsilon", 0.0)),
-    )
-
-
-def _run_rs(obj, params, seed):
-    with _params_checked():
-        cfg = RsConfig(budget=int(params.get("budget", 1000)), seed=seed)
-    return baselines.random_search(obj, cfg)
-
-
-def _run_rsw(obj, params, seed):
-    with _params_checked():
-        initial = params.get("initial", obj.box.center())
-        if isinstance(initial, str):
-            initial = tuple(float(v) for v in initial.split(","))
-        cfg = RswConfig(
-            initial=tuple(initial),
-            budget=int(params.get("budget", 500)),
-            seed=seed,
-            step_scale=float(params.get("step_scale", 2.0)),
-            contraction=float(params.get("contraction", 0.95)),
-            patience=int(params.get("patience", 10)))
-    return baselines.random_walk_search(obj, cfg)
-
-
-def _run_sa(obj, params, seed):
-    with _params_checked():
-        initial = params.get("initial")
-        if isinstance(initial, str):
-            initial = tuple(float(v) for v in initial.split(","))
-        step_scale = params.get("step_scale")
-        cfg = SaConfig(
-            budget=int(params.get("budget", 400)),
-            seed=seed,
-            initial=initial,
-            t0=float(params.get("t0", 1e-3)),
-            cooling=float(params.get("cooling", 0.995)),
-            step_scale=float(step_scale) if step_scale is not None else None)
-    return baselines.simulated_annealing(obj, cfg)
-
-
-def _run_de(obj, params, seed):
-    with _params_checked():
-        fw = params.get("f_weight")
-        cfg = DeConfig(
-            generations=int(params.get("generations", 260)),
-            seed=seed,
-            pop_size=int(params.get("pop_size", 20)),
-            cr=float(params.get("cr", 0.9)),
-            f_weight=float(fw) if fw is not None else None)
-    return baselines.differential_evolution(obj, cfg)
-
-
-ALGORITHMS: dict[str, Callable] = {
-    "slm": _run_slm,
-    "slmga": _run_slmga,
-    "rs": _run_rs,
-    "rsw": _run_rsw,
-    "sa": _run_sa,
-    "de": _run_de,
-}
+def run_algorithm(name: str, obj: Objective, params: dict, seed: int) -> RunReport:
+    """One run of algorithm ``name`` with its config built from ``params``;
+    ``seed`` is used by every algorithm but the deterministic SLM."""
+    try:
+        cls, module, engine = ALGORITHMS[name]
+    except KeyError:
+        raise ConfigError("unknown algorithm %r (have: %s)"
+                          % (name, ", ".join(algorithm_names()))) from None
+    return getattr(module, engine)(obj, build_config(cls, params, seed=seed))
 
 
 def algorithm_names() -> list[str]:
@@ -225,12 +189,8 @@ def compute_metrics(report: RunReport, obj: Objective) -> Metrics:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run `cfg.trials` independently seeded trials (seed, seed+1, ...)."""
     obj = resolve_objective(cfg)
-    try:
-        runner = ALGORITHMS[cfg.algo]
-    except KeyError:
-        raise ConfigError("unknown algorithm %r (have: %s)"
-                          % (cfg.algo, ", ".join(algorithm_names()))) from None
-    reports = [runner(obj, cfg.algo_params, cfg.seed + t) for t in range(cfg.trials)]
+    reports = [run_algorithm(cfg.algo, obj, cfg.algo_params, cfg.seed + t)
+               for t in range(cfg.trials)]
     bvs = [r.best_value for r in reports]
     best_trial = min(range(len(reports)), key=lambda i: (bvs[i], reports[i].best.x))
     metrics = compute_metrics(reports[best_trial], obj)

@@ -34,7 +34,7 @@ class LabelRule:
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise InvalidDeltaError("epsilon must be finite and >= 0")
+            raise ValueError("epsilon must be finite and >= 0")
 
 
 def label_from_delta(d: Sequence[float], rule: LabelRule | None = None) -> int:

@@ -78,7 +78,12 @@ def slm_neighbors(
 
     Sign-uniform: +h or -h applied uniformly on every nonempty coordinate
     subset (at most 2*(2^n - 1) candidates).  Full-box: all of
-    {0, +h, -h}^n including ``x`` itself (3^n candidates)."""
+    {0, +h, -h}^n including ``x`` itself (3^n candidates).
+
+    The displacement is added in floating point, so on a box of non-dyadic
+    width a probe can differ in its last bits from the next level's lattice
+    point ``lower + k * h``: 21,160 of the 27,736 probes of the six SLM runs
+    in ``tests/test_golden_bytes.py`` do, all on F1, F2, F3 and F5."""
     n = len(x)
     out = []
     if scheme is NeighborScheme.SIGN_UNIFORM:
@@ -197,10 +202,9 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
             labels[p] = label_from_delta(delta, rule)
             deltas[p] = delta
 
-        region_cells = _region_cells(active)
-        complete = [c for c in find_complete_cells({p: labels[p] for p in active})
-                    if c in region_cells]
-        chosen = _choose_cell(complete, grid, vertex_values, best, region_cells)
+        # every vertex of a complete cell is active, so it is a region cell
+        complete = find_complete_cells({p: labels[p] for p in active})
+        chosen = _choose_cell(complete, grid, vertex_values, best, _region_cells(active))
 
         steps.append(StepRecord(
             level=level, h=h, population=population,

@@ -197,10 +197,9 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
 
         vertex_values = {c.point: c.f for c in members}
         if 3**n <= MAX_ENUMERATED_OFFSPRING:
-            region = _region_cells([c.point for c in members]) if members else []
-            complete = find_complete_cells(labels)
-            complete = [c for c in complete if c in set(region)] or complete
-            chosen = _choose_cell(complete, grid, vertex_values, best, region) if (complete or region) else None
+            # every vertex of a complete cell is labelled, so it is a region cell
+            region = _region_cells([c.point for c in members])
+            chosen = _choose_cell(find_complete_cells(labels), grid, vertex_values, best, region)
         else:
             # cell enumeration is unaffordable here; mutation alone refines
             chosen = None

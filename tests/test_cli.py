@@ -95,6 +95,8 @@ class TestRun:
         ("slmga", "label_rule = bogus"),
         ("slmga", "h_tol = abc"),
         ("rs", "budget = abc"),
+        ("slmga", "epsilon = -1"),
+        ("slm", "neighbor_scheme = bogus"),
     ])
     def test_bad_config_parameter_is_config_error(self, capsys, tmp_path, algo, line):
         ini = tmp_path / "e.ini"

@@ -208,6 +208,13 @@ class TestGradients:
             scale = max(1.0, float(np.max(np.abs(ga))))
             assert np.max(np.abs(ga - gf)) / scale < 1e-5, (name, x)
 
+    def test_finite_difference_one_sided_at_corners(self):
+        obj = get_objective("f1")
+        for corner in ((obj.box.lower[0],) * 3, (obj.box.upper[0],) * 3):
+            g = obj.fd_gradient(corner)
+            for gd, xd in zip(g, corner):
+                assert gd == pytest.approx(2.0 * xd, rel=1e-5)
+
     def test_stationary_at_known_optima(self):
         for name in ("f1", "f2", "goldstein-price", "easom"):
             obj = get_objective(name)

@@ -69,6 +69,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(expr="x1^2", algo="slm"))
 
+    @pytest.mark.parametrize("algo,params,key,want", [
+        ("rsw", {"initial": "0.5,0.5", "budget": 10}, "initial", (0.5, 0.5)),
+        ("sa", {"initial": "0.5,0.5", "budget": 10}, "initial", (0.5, 0.5)),
+        ("de", {"f_weight": "0.7", "generations": 2}, "f_mode", 0.7),
+    ])
+    def test_algorithm_parameters_parsed_by_field_type(self, algo, params, key, want):
+        cfg = ExperimentConfig(objective="f2", algo=algo, algo_params=params)
+        assert run_experiment(cfg).reports[0].meta[key] == want
+
 
 class TestBruteForce:
     def test_f1_contains_true_optimum(self):
@@ -197,6 +206,15 @@ class TestConfigFile:
             cfgs = load_config_file(str(path))
             outputs.append(emit_table(run_experiment(cfgs[0]).reports, "csv"))
         assert outputs[0] == outputs[1]
+
+    def test_gradient_labels_on_expression(self, tmp_path):
+        # the finite-difference gradient is one-sided at the box corners
+        path = tmp_path / "exp.ini"
+        path.write_text("[e]\nexpr = x1^2 + x2^2\ndim = 2\nlower = -4\nupper = 4\n"
+                        "algo = slmga\nlabel_rule = gradient-fixed-point\n")
+        result = run_experiment(load_config_file(str(path))[0])
+        assert result.reports[0].converged
+        assert result.min_bv == 0.0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
