@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, RunReport, StepRecord, rank
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .functions import Objective
 
 # Generation counts reported for third-party GAs; stored for PNG ratios,
@@ -39,6 +39,15 @@ def _report(algo: str, steps, best, evaluations, meta=None) -> RunReport:
 def _track(steps, iteration, h, best):
     steps.append(StepRecord(level=iteration, h=h, population=[], labels=[],
                             chosen_cell=None, best=best))
+
+
+def _start(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
+    """The start point of a local search: ``initial``, else the box centre."""
+    if initial is None:
+        return obj.box.center()
+    if not obj.box.contains(initial):
+        raise ConfigError("initial point %r is not in the %d-d box" % (initial, obj.dim))
+    return tuple(initial)
 
 
 @dataclass(frozen=True)
@@ -85,9 +94,7 @@ class RswConfig:
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     """Local random steps from a start point, accepting strict improvements."""
-    start = cfg.initial if cfg.initial is not None else obj.box.center()
-    if not obj.box.contains(start):
-        raise DomainError("initial point %r outside box" % (start,))
+    start = _start(obj, cfg.initial)
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(obj.box.lower)
     hi = np.asarray(obj.box.upper)
@@ -121,7 +128,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
                 rejections = 0
     return _report("rsw", steps, best, cfg.budget + 1,
                    {"budget": cfg.budget, "seed": cfg.seed,
-                    "initial": tuple(start), "step_scale": cfg.step_scale,
+                    "initial": start, "step_scale": cfg.step_scale,
                     "contraction": cfg.contraction, "patience": cfg.patience})
 
 
@@ -149,9 +156,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(obj.box.lower)
     hi = np.asarray(obj.box.upper)
-    start = cfg.initial if cfg.initial is not None else obj.box.center()
-    if not obj.box.contains(start):
-        raise DomainError("initial point %r outside box" % (start,))
+    start = _start(obj, cfg.initial)
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
     x = np.asarray(start, dtype=float)
     f = obj.evaluate(tuple(x), rng=rng)
@@ -173,7 +178,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     return _report("sa", steps, best, cfg.budget + 1,
                    {"budget": cfg.budget, "seed": cfg.seed, "t0": cfg.t0,
                     "cooling": cfg.cooling, "step_scale": sigma0,
-                    "initial": tuple(start)})
+                    "initial": start})
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -25,7 +26,10 @@ EXIT_OBJECTIVE = 3
 EXIT_NOT_CONVERGED = 4
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``SUBGRID_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("SUBGRID_SEED")
     if raw is None:
         return 0
@@ -43,24 +47,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list objectives and algorithms")
 
+    # a flag that sets an ExperimentConfig field has the field name as dest
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--function", help="built-in objective name")
+    run.add_argument("--function", dest="objective", help="built-in objective name")
     run.add_argument("--expr", help="objective expression in x1..xn "
                      "(note: -x1^2 means -(x1^2))")
     run.add_argument("--dim", type=int, help="dimension for --expr")
-    run.add_argument("--lower", type=float, default=-10.0,
-                     help="box lower bound for --expr (default -10)")
-    run.add_argument("--upper", type=float, default=10.0,
-                     help="box upper bound for --expr (default 10)")
-    run.add_argument("--algo", default="slmga",
-                     choices=sorted(harness.ALGORITHMS))
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--h-tol", type=float, default=None)
-    run.add_argument("--max-gens", type=int, default=None)
-    run.add_argument("--budget", type=int, default=None)
-    run.add_argument("--format", default="markdown",
-                     choices=("csv", "markdown", "json"))
+    run.add_argument("--lower", type=float, help="box lower bound for --expr "
+                     "(default %g)" % ExperimentConfig.lower)
+    run.add_argument("--upper", type=float, help="box upper bound for --expr "
+                     "(default %g)" % ExperimentConfig.upper)
+    run.add_argument("--algo", choices=sorted(harness.ALGORITHMS),
+                     help="default %s" % ExperimentConfig.algo)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--trials", type=int, help="default %d" % ExperimentConfig.trials)
+    run.add_argument("--h-tol", type=float)
+    run.add_argument("--max-gens", type=int)
+    run.add_argument("--budget", type=int)
+    run.add_argument("--format", dest="fmt", choices=("csv", "markdown", "json"),
+                     help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
     run.add_argument("--config", help="INI config file; runs every section "
                      "and ignores the other flags")
@@ -74,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="render a 2-d run as SVG")
     trace.add_argument("--function", required=True)
     trace.add_argument("--algo", default="slm", choices=("slm", "slmga"))
-    trace.add_argument("--seed", type=int, default=None)
-    trace.add_argument("--h-tol", type=float, default=None)
-    trace.add_argument("--max-gens", type=int, default=None)
-    trace.add_argument("--sense", default="min", choices=("min", "max"))
+    trace.add_argument("--seed", type=int)
+    trace.add_argument("--h-tol", type=float)
+    trace.add_argument("--max-gens", type=int)
+    trace.add_argument("--sense", choices=("min", "max"), help="slm only")
     trace.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate an expression at a point")
@@ -109,35 +114,37 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _experiment_from_args(args) -> ExperimentConfig:
+# Each flag that sets an algorithm parameter, and the fields it may set: the
+# one that the chosen algorithm's config has.
+ALGORITHM_FLAGS = {"h_tol": ("h_tol",), "max_gens": ("max_generations", "max_levels"),
+                   "budget": ("budget", "generations"), "sense": ("sense",)}
+
+
+def _algorithm_params(args, algo: str) -> dict:
+    fields = {f.name for f in dataclasses.fields(harness.ALGORITHMS[algo][0])}
     params = {}
-    if args.h_tol is not None:
-        params["h_tol"] = args.h_tol
-    if args.max_gens is not None:
-        params["max_generations"] = args.max_gens
-        params["max_levels"] = args.max_gens
-    if args.budget is not None:
-        params["budget"] = args.budget
-        params["generations"] = args.budget
-    return ExperimentConfig(
-        objective=args.function,
-        expr=args.expr,
-        dim=args.dim,
-        lower=args.lower,
-        upper=args.upper,
-        algo=args.algo,
-        algo_params=params,
-        trials=args.trials,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        fmt=args.format,
-    )
+    for flag, names in ALGORITHM_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            field = fields.intersection(names)
+            if not field:
+                raise ConfigError("--%s does not apply to %s" % (flag.replace("_", "-"), algo))
+            params[field.pop()] = value
+    return params
+
+
+def _experiment_from_args(args) -> ExperimentConfig:
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = harness.build_config(ExperimentConfig, given, seed=_seed(args))
+    return dataclasses.replace(cfg, algo_params=_algorithm_params(args, cfg.algo))
 
 
 def _cmd_run(args) -> int:
     if args.config:
         configs = harness.load_config_file(args.config)
     else:
-        if args.function and args.expr:
+        if args.objective and args.expr:
             raise ConfigError("give either --function or --expr, not both")
         configs = [_experiment_from_args(args)]
     code = EXIT_OK
@@ -158,22 +165,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rows = harness.bench_suite(seed=seed)
+    rows = harness.bench_suite(seed=_seed(args))
     _write(harness.bench_table(rows, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     obj = get_objective(args.function)
-    seed = args.seed if args.seed is not None else _default_seed()
-    params = {"sense": args.sense}
-    if args.h_tol is not None:
-        params["h_tol"] = args.h_tol
-    if args.max_gens is not None:
-        params["max_generations"] = args.max_gens
-        params["max_levels"] = args.max_gens
-    report = harness.run_algorithm(args.algo, obj, params, seed)
+    report = harness.run_algorithm(args.algo, obj, _algorithm_params(args, args.algo),
+                                   _seed(args))
     _write(svgtrace.emit_trace_svg(report, obj), args.out)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

@@ -60,9 +60,6 @@ class BoxDomain:
             return False
         return all(lo - tol <= v <= hi + tol for v, lo, hi in zip(x, self.lower, self.upper))
 
-    def clamp(self, x: Sequence[float]) -> Vector:
-        return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper))
-
     def center(self) -> Vector:
         return tuple(lo + (hi - lo) / 2.0 for lo, hi in zip(self.lower, self.upper))
 

@@ -1,9 +1,8 @@
 """Benchmark objective suite: De Jong F1-F5, Goldstein-Price, Easom.
 
 All objectives are minimized over an axis-aligned box.  Out-of-box
-evaluation raises ``DomainError`` unless the call asks for clamping; the
-engines discard out-of-box candidates instead of clamping, so the default
-stays strict.
+evaluation raises ``DomainError``; the engines discard out-of-box
+candidates before they evaluate.
 
 F4 is stochastic: each of its 30 quartic terms gets one standard-normal
 draw from the caller-supplied random source, so reproducibility is the
@@ -35,17 +34,11 @@ class Objective:
     gradient_fn: Optional[Callable[[Sequence[float]], Vector]] = None
     known_optimum: Optional[tuple[Vector, float]] = None
     stochastic: bool = False
-    seedable: bool = False
     smooth: bool = True
     noiseless_fn: Optional[Callable[[Sequence[float]], float]] = None
 
-    def __call__(self, x: Sequence[float], rng=None, clamp: bool = False) -> float:
-        return self.evaluate(x, rng=rng, clamp=clamp)
-
-    def evaluate(self, x: Sequence[float], rng=None, clamp: bool = False) -> float:
-        if clamp:
-            x = self.box.clamp(x)
-        elif not self.box.contains(x):
+    def evaluate(self, x: Sequence[float], rng=None) -> float:
+        if not self.box.contains(x):
             raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
         if self.stochastic:
             if rng is None:
@@ -53,15 +46,13 @@ class Objective:
             return self.eval_fn(x, rng)
         return self.eval_fn(x)
 
-    def noiseless(self, x: Sequence[float], clamp: bool = False) -> float:
+    def noiseless(self, x: Sequence[float]) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""
-        if self.noiseless_fn is not None:
-            if clamp:
-                x = self.box.clamp(x)
-            elif not self.box.contains(x):
-                raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
-            return self.noiseless_fn(x)
-        return self.evaluate(x, clamp=clamp)
+        if self.noiseless_fn is None:
+            return self.evaluate(x)
+        if not self.box.contains(x):
+            raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
+        return self.noiseless_fn(x)
 
     def gradient(self, x: Sequence[float]) -> Vector:
         """Analytic gradient where defined, else central finite differences.
@@ -92,8 +83,7 @@ class Objective:
                 hi[d] += h
             if down:
                 lo[d] -= h
-            out.append((self.noiseless(hi, clamp=False) - self.noiseless(lo, clamp=False))
-                       / ((up + down) * h))
+            out.append((self.noiseless(hi) - self.noiseless(lo)) / ((up + down) * h))
         return tuple(out)
 
 
@@ -275,7 +265,7 @@ def _build_registry() -> dict[str, Objective]:
         known_optimum=((-5.12,) * 5, 0.0)))
     add(Objective(
         name="f4", dim=30, box=BoxDomain.cube(-1.28, 1.28, 30),
-        eval_fn=_f4, stochastic=True, seedable=True, smooth=False,
+        eval_fn=_f4, stochastic=True, smooth=False,
         noiseless_fn=_f4_noiseless,
         known_optimum=((0.0,) * 30, 0.0)))
     add(Objective(

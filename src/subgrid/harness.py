@@ -51,7 +51,6 @@ class Metrics:
     sd_vec: Optional[tuple[float, ...]]
     sd_euclid: Optional[float]
     generations: int
-    png: Optional[float] = None
 
 
 @dataclass
@@ -66,7 +65,6 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     fmt: str = "markdown"
-    trace_path: Optional[str] = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -141,35 +139,46 @@ def _parse(tp, value):
 def build_config(cls, params: dict, **fixed):
     """An instance of the config dataclass ``cls``: each field named in
     ``params`` parsed by its type, ``fixed`` values taken as they are,
-    every other field left at its default.  Keys that name no field are
-    ignored, so one parameter set can serve several algorithms.  A bad
-    value is a ``ConfigError``."""
+    every other field left at its default.  A key of ``params`` that names
+    no field, or a bad value, is a ``ConfigError``."""
     hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    accepted = set(names).union(*(NESTED_KEYS[n].values() for n in names if n in NESTED_KEYS))
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ConfigError("%s has no field %s" % (cls.__name__, ", ".join(map(repr, unknown))))
     kwargs = {}
     try:
-        for f in dataclasses.fields(cls):
-            if f.name in fixed:
-                kwargs[f.name] = fixed[f.name]
-            elif f.name in NESTED_KEYS:
-                keys = NESTED_KEYS[f.name]
-                kwargs[f.name] = build_config(hints[f.name], {
+        for name in names:
+            if name in fixed:
+                kwargs[name] = fixed[name]
+            elif name in NESTED_KEYS:
+                keys = NESTED_KEYS[name]
+                kwargs[name] = build_config(hints[name], {
                     sub: params[key] for sub, key in keys.items() if key in params})
-            elif f.name in params:
-                kwargs[f.name] = _parse(hints[f.name], params[f.name])
+            elif name in params:
+                kwargs[name] = _parse(hints[name], params[name])
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError("bad algorithm parameter: %s" % exc) from None
+        raise ConfigError("bad value: %s" % exc) from None
+
+
+def algorithm_config(name: str, params: dict, seed: int = 0):
+    """The config of algorithm ``name`` built from ``params``."""
+    try:
+        cls = ALGORITHMS[name][0]
+    except KeyError:
+        raise ConfigError("unknown algorithm %r (have: %s)"
+                          % (name, ", ".join(algorithm_names()))) from None
+    return build_config(cls, params, seed=seed)
 
 
 def run_algorithm(name: str, obj: Objective, params: dict, seed: int) -> RunReport:
     """One run of algorithm ``name`` with its config built from ``params``;
     ``seed`` is used by every algorithm but the deterministic SLM."""
-    try:
-        cls, module, engine = ALGORITHMS[name]
-    except KeyError:
-        raise ConfigError("unknown algorithm %r (have: %s)"
-                          % (name, ", ".join(algorithm_names()))) from None
-    return getattr(module, engine)(obj, build_config(cls, params, seed=seed))
+    cfg = algorithm_config(name, params, seed)
+    _, module, engine = ALGORITHMS[name]
+    return getattr(module, engine)(obj, cfg)
 
 
 def algorithm_names() -> list[str]:
@@ -210,7 +219,7 @@ def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int,
     for k in itertools.product(range(side), repeat=box.dim):
         p = GridPoint(k, level)
         x = position_of(p, grid)
-        f = obj.evaluate(x, rng=rng) if obj.stochastic else obj.evaluate(x)
+        f = obj.evaluate(x, rng=rng)
         if best is None or f < best.f or (f == best.f and x < best.x):
             best = Candidate(x, f, point=p)
     return best
@@ -334,9 +343,7 @@ def bench_suite(seed: int = 0) -> list[BenchRow]:
     rows = []
     for name in BENCH_FUNCTIONS:
         obj = get_objective(name)
-        cfg = GaConfig(h_tol=SLMGA_BENCH_SETTINGS[name]["h_tol"], seed=seed,
-                       max_generations=64)
-        rep = slmga.ga_run(obj, cfg)
+        rep = run_algorithm("slmga", obj, SLMGA_BENCH_SETTINGS[name], seed)
         metrics = compute_metrics(rep, obj)
         de_gens = baselines.REPORTED_GENERATIONS["de"][name]
         rows.append(BenchRow(
@@ -380,34 +387,32 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
     return out.getvalue()
 
 
+# INI spellings of ExperimentConfig fields.
+INI_KEYS = {"function": "objective", "format": "fmt"}
+
+
 def load_config_file(path: str) -> list[ExperimentConfig]:
-    """INI-style config: one experiment per section."""
+    """INI-style config: one experiment per section.  A key that names an
+    ``ExperimentConfig`` field sets it; every other key is a parameter of the
+    section's algorithm.  Every section is checked before any runs."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError("cannot read config file %r" % path)
-    known = {"objective", "function", "expr", "dim", "lower", "upper", "algo",
-             "trials", "seed", "format", "trace"}
+    experiment = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"algo_params"}
     out = []
     for section in parser.sections():
-        sec = parser[section]
-        params = {k: v for k, v in sec.items() if k not in known}
+        keys = {INI_KEYS.get(k, k): v for k, v in parser[section].items()}
+        if len(keys) < len(parser[section]):
+            raise ConfigError("section [%s]: a field is set by two spellings" % section)
         try:
-            out.append(ExperimentConfig(
-                objective=sec.get("objective", sec.get("function")),
-                expr=sec.get("expr"),
-                dim=sec.getint("dim") if sec.get("dim") else None,
-                lower=sec.getfloat("lower", -10.0),
-                upper=sec.getfloat("upper", 10.0),
-                algo=sec.get("algo", "slmga"),
-                algo_params=params,
-                trials=sec.getint("trials", 1),
-                seed=sec.getint("seed", 0),
-                fmt=sec.get("format", "markdown"),
-                trace_path=sec.get("trace"),
-            ))
-        except (ValueError, SubgridError) as exc:
+            cfg = build_config(
+                ExperimentConfig, {k: v for k, v in keys.items() if k in experiment},
+                algo_params={k: v for k, v in keys.items() if k not in experiment})
+            algorithm_config(cfg.algo, cfg.algo_params)
+        except SubgridError as exc:
             raise ConfigError("section [%s]: %s" % (section, exc)) from None
+        out.append(cfg)
     if not out:
         raise ConfigError("config file %r has no experiment sections" % path)
     return out

@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import DimensionTooLargeError
 from .functions import Evaluator, Objective
-from .labeling import LabelRule, delta_of, find_complete_cells, label_from_delta
+from .labeling import LabelRule, LabelVariant, delta_of, find_complete_cells, label_from_delta
 
 MAX_CORNER_DIM = 20
 
@@ -59,6 +59,8 @@ class SlmConfig:
             raise ValueError("h_tol must be positive")
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
+        if self.label_rule.variant is not LabelVariant.BEST_NEIGHBOR:
+            raise ValueError("slm labels by the best neighbor only")
 
 
 def initial_corners(box: BoxDomain) -> list[GridPoint]:
@@ -128,7 +130,7 @@ def _choose_cell(
     values: dict[GridPoint, float],
     best: Candidate,
     region_cells: list[Cell],
-) -> Optional[Cell]:
+) -> Cell:
     """Complete cell with the fittest vertex; without a complete cell (or
     when the cell holding the overall best point has a strictly fitter
     vertex, as on plateaus where completeness only marks discontinuities),
@@ -155,10 +157,7 @@ def _choose_cell(
         # prefer the cell whose anchor sits at the best point, i.e. the one
         # extending toward larger coordinates (matches the published traces)
         return max(containing, key=lambda c: c.anchor.k)
-    region_cells_by_vf = sorted(
-        region_cells, key=lambda c: (min(values[v] for v in cell_vertices(c)), c.anchor.k)
-    )
-    return region_cells_by_vf[0] if region_cells_by_vf else None
+    return min(region_cells, key=cell_key)
 
 
 def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
@@ -213,8 +212,6 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
                     for p in sorted(active, key=lambda q: q.k)],
             chosen_cell=chosen, best=best))
 
-        if chosen is None:
-            break
         active = lattice_points(chosen)
         labels = {refine(p): lab for p, lab in labels.items()}
         deltas = {refine(p): d for p, d in deltas.items()}

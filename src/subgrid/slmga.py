@@ -223,7 +223,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     converged = all(hd < cfg.h_tol for hd in final.step)
     # the answer is the best member of the converged population; probes may
     # have seen a lower value elsewhere, which best_value keeps
-    solution = argmin_candidate(pop.members) if pop.members else best
+    solution = argmin_candidate(pop.members)
     return RunReport(
         steps=steps,
         best=solution,

@@ -33,12 +33,11 @@ def _shade_values(obj: Objective):
     """Objective sampled on cell centers of a SHADE_CELLS^2 raster."""
     (x0, y0), (x1, y1) = obj.box.lower, obj.box.upper
     vals = []
-    fn = obj.noiseless if obj.stochastic else obj.evaluate
     for iy in range(SHADE_CELLS):
         for ix in range(SHADE_CELLS):
             x = x0 + (ix + 0.5) / SHADE_CELLS * (x1 - x0)
             y = y0 + (iy + 0.5) / SHADE_CELLS * (y1 - y0)
-            vals.append(fn((x, y)))
+            vals.append(obj.noiseless((x, y)))
     return vals
 
 

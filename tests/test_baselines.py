@@ -13,7 +13,7 @@ from subgrid.baselines import (
     random_walk_search,
     simulated_annealing,
 )
-from subgrid.errors import ConfigError, DomainError
+from subgrid.errors import ConfigError
 from subgrid.functions import get_objective
 
 
@@ -57,7 +57,7 @@ class TestRandomWalkSearch:
 
     def test_initial_outside_box_rejected(self):
         obj = get_objective("f2")
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             random_walk_search(obj, RswConfig(initial=(5.0, 5.0), budget=10, seed=0))
 
     def test_meta_echoes_hyperparameters(self):

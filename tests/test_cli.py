@@ -84,6 +84,9 @@ class TestRun:
     @pytest.mark.parametrize("algo,flag,value", [
         ("slm", "--h-tol", "0"),
         ("slmga", "--max-gens", "0"),
+        ("slmga", "--budget", "5"),
+        ("de", "--h-tol", "0.1"),
+        ("rs", "--max-gens", "3"),
     ])
     def test_bad_algorithm_flag_is_config_error(self, capsys, algo, flag, value):
         code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
@@ -97,6 +100,12 @@ class TestRun:
         ("rs", "budget = abc"),
         ("slmga", "epsilon = -1"),
         ("slm", "neighbor_scheme = bogus"),
+        ("slmga", "htol = 0.3"),
+        ("slmga", "trace = t.svg"),
+        ("slm", "label_rule = gradient-fixed-point"),
+        ("rsw", "initial = 5,5"),
+        ("sa", "initial = 1,2,3"),
+        ("slmga", "function = f1"),
     ])
     def test_bad_config_parameter_is_config_error(self, capsys, tmp_path, algo, line):
         ini = tmp_path / "e.ini"
@@ -134,6 +143,14 @@ class TestTrace:
         assert code == 0
         text = out_file.read_text()
         assert "<svg" in text and "cell-outline" in text
+
+    @pytest.mark.parametrize("algo,want", [("slm", 0), ("slmga", 2)])
+    def test_sense_max_is_slm_only(self, capsys, tmp_path, algo, want):
+        code, _, err = run_cli(capsys, "trace", "--function", "easom", "--algo", algo,
+                               "--h-tol", "0.1", "--sense", "max",
+                               "--out", str(tmp_path / "t.svg"))
+        assert code == want
+        assert err.startswith("config error:") == (want == 2)
 
 
 class TestEval:

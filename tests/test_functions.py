@@ -79,7 +79,6 @@ class TestValues:
         gp = get_objective("goldstein-price")
         with pytest.raises(DomainError):
             gp.evaluate((3.0, 0.0))
-        assert gp.evaluate((3.0, 0.0), clamp=True) == gp.evaluate((2.0, 0.0))
 
 
 class TestFormulas:

@@ -216,6 +216,11 @@ class TestConfigFile:
         assert result.reports[0].converged
         assert result.min_bv == 0.0
 
+    def test_unset_fields_keep_their_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[e]\nobjective = f2\n")
+        assert load_config_file(str(path)) == [ExperimentConfig(objective="f2")]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config_file("/nonexistent/exp.ini")
