@@ -41,7 +41,7 @@ def _track(steps, iteration, h, best):
                             chosen_cell=None, best=best))
 
 
-def _start(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
+def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
     """The start point of a local search: ``initial``, else the box centre."""
     if initial is None:
         return obj.box.center()
@@ -94,7 +94,7 @@ class RswConfig:
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     """Local random steps from a start point, accepting strict improvements."""
-    start = _start(obj, cfg.initial)
+    start = start_point(obj, cfg.initial)
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(obj.box.lower)
     hi = np.asarray(obj.box.upper)
@@ -156,7 +156,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(obj.box.lower)
     hi = np.asarray(obj.box.upper)
-    start = _start(obj, cfg.initial)
+    start = start_point(obj, cfg.initial)
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
     x = np.asarray(start, dtype=float)
     f = obj.evaluate(tuple(x), rng=rng)

@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", dest="fmt", choices=("csv", "markdown", "json"),
                      help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
-    run.add_argument("--config", help="INI config file; runs every section "
-                     "and ignores the other flags")
+    run.add_argument("--config", help="INI config file; runs every section as "
+                     "written, so no other flag but --out may be given with it")
 
     bench = sub.add_parser("bench", help="five-function comparison suite")
     bench.add_argument("--seed", type=int, default=None)
@@ -140,8 +140,18 @@ def _experiment_from_args(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, algo_params=_algorithm_params(args, cfg.algo))
 
 
+# The run flags whose dest is not the flag's own name.
+RUN_FLAG_NAMES = {"objective": "--function", "fmt": "--format"}
+
+
 def _cmd_run(args) -> int:
     if args.config:
+        given = [RUN_FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
+                 for dest, value in vars(args).items()
+                 if value is not None and dest not in ("command", "config", "out")]
+        if given:
+            raise ConfigError("--config runs the file as written; %s cannot be given "
+                              "with it" % ", ".join(given))
         configs = harness.load_config_file(args.config)
     else:
         if args.objective and args.expr:

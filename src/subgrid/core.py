@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -55,10 +56,11 @@ class BoxDomain:
     def width(self) -> Vector:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        if len(x) != self.dim:
-            return False
-        return all(lo - tol <= v <= hi + tol for v, lo, hi in zip(x, self.lower, self.upper))
+    def contains(self, x: Sequence[float]) -> bool:
+        """True iff ``x`` has the box's dimension and ``lower <= x <= upper``
+        in every coordinate; a NaN coordinate is never contained."""
+        return (len(x) == len(self.lower) and all(map(operator.le, self.lower, x))
+                and all(map(operator.le, x, self.upper)))
 
     def center(self) -> Vector:
         return tuple(lo + (hi - lo) / 2.0 for lo, hi in zip(self.lower, self.upper))
@@ -112,11 +114,12 @@ def position_of(p: GridPoint, g: GridSpec) -> Vector:
     """Real position ``lower + k * step`` of ``p`` on grid ``g``."""
     if p.level != g.level:
         raise InvalidGridPointError("point level %d != grid level %d" % (p.level, g.level))
-    if len(p.k) != g.box.dim:
+    lower = g.box.lower
+    if len(p.k) != len(lower):
         raise InvalidGridPointError("point dimension mismatch")
-    if any(kd < 0 or kd > g.max_index for kd in p.k):
+    if min(p.k) < 0 or max(p.k) > g.max_index:
         raise InvalidGridPointError("relative coordinates %r outside grid" % (p.k,))
-    return tuple(lo + kd * sd for lo, kd, sd in zip(g.box.lower, p.k, g.step))
+    return tuple(lo + kd * sd for lo, kd, sd in zip(lower, p.k, g.step))
 
 
 def refine(p: GridPoint) -> GridPoint:

@@ -394,7 +394,9 @@ INI_KEYS = {"function": "objective", "format": "fmt"}
 def load_config_file(path: str) -> list[ExperimentConfig]:
     """INI-style config: one experiment per section.  A key that names an
     ``ExperimentConfig`` field sets it; every other key is a parameter of the
-    section's algorithm.  Every section is checked before any runs."""
+    section's algorithm.  Every section is checked before any runs: its keys
+    and values, its objective, and an ``initial`` point against that
+    objective's box."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -409,8 +411,13 @@ def load_config_file(path: str) -> list[ExperimentConfig]:
             cfg = build_config(
                 ExperimentConfig, {k: v for k, v in keys.items() if k in experiment},
                 algo_params={k: v for k, v in keys.items() if k not in experiment})
-            algorithm_config(cfg.algo, cfg.algo_params)
+            algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
         except SubgridError as exc:
+            raise ConfigError("section [%s]: %s" % (section, exc)) from None
+        # an unknown objective or a bad expression keeps its own error (exit 3)
+        try:
+            baselines.start_point(resolve_objective(cfg), getattr(algo_cfg, "initial", None))
+        except ConfigError as exc:
             raise ConfigError("section [%s]: %s" % (section, exc)) from None
         out.append(cfg)
     if not out:

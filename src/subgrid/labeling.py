@@ -9,14 +9,15 @@ and is the subdivision target of both engines.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Candidate, Cell, GridPoint, cell_vertices
+from .core import Candidate, Cell, GridPoint
 from .errors import (
     DimensionMismatchError,
-    InvalidCellError,
     InvalidDeltaError,
     NonFiniteGradientError,
 )
@@ -79,22 +80,22 @@ def find_complete_cells(labels: Mapping[GridPoint, int]) -> list[Cell]:
     lexicographic anchor order.
 
     ``labels`` maps grid points of a single level to their integer labels.
+    A cell's vertices are its anchor's ``k`` plus each 0/1 offset vector, in
+    the order of ``cell_vertices``; a cell with a vertex off the grid is
+    skipped.
     """
     if not labels:
         return []
-    points = list(labels)
+    points = sorted(labels, key=lambda q: q.k)
     n = points[0].dim
-    level = points[0].level
-    present = set(p.k for p in points)
+    top = 2 ** (points[0].level - 1)
+    by_k = {p.k: label for p, label in labels.items()}
+    offsets = list(itertools.product((0, 1), repeat=n))
     out = []
-    for p in sorted(points, key=lambda q: q.k):
-        cell = Cell(p)
-        try:
-            verts = cell_vertices(cell)
-        except InvalidCellError:
+    for p in points:
+        if min(p.k) < 0 or max(p.k) + 1 > top:
             continue
-        if not all(v.k in present for v in verts):
-            continue
-        if is_complete((labels[v] for v in verts), n):
-            out.append(cell)
+        verts = [tuple(map(operator.add, p.k, off)) for off in offsets]
+        if all(v in by_k for v in verts) and is_complete((by_k[v] for v in verts), n):
+            out.append(Cell(p))
     return out

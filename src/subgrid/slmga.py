@@ -33,7 +33,7 @@ from .core import (
     rank,
     refine,
 )
-from .errors import GradientUnavailableError
+from .errors import GradientUnavailableError, InvalidGridPointError
 from .functions import Evaluator, Objective
 from .labeling import (
     LabelRule,
@@ -101,57 +101,68 @@ def mutate(
     evaluate: Callable[[Vector], float],
     parent: Candidate,
     box: BoxDomain,
-) -> list[Candidate]:
-    """All in-box offspring of ``parent`` at the next refinement level.
+) -> Candidate:
+    """The best in-box offspring of ``parent`` at the next refinement level.
 
-    Enumerates {0, +-h}^n (parent included as the all-zero move) while that
-    stays affordable; in high dimension it degenerates to a coordinate-greedy
-    sweep whose endpoint plays the role of the best offspring."""
-    p = parent.point
-    n = p.dim
-    level = p.level + 1
-    grid = GridSpec(box, level)
-    top = grid.max_index
-    base = tuple(2 * kd for kd in p.k)
+    Enumerates {0, +-h}^n while that stays affordable, the parent's own
+    point (the all-zero move) first; in high dimension it degenerates to a
+    coordinate-greedy sweep.  Either way every probe is one ``evaluate``
+    call, and the best is chosen over all probes: ties keep the parent
+    (fixed points stay put); after a strict improvement a tie moves to the
+    lexicographically smaller position.  Only the winner becomes a
+    ``GridPoint``; positions are ``lower + k * step`` as in ``position_of``,
+    computed once per axis value."""
+    level = parent.point.level + 1
+    top = 2 ** (level - 1)
+    lower = box.lower
+    if len(parent.point.k) != len(lower) or min(parent.point.k) < 0 \
+            or 2 * max(parent.point.k) > top:
+        raise InvalidGridPointError("parent %r is not a point of the %d-d grid at level %d"
+                                    % (parent.point.k, len(lower), level - 1))
+    step = tuple(w / top for w in box.width)
 
-    if 3**n <= MAX_ENUMERATED_OFFSPRING:
-        out = []
-        for alphas in itertools.product((0, 1, -1), repeat=n):
-            k = tuple(b + a for b, a in zip(base, alphas))
-            if any(kd < 0 or kd > top for kd in k):
-                continue
-            x = position_of(GridPoint(k, level), grid)
-            out.append(Candidate(x, evaluate(x), point=GridPoint(k, level)))
-        return out
+    if 3 ** len(lower) <= MAX_ENUMERATED_OFFSPRING:
+        # per axis, the in-box child indices in (0, +1, -1) move order and
+        # their positions; the product of the lists is the filtered product
+        # of the moves, in the same order
+        ks = []
+        xs = []
+        for lo, sd, kd in zip(lower, step, parent.point.k):
+            axis = [c for c in (2 * kd, 2 * kd + 1, 2 * kd - 1) if 0 <= c <= top]
+            ks.append(axis)
+            xs.append([lo + c * sd for c in axis])
+        probes = zip(itertools.product(*ks), itertools.product(*xs))
+        best_k, best_x = next(probes)
+        best_f = float(evaluate(best_x))
+        moved = False
+        for k, x in probes:
+            f = float(evaluate(x))
+            if f < best_f or (moved and f == best_f and x < best_x):
+                best_k, best_x, best_f = k, x, f
+                moved = True
+        return Candidate(best_x, best_f, point=GridPoint(best_k, level))
 
-    # coordinate-greedy: accept strict single-axis improvements in order
-    start = GridPoint(base, level)
-    x = position_of(start, grid)
-    cur = Candidate(x, evaluate(x), point=start)
-    out = [cur]
-    for d in range(n):
-        for a in (1, -1):
-            kd = cur.point.k[d] + a
-            if kd < 0 or kd > top:
-                continue
-            trial = GridPoint(cur.point.k[:d] + (kd,) + cur.point.k[d + 1:], level)
-            x = position_of(trial, grid)
-            cand = Candidate(x, evaluate(x), point=trial)
-            out.append(cand)
-            cur = argmin_candidate((cur, cand))
-    return out
-
-
-def _best_offspring(parent: Candidate, offspring: list[Candidate]) -> Candidate:
-    """Argmin over the brood; ties keep the parent (fixed points stay put),
-    then prefer the lexicographically smallest position."""
-    best = next((c for c in offspring if c.x == parent.x), offspring[0])
+    # coordinate-greedy: accept strict single-axis improvements (by rank) in
+    # order, while the best over all probes follows the rule above
+    cur_k = tuple(2 * kd for kd in parent.point.k)
+    cur_x = tuple(lo + c * sd for lo, c, sd in zip(lower, cur_k, step))
+    cur_f = float(evaluate(cur_x))
+    best_k, best_x, best_f = cur_k, cur_x, cur_f
     moved = False
-    for c in offspring:
-        if c.f < best.f or (moved and c.f == best.f and c.x < best.x):
-            best = c
-            moved = True
-    return best
+    for d, (lo, sd) in enumerate(zip(lower, step)):
+        for a in (1, -1):
+            c = cur_k[d] + a
+            if c < 0 or c > top:
+                continue
+            k = cur_k[:d] + (c,) + cur_k[d + 1:]
+            x = cur_x[:d] + (lo + c * sd,) + cur_x[d + 1:]
+            f = float(evaluate(x))
+            if f < best_f or (moved and f == best_f and x < best_x):
+                best_k, best_x, best_f = k, x, f
+                moved = True
+            if (f, x) < (cur_f, cur_x):
+                cur_k, cur_x, cur_f = k, x, f
+    return Candidate(best_x, best_f, point=GridPoint(best_k, level))
 
 
 def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
@@ -184,8 +195,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         survivors: list[Candidate] = []
         for i, parent in enumerate(members):
             if i < n_mutate:
-                offspring = mutate(evaluate, parent, box)
-                child = _best_offspring(parent, offspring)
+                child = mutate(evaluate, parent, box)
             else:
                 rp = refine(parent.point)
                 child = Candidate(parent.x, parent.f, point=rp)

@@ -72,6 +72,49 @@ class TestRun:
         assert code == 0
         assert "trial,step,h" in out
 
+    @pytest.mark.parametrize("flags", [
+        ("--algo", "de", "--h-tol", "0.9", "--format", "json"),
+        ("--seed", "4"),
+        ("--function", "f1"),
+        ("--trials", "2"),
+    ])
+    def test_config_file_takes_no_other_run_flag(self, capsys, tmp_path, flags):
+        ini = tmp_path / "f5.ini"
+        ini.write_text("[a]\nobjective = f5\nalgo = slmga\nh_tol = 0.3\nformat = csv\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(ini), *flags)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert flags[0] in err
+        assert out == ""
+
+    def test_config_file_with_out(self, capsys, tmp_path):
+        ini = tmp_path / "f5.ini"
+        ini.write_text("[a]\nobjective = f5\nalgo = slmga\nh_tol = 0.3\nformat = csv\n")
+        out_file = tmp_path / "r.csv"
+        code, _, _ = run_cli(capsys, "run", "--config", str(ini), "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text().startswith("trial,step,h")
+
+    @pytest.mark.parametrize("second,want", [
+        ("objective = f2\nalgo = rsw\ninitial = 5,5", 2),
+        ("objective = f99\nalgo = rs", 3),
+        ("expr = x1 +* 2\ndim = 1\nalgo = rs", 3),
+        ("expr = x1^2\nalgo = slm", 2),
+    ])
+    def test_config_sections_checked_against_objective_before_any_runs(
+            self, capsys, tmp_path, monkeypatch, second, want):
+        from subgrid import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a section ran before every section was checked")
+
+        monkeypatch.setattr(harness, "run_algorithm", refuse)
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f3\nalgo = slmga\nh_tol = 0.1\n\n[b]\n%s\n" % second)
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == want
+        assert "error" in err
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBGRID_SEED", "123")
         code, out, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "rs",

@@ -53,6 +53,22 @@ class TestBoxDomain:
         assert box.contains((0.0, 1.0))
         assert not box.contains((0.0, 1.0001))
 
+    def test_contains_boundary_point(self):
+        box = BoxDomain((-5.12, 0.0), (5.12, 2.56))
+        assert box.contains((-5.12, 2.56))
+        assert box.contains((5.12, 0.0))
+
+    def test_nan_coordinate_not_contained(self):
+        box = BoxDomain.cube(-1.0, 1.0, 2)
+        assert not box.contains((float("nan"), 0.0))
+        assert not box.contains((0.0, float("nan")))
+
+    def test_wrong_length_not_contained(self):
+        box = BoxDomain.cube(-1.0, 1.0, 2)
+        assert not box.contains((0.0,))
+        assert not box.contains((0.0, 0.0, 0.0))
+        assert not box.contains(())
+
 
 class TestGridSpec:
     def test_step_halves_per_level(self):

@@ -1,26 +1,92 @@
-import pytest
+import itertools
+import math
 
-from subgrid.core import BoxDomain, Candidate, GridPoint, GridSpec, position_of
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subgrid.core import (
+    BoxDomain,
+    Candidate,
+    GridPoint,
+    GridSpec,
+    argmin_candidate,
+    position_of,
+)
+from subgrid.errors import InvalidGridPointError
 from subgrid.functions import get_objective
 from subgrid.slmga import (
+    MAX_ENUMERATED_OFFSPRING,
     GaConfig,
     Population,
-    _best_offspring,
     ga_run,
     init_population,
     mutate,
 )
 
 
-def _counter(fn):
-    calls = {"n": 0}
+# The brood-building mutation that ``slmga.mutate`` replaced, kept as the
+# reference it must agree with: every offspring becomes a Candidate, and the
+# best is picked from the finished brood.
+def reference_mutate(evaluate, parent, box):
+    p = parent.point
+    n = p.dim
+    level = p.level + 1
+    grid = GridSpec(box, level)
+    top = grid.max_index
+    base = tuple(2 * kd for kd in p.k)
 
+    if 3**n <= MAX_ENUMERATED_OFFSPRING:
+        out = []
+        for alphas in itertools.product((0, 1, -1), repeat=n):
+            k = tuple(b + a for b, a in zip(base, alphas))
+            if any(kd < 0 or kd > top for kd in k):
+                continue
+            x = position_of(GridPoint(k, level), grid)
+            out.append(Candidate(x, evaluate(x), point=GridPoint(k, level)))
+        return out
+
+    start = GridPoint(base, level)
+    x = position_of(start, grid)
+    cur = Candidate(x, evaluate(x), point=start)
+    out = [cur]
+    for d in range(n):
+        for a in (1, -1):
+            kd = cur.point.k[d] + a
+            if kd < 0 or kd > top:
+                continue
+            trial = GridPoint(cur.point.k[:d] + (kd,) + cur.point.k[d + 1:], level)
+            x = position_of(trial, grid)
+            cand = Candidate(x, evaluate(x), point=trial)
+            out.append(cand)
+            cur = argmin_candidate((cur, cand))
+    return out
+
+
+def reference_best_offspring(parent, offspring):
+    best = next((c for c in offspring if c.x == parent.x), offspring[0])
+    moved = False
+    for c in offspring:
+        if c.f < best.f or (moved and c.f == best.f and c.x < best.x):
+            best = c
+            moved = True
+    return best
+
+
+def _recording(fn):
+    """``fn`` that appends each point it is called with to ``.probes``."""
     def wrapped(x):
-        calls["n"] += 1
+        wrapped.probes.append(x)
         return fn(x)
 
-    wrapped.calls = calls
+    wrapped.probes = []
     return wrapped
+
+
+def _lattice_parent(box, k, level, fn):
+    p = GridPoint(k, level)
+    x = position_of(p, GridSpec(box, level))
+    return Candidate(x, fn(x), point=p)
 
 
 class TestInitPopulation:
@@ -49,53 +115,114 @@ class TestPopulationDedup:
         assert len(pop.members) == 2
 
 
+def _sphere(x):
+    return sum(v * v for v in x)
+
+
 class TestMutate:
     def test_full_box_offspring(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
-        grid = GridSpec(box, 1)
-        parent_p = GridPoint((0, 0), 1)
-        parent = Candidate(position_of(parent_p, grid), 9.0, point=parent_p)
-        f = _counter(lambda x: sum(v * v for v in x))
-        kids = mutate(f, parent, box)
+        f = _recording(_sphere)
+        child = mutate(f, _lattice_parent(box, (0, 0), 1, _sphere), box)
         # corner parent: only the inward quadrant of {0,+-h}^2 stays in box
-        assert {c.x for c in kids} == {(-2.0, -2.0), (0.0, -2.0), (-2.0, 0.0), (0.0, 0.0)}
-        assert all(c.point.level == 2 for c in kids)
+        assert sorted(f.probes) == sorted([(-2.0, -2.0), (0.0, -2.0), (-2.0, 0.0), (0.0, 0.0)])
+        assert child.x == (0.0, 0.0)
+        assert child.point == GridPoint((1, 1), 2)
 
     def test_interior_parent_has_nine_offspring(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
-        grid = GridSpec(box, 2)
-        parent_p = GridPoint((1, 1), 2)
-        parent = Candidate(position_of(parent_p, grid), 0.0, point=parent_p)
-        kids = mutate(lambda x: sum(v * v for v in x), parent, box)
-        assert len(kids) == 9
+        f = _recording(_sphere)
+        mutate(f, _lattice_parent(box, (1, 1), 2, _sphere), box)
+        assert len(set(f.probes)) == len(f.probes) == 9
 
     def test_high_dimension_coordinate_sweep(self):
         box = BoxDomain.cube(-1.28, 1.28, 30)
-        grid = GridSpec(box, 1)
-        parent_p = GridPoint((0,) * 30, 1)
-        parent = Candidate(position_of(parent_p, grid), 1e9, point=parent_p)
-        f = _counter(lambda x: sum(v * v for v in x))
-        kids = mutate(f, parent, box)
+        f = _recording(_sphere)
+        child = mutate(f, _lattice_parent(box, (0,) * 30, 1, _sphere), box)
         # far fewer probes than 3^30
-        assert len(kids) <= 1 + 2 * 30
-        assert f.calls["n"] <= 1 + 2 * 30
+        assert len(f.probes) <= 1 + 2 * 30
+        assert child.point.level == 2
+
+    def test_bad_parent_is_refused(self):
+        box = BoxDomain.cube(-2.0, 2.0, 2)
+        for k in ((0,), (0, 2), (-1, 0)):
+            with pytest.raises(InvalidGridPointError):
+                mutate(_sphere, Candidate((0.0, 0.0), 0.0, point=GridPoint(k, 1)), box)
 
 
 class TestBestOffspring:
+    """The choice among a 1-d brood: parent at 0.0, then probes at +h, -h."""
+
+    box = BoxDomain.cube(-2.0, 2.0, 1)
+
+    def _child(self, values):
+        def fn(x):
+            return values[x[0]]
+
+        f = _recording(fn)
+        child = mutate(f, _lattice_parent(self.box, (1,), 2, fn), self.box)
+        assert f.probes == [(0.0,), (1.0,), (-1.0,)]
+        return child
+
     def test_prefers_strict_improvement(self):
-        p = Candidate((0.0,), 1.0)
-        kids = [Candidate((0.0,), 1.0), Candidate((1.0,), 0.5)]
-        assert _best_offspring(p, kids).x == (1.0,)
+        child = self._child({0.0: 1.0, 1.0: 0.5, -1.0: 2.0})
+        assert child.x == (1.0,)
+        assert child.point == GridPoint((3,), 3)
+        assert child.f == 0.5
 
     def test_tie_keeps_parent(self):
-        p = Candidate((0.0,), 1.0)
-        kids = [Candidate((0.0,), 1.0), Candidate((-1.0,), 1.0), Candidate((1.0,), 1.0)]
-        assert _best_offspring(p, kids).x == (0.0,)
+        child = self._child({0.0: 1.0, 1.0: 1.0, -1.0: 1.0})
+        assert child.x == (0.0,)
+        assert child.point == GridPoint((2,), 3)
 
     def test_tie_after_move_is_lexicographic(self):
-        p = Candidate((0.0,), 1.0)
-        kids = [Candidate((0.0,), 1.0), Candidate((1.0,), 0.5), Candidate((-1.0,), 0.5)]
-        assert _best_offspring(p, kids).x == (-1.0,)
+        child = self._child({0.0: 1.0, 1.0: 0.5, -1.0: 0.5})
+        assert child.x == (-1.0,)
+        assert child.point == GridPoint((1,), 3)
+
+
+# Boxes with decimal (non-dyadic) bounds, so positions are rounded.
+_coord = st.integers(-20000, 20000).map(lambda i: i / 1000)
+_width = st.integers(1, 300000).map(lambda i: i / 1000)
+_objectives = st.sampled_from([
+    _sphere,
+    lambda x: math.floor(sum(x)),   # plateaus: many ties
+    lambda x: math.floor(x[0] / 3.0) - math.floor(x[-1] / 7.0),
+    lambda x: 0.0,                  # every probe ties
+])
+
+
+@st.composite
+def _mutation_case(draw):
+    n = draw(st.integers(1, 7))
+    level = draw(st.integers(1, 70))
+    lower = [draw(_coord) for _ in range(n)]
+    box = BoxDomain(tuple(lower), tuple(lo + draw(_width) for lo in lower))
+    top = 2 ** (level - 1)
+    # per axis a low face, a high face or an interior index: corner, edge
+    # and interior parents
+    k = tuple(draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+              for _ in range(n))
+    return box, k, level, draw(_objectives)
+
+
+class TestMutateMatchesReference:
+    @given(_mutation_case())
+    @settings(max_examples=300, deadline=None)
+    def test_same_probes_and_child(self, case):
+        box, k, level, fn = case
+        parent = _lattice_parent(box, k, level, fn)
+        new = _recording(fn)
+        ref = _recording(fn)
+        child = mutate(new, parent, box)
+        want = reference_best_offspring(parent, reference_mutate(ref, parent, box))
+        assert new.probes == ref.probes
+        assert child == want
+        assert child.point == want.point
+
+    def test_both_branches_are_reached(self):
+        # dims 1-6 enumerate {0,+-1}^n; dim 7 takes the coordinate sweep
+        assert 3**6 <= MAX_ENUMERATED_OFFSPRING < 3**7
 
 
 class TestRuns:
