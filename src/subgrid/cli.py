@@ -3,7 +3,7 @@
 Subcommands: list, run, bench, trace, eval.  Exit codes: 0 success,
 2 configuration error, 3 objective or expression error, 4 convergence not
 reached (the report is still written).  SUBGRID_SEED overrides the
-default seed.
+default seed, also for a config-file section that sets no seed.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _cmd_run(args) -> int:
         if given:
             raise ConfigError("--config runs the file as written; %s cannot be given "
                               "with it" % ", ".join(given))
-        configs = harness.load_config_file(args.config)
+        configs = harness.load_config_file(args.config, _seed(args))
     else:
         if args.objective and args.expr:
             raise ConfigError("give either --function or --expr, not both")

@@ -91,9 +91,6 @@ class GridSpec:
     def max_index(self) -> int:
         return 2 ** (self.level - 1)
 
-    def refined(self) -> "GridSpec":
-        return GridSpec(self.box, self.level + 1)
-
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -164,9 +161,6 @@ class Cell:
     @property
     def dim(self) -> int:
         return self.anchor.dim
-
-    def refined(self) -> "Cell":
-        return Cell(refine(self.anchor))
 
     def bounds(self, g: GridSpec) -> tuple[Vector, Vector]:
         lo = position_of(self.anchor, g)

@@ -237,7 +237,7 @@ def evaluate(ast: Expr, x: Sequence[float]) -> float:
         args = [evaluate(a, x) for a in ast.args]
         try:
             return float(FUNCTIONS[ast.fn](*args))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ExprEvalError("%s: %s" % (ast.fn, exc)) from None
     raise ExprEvalError("unknown node %r" % (ast,))
 
@@ -260,15 +260,3 @@ def to_string(ast: Expr) -> str:
         return "%s(%s)" % (ast.fn, ",".join(to_string(a) for a in ast.args))
     raise ExprEvalError("unknown node %r" % (ast,))
 
-
-def num_variables(ast: Expr) -> int:
-    """Highest variable index referenced."""
-    if isinstance(ast, Variable):
-        return ast.index
-    if isinstance(ast, Unary):
-        return num_variables(ast.child)
-    if isinstance(ast, Binary):
-        return max(num_variables(ast.left), num_variables(ast.right))
-    if isinstance(ast, Call):
-        return max((num_variables(a) for a in ast.args), default=0)
-    return 0

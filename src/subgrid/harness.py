@@ -391,12 +391,12 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
 INI_KEYS = {"function": "objective", "format": "fmt"}
 
 
-def load_config_file(path: str) -> list[ExperimentConfig]:
+def load_config_file(path: str, seed: int = 0) -> list[ExperimentConfig]:
     """INI-style config: one experiment per section.  A key that names an
     ``ExperimentConfig`` field sets it; every other key is a parameter of the
-    section's algorithm.  Every section is checked before any runs: its keys
-    and values, its objective, and an ``initial`` point against that
-    objective's box."""
+    section's algorithm.  A section that sets no ``seed`` runs at ``seed``.
+    Every section is checked before any runs: its keys and values, its
+    objective, and an ``initial`` point against that objective's box."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -409,7 +409,8 @@ def load_config_file(path: str) -> list[ExperimentConfig]:
             raise ConfigError("section [%s]: a field is set by two spellings" % section)
         try:
             cfg = build_config(
-                ExperimentConfig, {k: v for k, v in keys.items() if k in experiment},
+                ExperimentConfig,
+                {"seed": seed, **{k: v for k, v in keys.items() if k in experiment}},
                 algo_params={k: v for k, v in keys.items() if k not in experiment})
             algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
         except SubgridError as exc:

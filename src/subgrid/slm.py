@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -134,23 +135,27 @@ def _choose_cell(
     """Complete cell with the fittest vertex; without a complete cell (or
     when the cell holding the overall best point has a strictly fitter
     vertex, as on plateaus where completeness only marks discontinuities),
-    the region cell containing the overall best point."""
-    def vertex_min(c):
-        return min(values[v] for v in cell_vertices(c))
+    the region cell containing the overall best point.
 
-    def vertex_sum(c):
-        return sum(values[v] for v in cell_vertices(c))
+    Every complete cell is a region cell; each region cell's vertex values
+    are read once, as the pair (min, sum) in ``cell_vertices`` order."""
+    by_k = {p.k: f for p, f in values.items()}
+    offsets = list(itertools.product((0, 1), repeat=grid.box.dim))
+    summary = {}
+    for c in region_cells:
+        fs = [by_k[tuple(map(operator.add, c.anchor.k, off))] for off in offsets]
+        summary[c.anchor.k] = (min(fs), sum(fs))
 
     def cell_key(c):
-        return (vertex_min(c), c.anchor.k)
+        return (summary[c.anchor.k][0], c.anchor.k)
 
     containing = [c for c in region_cells if c.contains(best.x, grid, tol=1e-12)]
     if complete:
         comp = min(complete, key=cell_key)
         if containing:
             cont = min(containing, key=lambda c: (
-                vertex_min(c), vertex_sum(c), tuple(-kd for kd in c.anchor.k)))
-            if (vertex_min(cont), vertex_sum(cont)) < (vertex_min(comp), vertex_sum(comp)):
+                *summary[c.anchor.k], tuple(-kd for kd in c.anchor.k)))
+            if summary[cont.anchor.k] < summary[comp.anchor.k]:
                 return cont
         return comp
     if containing:
@@ -164,14 +169,15 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     """Run the serial algorithm until every step component is below
     ``cfg.h_tol`` or ``cfg.max_levels`` is exhausted."""
     box = obj.box
-    n = box.dim
     negate = cfg.sense is Sense.MAXIMIZE
     ev = Evaluator(obj, negate=negate)
     rule = cfg.label_rule
 
     active: list[GridPoint] = initial_corners(box)
-    labels: dict[GridPoint, int] = {}
-    deltas: dict[GridPoint, Vector] = {}
+    # the labelled vertices of the last chosen cell, keyed by their refined
+    # point: every other point of its lattice has an odd coordinate, so no
+    # earlier level labelled it
+    carried: dict[GridPoint, LabeledVertex] = {}
     steps: list[StepRecord] = []
     best: Optional[Candidate] = None
     level = 1
@@ -184,37 +190,34 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
         h_next = tuple(hd / 2.0 for hd in h)
 
         population: list[Candidate] = []
-        vertex_values: dict[GridPoint, float] = {}
+        labels: list[LabeledVertex] = []
         for p in sorted(active, key=lambda q: q.k):
             x = position_of(p, grid)
-            fx = ev(x)
-            cand = Candidate(x, fx, point=p)
+            cand = Candidate(x, ev(x), point=p)
             population.append(cand)
-            vertex_values[p] = fx
             best = cand if best is None else argmin_candidate((best, cand))
-            if p in labels:
+            old = carried.get(p)
+            if old is not None:
+                labels.append(LabeledVertex(cand, old.label, old.delta))
                 continue
             neighbors = slm_neighbors(x, h_next, cfg.neighbor_scheme, box)
             winner = best_neighbor(ev, cand, neighbors)
             best = argmin_candidate((best, winner))
             delta = delta_of(cand, winner)
-            labels[p] = label_from_delta(delta, rule)
-            deltas[p] = delta
+            labels.append(LabeledVertex(cand, label_from_delta(delta, rule), delta))
 
+        labelled = {lv.candidate.point: lv for lv in labels}
         # every vertex of a complete cell is active, so it is a region cell
-        complete = find_complete_cells({p: labels[p] for p in active})
-        chosen = _choose_cell(complete, grid, vertex_values, best, _region_cells(active))
+        complete = find_complete_cells({p: lv.label for p, lv in labelled.items()})
+        values = {c.point: c.f for c in population}
+        chosen = _choose_cell(complete, grid, values, best, _region_cells(active))
 
         steps.append(StepRecord(
-            level=level, h=h, population=population,
-            labels=[LabeledVertex(Candidate(position_of(p, grid), vertex_values[p], p),
-                                  labels[p], deltas[p])
-                    for p in sorted(active, key=lambda q: q.k)],
+            level=level, h=h, population=population, labels=labels,
             chosen_cell=chosen, best=best))
 
+        carried = {refine(v): labelled[v] for v in cell_vertices(chosen)}
         active = lattice_points(chosen)
-        labels = {refine(p): lab for p, lab in labels.items()}
-        deltas = {refine(p): d for p, d in deltas.items()}
         level += 1
 
     final_grid = GridSpec(box, level)
@@ -241,13 +244,9 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
 def _region_cells(active: Sequence[GridPoint]) -> list[Cell]:
     """Cells whose full vertex set lies in the active lattice."""
     present = {p.k for p in active}
-    level = active[0].level
-    out = []
-    for p in sorted(active, key=lambda q: q.k):
-        if all(tuple(kd + dd for kd, dd in zip(p.k, delta)) in present
-               for delta in itertools.product((0, 1), repeat=len(p.k))):
-            out.append(Cell(GridPoint(p.k, level)))
-    return out
+    offsets = list(itertools.product((0, 1), repeat=active[0].dim))
+    return [Cell(p) for p in sorted(active, key=lambda q: q.k)
+            if all(tuple(map(operator.add, p.k, off)) in present for off in offsets)]
 
 
 def _negate_report(report: RunReport) -> None:

@@ -66,23 +66,7 @@ class GaConfig:
             raise ValueError("mutation_rate must be in (0, 1]")
 
 
-@dataclass
-class Population:
-    members: list[Candidate]
-    generation: int
-
-    def __post_init__(self):
-        seen = set()
-        unique = []
-        for c in self.members:
-            key = c.point.k if c.point is not None else c.x
-            if key not in seen:
-                seen.add(key)
-                unique.append(c)
-        self.members = unique
-
-
-def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> Population:
+def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list[Candidate]:
     """Generation-0 population on the level-1 grid: all 2**n corners, or the
     two diagonal corners when 2**n is unaffordable."""
     if box.dim <= MAX_CORNER_DIM:
@@ -94,7 +78,7 @@ def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> Popu
     for p in points:
         x = position_of(p, grid)
         members.append(Candidate(x, evaluate(x), point=p))
-    return Population(members, 0)
+    return members
 
 
 def mutate(
@@ -172,7 +156,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     steps: list[StepRecord] = []
     evaluate = Evaluator(obj, seed=cfg.seed)
     pop = init_population(box, evaluate)
-    best = argmin_candidate(pop.members)
+    best = argmin_candidate(pop)
 
     gen = 0
     while True:
@@ -183,7 +167,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
             gen -= 1
             break
         evaluate.start_generation(gen)
-        members = sorted(pop.members, key=rank)
+        members = sorted(pop, key=rank)
         # re-evaluate under this generation's noise so comparisons are fair
         if obj.stochastic:
             members = [Candidate(c.x, evaluate(c.x), point=c.point) for c in members]
@@ -220,20 +204,25 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
 
         # the next generation's crossing points are the finer lattice of the
         # subdivided cell; without a cell (high dimension) the mutated
-        # survivors carry the search instead
+        # survivors carry the search instead, the best copy of each point
+        # where two parents share a child
         if chosen is not None:
             fine = GridSpec(box, gen + 1)
-            next_members = [Candidate(position_of(p, fine), evaluate(position_of(p, fine)), point=p)
-                            for p in lattice_points(chosen)]
+            pop = []
+            for p in lattice_points(chosen):
+                x = position_of(p, fine)
+                pop.append(Candidate(x, evaluate(x), point=p))
         else:
-            next_members = list(survivors)
-        pop = Population(sorted(next_members, key=rank), gen)
+            first: dict[tuple[int, ...], Candidate] = {}
+            for c in sorted(survivors, key=rank):
+                first.setdefault(c.point.k, c)
+            pop = list(first.values())
 
     final = GridSpec(box, gen + 1)
     converged = all(hd < cfg.h_tol for hd in final.step)
     # the answer is the best member of the converged population; probes may
     # have seen a lower value elsewhere, which best_value keeps
-    solution = argmin_candidate(pop.members)
+    solution = argmin_candidate(pop)
     return RunReport(
         steps=steps,
         best=solution,

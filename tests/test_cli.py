@@ -57,6 +57,12 @@ class TestRun:
         assert code == 3
         assert "expression error" in err
 
+    def test_overflow_is_objective_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--expr", "exp(x1*1000)", "--dim", "1",
+                               "--algo", "slm")
+        assert code == 3
+        assert err.startswith("expression error:")
+
     def test_not_converged_exit_code_still_writes(self, capsys, tmp_path):
         out_file = tmp_path / "r.csv"
         code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slmga",
@@ -157,6 +163,32 @@ class TestRun:
         assert code == 2
         assert err.startswith("config error:")
 
+    @pytest.mark.parametrize("env,line,want", [
+        ("7", "", 7),            # a section without seed runs at SUBGRID_SEED
+        ("7", "seed = 3", 3),    # a section's own seed wins
+        (None, "", 0),
+    ])
+    def test_seed_env_under_config(self, capsys, tmp_path, monkeypatch, env, line, want):
+        if env is None:
+            monkeypatch.delenv("SUBGRID_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SUBGRID_SEED", env)
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = rs\nbudget = 20\nformat = json\n%s\n"
+                       % line)
+        code, out, _ = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 0
+        data = json.loads(out[:out.rindex("# bv=")])
+        assert data[0]["meta"]["seed"] == want
+
+    def test_bad_seed_env_under_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SUBGRID_SEED", "x")
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = rs\nbudget = 20\nformat = json\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+
     def test_bad_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBGRID_SEED", "twelve")
         code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", "rs",
@@ -206,6 +238,12 @@ class TestEval:
     def test_division_by_zero(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "1/x1", "--at", "0")
         assert code == 3
+
+    @pytest.mark.parametrize("expr", ["exp(x1*1000)", "floor(x1*1e308*10)"])
+    def test_overflow_is_expression_error(self, capsys, expr):
+        code, _, err = run_cli(capsys, "eval", "--expr", expr, "--at", "1")
+        assert code == 3
+        assert err.startswith("expression error:")
 
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "x1", "--at", "a,b")

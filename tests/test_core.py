@@ -75,7 +75,7 @@ class TestGridSpec:
         box = BoxDomain.cube(-5.12, 5.12, 3)
         g1 = GridSpec(box, 1)
         assert g1.step == (10.24,) * 3
-        g2 = g1.refined()
+        g2 = GridSpec(box, 2)
         assert g2.level == 2
         assert g2.step == (5.12,) * 3
         for lvl in range(1, 12):

@@ -12,7 +12,6 @@ from subgrid.exprparse import (
     Unary,
     Variable,
     evaluate,
-    num_variables,
     parse,
     to_string,
 )
@@ -86,10 +85,6 @@ class TestEvaluation:
     def test_rosenbrock_minimum(self):
         ast = parse("100*(x1^2-x2)^2+(1-x1)^2", 2)
         assert evaluate(ast, (1.0, 1.0)) == 0.0
-
-    def test_num_variables(self):
-        assert num_variables(parse("x1 + cos(x3)", 3)) == 3
-        assert num_variables(parse("42", 1)) == 0
 
 
 class TestRoundTrip:

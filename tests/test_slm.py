@@ -1,20 +1,154 @@
 import itertools
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgrid.core import BoxDomain, Candidate, GridSpec, position_of
+from subgrid.core import (
+    BoxDomain,
+    Candidate,
+    Cell,
+    GridPoint,
+    GridSpec,
+    LabeledVertex,
+    RunReport,
+    StepRecord,
+    argmin_candidate,
+    cell_vertices,
+    lattice_points,
+    position_of,
+    refine,
+)
 from subgrid.errors import DimensionTooLargeError
-from subgrid.functions import get_objective
+from subgrid.functions import Evaluator, Objective, get_objective
+from subgrid.harness import report_to_jsonable
+from subgrid.labeling import delta_of, find_complete_cells, label_from_delta
 from subgrid.slm import (
     NeighborScheme,
     Sense,
     SlmConfig,
+    _negate_report,
     best_neighbor,
     initial_corners,
     slm_neighbors,
     slm_run,
 )
+
+
+# The loop that ``slm.slm_run`` replaced, kept as the reference it must
+# agree with: it keeps the label and delta of every point labelled in the
+# run and refines all of them at every level, positions each active point
+# a second time for its labelled vertex, and selects the cell with
+# closures that rebuild the cell's vertices on every key evaluation.
+def reference_region_cells(active):
+    present = {p.k for p in active}
+    level = active[0].level
+    out = []
+    for p in sorted(active, key=lambda q: q.k):
+        if all(tuple(kd + dd for kd, dd in zip(p.k, delta)) in present
+               for delta in itertools.product((0, 1), repeat=len(p.k))):
+            out.append(Cell(GridPoint(p.k, level)))
+    return out
+
+
+def reference_choose_cell(complete, grid, values, best, region_cells):
+    def vertex_min(c):
+        return min(values[v] for v in cell_vertices(c))
+
+    def vertex_sum(c):
+        return sum(values[v] for v in cell_vertices(c))
+
+    def cell_key(c):
+        return (vertex_min(c), c.anchor.k)
+
+    containing = [c for c in region_cells if c.contains(best.x, grid, tol=1e-12)]
+    if complete:
+        comp = min(complete, key=cell_key)
+        if containing:
+            cont = min(containing, key=lambda c: (
+                vertex_min(c), vertex_sum(c), tuple(-kd for kd in c.anchor.k)))
+            if (vertex_min(cont), vertex_sum(cont)) < (vertex_min(comp), vertex_sum(comp)):
+                return cont
+        return comp
+    if containing:
+        return max(containing, key=lambda c: c.anchor.k)
+    return min(region_cells, key=cell_key)
+
+
+def reference_slm_run(obj, cfg):
+    box = obj.box
+    negate = cfg.sense is Sense.MAXIMIZE
+    ev = Evaluator(obj, negate=negate)
+    rule = cfg.label_rule
+
+    active = initial_corners(box)
+    labels = {}
+    deltas = {}
+    steps = []
+    best = None
+    level = 1
+
+    while level <= cfg.max_levels:
+        grid = GridSpec(box, level)
+        h = grid.step
+        if all(hd < cfg.h_tol for hd in h):
+            break
+        h_next = tuple(hd / 2.0 for hd in h)
+
+        population = []
+        vertex_values = {}
+        for p in sorted(active, key=lambda q: q.k):
+            x = position_of(p, grid)
+            fx = ev(x)
+            cand = Candidate(x, fx, point=p)
+            population.append(cand)
+            vertex_values[p] = fx
+            best = cand if best is None else argmin_candidate((best, cand))
+            if p in labels:
+                continue
+            neighbors = slm_neighbors(x, h_next, cfg.neighbor_scheme, box)
+            winner = best_neighbor(ev, cand, neighbors)
+            best = argmin_candidate((best, winner))
+            delta = delta_of(cand, winner)
+            labels[p] = label_from_delta(delta, rule)
+            deltas[p] = delta
+
+        complete = find_complete_cells({p: labels[p] for p in active})
+        chosen = reference_choose_cell(complete, grid, vertex_values, best,
+                                       reference_region_cells(active))
+
+        steps.append(StepRecord(
+            level=level, h=h, population=population,
+            labels=[LabeledVertex(Candidate(position_of(p, grid), vertex_values[p], p),
+                                  labels[p], deltas[p])
+                    for p in sorted(active, key=lambda q: q.k)],
+            chosen_cell=chosen, best=best))
+
+        active = lattice_points(chosen)
+        labels = {refine(p): lab for p, lab in labels.items()}
+        deltas = {refine(p): d for p, d in deltas.items()}
+        level += 1
+
+    final_grid = GridSpec(box, level)
+    report = RunReport(
+        steps=steps,
+        best=best,
+        evaluations=ev.count,
+        converged=all(hd < cfg.h_tol for hd in final_grid.step),
+        meta={
+            "algorithm": "slm",
+            "objective": obj.name,
+            "h_tol": cfg.h_tol,
+            "max_levels": cfg.max_levels,
+            "neighbor_scheme": cfg.neighbor_scheme.value,
+            "sense": cfg.sense.value,
+        },
+    )
+    if negate:
+        _negate_report(report)
+    return report
 
 
 class TestInitialCorners:
@@ -174,3 +308,59 @@ class TestOracleEquivalence:
             oracle = brute_force_grid_min(obj, obj.box, level + 1)
             engine_best = min(s.best.f for s in rep.steps if s.level <= level)
             assert engine_best >= oracle.f - 1e-12
+
+
+# Boxes with decimal (non-dyadic) bounds, so positions are rounded.
+_coord = st.integers(-20000, 20000).map(lambda i: i / 1000)
+_width = st.integers(1, 300000).map(lambda i: i / 1000)
+
+
+@st.composite
+def _slm_case(draw):
+    n = draw(st.integers(1, 3))
+    lower = [draw(_coord) for _ in range(n)]
+    box = BoxDomain(tuple(lower), tuple(lo + draw(_width) for lo in lower))
+    kind = draw(st.sampled_from(["sphere", "ripple", "floor", "floor-ratio", "constant"]))
+    if kind == "sphere":
+        # a shifted sphere, its centre anywhere in the box
+        centre = tuple(lo + draw(st.floats(0.0, 1.0)) * w
+                       for lo, w in zip(box.lower, box.width))
+        fn = lambda x: sum((v - c) ** 2 for v, c in zip(x, centre))  # noqa: E731
+    elif kind == "ripple":
+        # many local minima: the best point often leaves the chosen region
+        freq = draw(st.floats(0.5, 8.0))
+        fn = lambda x: sum(math.cos(freq * v) for v in x)  # noqa: E731
+    elif kind == "floor":
+        # plateaus: many ties, labels decided by the tie rule
+        scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        fn = lambda x: math.floor(sum(x) / scale)  # noqa: E731
+    elif kind == "floor-ratio":
+        fn = lambda x: math.floor(x[0] / 3.0) - math.floor(x[-1] / 7.0)  # noqa: E731
+    else:
+        fn = lambda x: 0.0  # noqa: E731
+    obj = Objective(name=kind, dim=n, box=box, eval_fn=fn)
+    cfg = SlmConfig(
+        h_tol=min(box.width) * 1e-9,
+        max_levels=draw(st.integers(1, 9)),
+        neighbor_scheme=draw(st.sampled_from(list(NeighborScheme))),
+        sense=draw(st.sampled_from(list(Sense))),
+    )
+    return obj, cfg
+
+
+def _json(rep):
+    return json.dumps(report_to_jsonable(rep))
+
+
+class TestMatchesReference:
+    @given(_slm_case())
+    @settings(max_examples=150, deadline=None)
+    def test_same_report(self, case):
+        obj, cfg = case
+        assert _json(slm_run(obj, cfg)) == _json(reference_slm_run(obj, cfg))
+
+    @pytest.mark.parametrize("name", ["goldstein-price", "easom", "f2", "f5"])
+    def test_same_report_on_registry_objectives(self, name):
+        obj = get_objective(name)
+        cfg = SlmConfig(h_tol=min(obj.box.width) / 2**8)
+        assert _json(slm_run(obj, cfg)) == _json(reference_slm_run(obj, cfg))

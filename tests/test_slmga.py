@@ -14,11 +14,10 @@ from subgrid.core import (
     position_of,
 )
 from subgrid.errors import InvalidGridPointError
-from subgrid.functions import get_objective
+from subgrid.functions import Objective, get_objective
 from subgrid.slmga import (
     MAX_ENUMERATED_OFFSPRING,
     GaConfig,
-    Population,
     ga_run,
     init_population,
     mutate,
@@ -93,26 +92,31 @@ class TestInitPopulation:
     def test_corners(self):
         box = BoxDomain.cube(-2.048, 2.048, 2)
         pop = init_population(box, lambda x: sum(v * v for v in x))
-        assert pop.generation == 0
-        assert len(pop.members) == 4
-        assert {c.x for c in pop.members} == {
-            (-2.048, -2.048), (2.048, 2.048), (-2.048, 2.048), (2.048, -2.048)}
+        assert [c.x for c in pop] == [
+            (-2.048, -2.048), (-2.048, 2.048), (2.048, -2.048), (2.048, 2.048)]
+        assert [c.point for c in pop] == [
+            GridPoint(k, 1) for k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        assert all(c.f == 2 * 2.048 ** 2 for c in pop)
 
     def test_high_dimension_uses_diagonal(self):
         box = BoxDomain.cube(-1.28, 1.28, 30)
         pop = init_population(box, lambda x: sum(v * v for v in x))
-        assert len(pop.members) == 2
-        assert pop.members[0].x == (-1.28,) * 30
-        assert pop.members[1].x == (1.28,) * 30
+        assert [c.x for c in pop] == [(-1.28,) * 30, (1.28,) * 30]
+        assert [c.point for c in pop] == [GridPoint((0,) * 30, 1), GridPoint((1,) * 30, 1)]
 
 
-class TestPopulationDedup:
-    def test_duplicate_grid_points_removed(self):
-        a = Candidate((0.0,), 1.0, point=GridPoint((0,), 1))
-        b = Candidate((0.0,), 1.0, point=GridPoint((0,), 1))
-        c = Candidate((1.0,), 2.0, point=GridPoint((1,), 1))
-        pop = Population([a, b, c], 0)
-        assert len(pop.members) == 2
+class TestSurvivorDedup:
+    def test_shared_child_kept_once(self):
+        # 3**7 offspring per member are too many, so no cell is chosen and
+        # the mutated survivors carry the search; on a symmetric box every
+        # corner's best offspring is the centre, kept once
+        box = BoxDomain.cube(-1.0, 1.0, 7)
+        obj = Objective(name="sphere-7", dim=7, box=box, eval_fn=_sphere)
+        rep = ga_run(obj, GaConfig(h_tol=0.5, max_generations=2))
+        assert len(rep.steps[0].population) == 2**7
+        assert rep.steps[0].chosen_cell is None
+        assert [(c.x, c.point) for c in rep.steps[1].population] == [
+            ((0.0,) * 7, GridPoint((1,) * 7, 2))]
 
 
 def _sphere(x):
