@@ -9,6 +9,7 @@ give only budgets) and are echoed into each report's metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,7 +69,7 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     best: Optional[Candidate] = None
     steps = []
     for i in range(cfg.budget):
-        x = tuple(rng.uniform(lo, hi))
+        x = tuple(rng.uniform(lo, hi).tolist())
         cand = Candidate(x, obj.evaluate(x, rng=rng))
         if best is None or rank(cand) < rank(best):
             best = cand
@@ -90,6 +91,8 @@ class RswConfig:
             raise ConfigError("budget must be >= 1")
         if not 0.0 < self.contraction < 1.0:
             raise ConfigError("contraction must be in (0, 1)")
+        if not math.isfinite(self.step_scale):
+            raise ConfigError("step_scale must be finite")
 
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
@@ -100,8 +103,8 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     hi = np.asarray(obj.box.upper)
     n = obj.dim
     x = np.asarray(start, dtype=float)
-    f = obj.evaluate(tuple(x), rng=rng)
-    best = Candidate(tuple(x), f)
+    f = obj.evaluate(tuple(x.tolist()), rng=rng)
+    best = Candidate(tuple(x.tolist()), f)
     steps = []
     _track(steps, 0, (cfg.step_scale,), best)
     scale = cfg.step_scale
@@ -114,12 +117,12 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
             continue
         radius = scale * rng.uniform() ** (1.0 / n)
         trial = np.clip(x + direction * (radius / norm), lo, hi)
-        ft = obj.evaluate(tuple(trial), rng=rng)
+        ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
         if ft < f:
             x, f = trial, ft
             rejections = 0
             if f < best.f:
-                best = Candidate(tuple(x), f)
+                best = Candidate(tuple(x.tolist()), f)
                 _track(steps, i + 1, (scale,), best)
         else:
             rejections += 1
@@ -146,8 +149,10 @@ class SaConfig:
             raise ConfigError("budget must be >= 1")
         if not 0.0 < self.cooling < 1.0:
             raise ConfigError("cooling factor must be in (0, 1)")
-        if self.t0 <= 0:
-            raise ConfigError("initial temperature must be positive")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ConfigError("initial temperature must be finite and positive")
+        if self.step_scale is not None and not math.isfinite(self.step_scale):
+            raise ConfigError("step_scale must be finite")
 
 
 def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
@@ -159,20 +164,20 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     start = start_point(obj, cfg.initial)
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
     x = np.asarray(start, dtype=float)
-    f = obj.evaluate(tuple(x), rng=rng)
-    best = Candidate(tuple(x), f)
+    f = obj.evaluate(tuple(x.tolist()), rng=rng)
+    best = Candidate(tuple(x.tolist()), f)
     steps = []
     _track(steps, 0, (sigma0,), best)
     t = cfg.t0
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
         trial = np.clip(x + rng.standard_normal(obj.dim) * sigma, lo, hi)
-        ft = obj.evaluate(tuple(trial), rng=rng)
+        ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
         delta = ft - f
         if delta <= 0.0 or rng.uniform() < np.exp(-delta / t):
             x, f = trial, ft
             if f < best.f:
-                best = Candidate(tuple(x), f)
+                best = Candidate(tuple(x.tolist()), f)
                 _track(steps, i + 1, (sigma,), best)
         t *= cfg.cooling
     return _report("sa", steps, best, cfg.budget + 1,
@@ -196,6 +201,8 @@ class DeConfig:
             raise ConfigError("crossover probability must be in [0, 1]")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
+        if self.f_weight is not None and not math.isfinite(self.f_weight):
+            raise ConfigError("f_weight must be finite")
 
 
 def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
@@ -207,13 +214,13 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     n = obj.dim
     np_ = cfg.pop_size
     pop = rng.uniform(lo, hi, size=(np_, n))
-    fit = np.array([obj.evaluate(tuple(row), rng=rng) for row in pop])
+    fit = np.array([obj.evaluate(tuple(row), rng=rng) for row in pop.tolist()])
     evaluations = np_
     steps = []
 
     def current_best() -> Candidate:
         i = int(np.argmin(fit))
-        return Candidate(tuple(pop[i]), float(fit[i]))
+        return Candidate(tuple(pop[i].tolist()), float(fit[i]))
 
     best = current_best()
     _track(steps, 0, (), best)
@@ -228,7 +235,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
             cross = rng.uniform(size=n) < cfg.cr
             cross[rng.integers(n)] = True  # at least one mutant gene
             trial = np.where(cross, mutant, pop[i])
-            ft = obj.evaluate(tuple(trial), rng=rng)
+            ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
             evaluations += 1
             if ft <= fit[i]:
                 pop[i] = trial

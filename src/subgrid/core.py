@@ -11,6 +11,10 @@ SLM's neighbour probes are the exception to the integer rule:
 ``slm.slm_neighbors`` adds the half step to a position in floating point,
 so on a non-dyadic box a probe can differ in its last bits from the
 lattice point ``lower + k * step`` it stands for.
+
+Numbers become Python floats and ints where they are made (``BoxDomain``, int
+arithmetic on ``k``, ``functions.Objective.evaluate``, the baselines' numpy
+``.tolist()``); the records here hold what their makers pass, unconverted.
 """
 
 from __future__ import annotations
@@ -99,9 +103,6 @@ class GridPoint:
     k: tuple[int, ...]
     level: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-
     @property
     def dim(self) -> int:
         return len(self.k)
@@ -132,19 +133,12 @@ class Candidate:
     f: float
     point: Optional[GridPoint] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "f", float(self.f))
-
 
 @dataclass(frozen=True)
 class LabeledVertex:
     candidate: Candidate
     label: int
     delta: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,6 @@ class Cell:
     @property
     def dim(self) -> int:
         return self.anchor.dim
-
-    def bounds(self, g: GridSpec) -> tuple[Vector, Vector]:
-        lo = position_of(self.anchor, g)
-        step = g.step
-        return lo, tuple(v + s for v, s in zip(lo, step))
-
-    def contains(self, x: Sequence[float], g: GridSpec, tol: float = 0.0) -> bool:
-        lo, hi = self.bounds(g)
-        return all(a - tol <= v <= b + tol for v, a, b in zip(x, lo, hi))
 
 
 def cell_vertices(c: Cell) -> list[GridPoint]:

@@ -10,6 +10,7 @@ tighter than unary minus, so "-x1^2" means -(x1^2)):
     atom   := number | 'x' digits | name '(' expr (',' expr)* ')' | '(' expr ')'
 
 Variables are x1..xn.  Supported calls: cos, sin, exp, floor, abs, sqrt, log.
+Digits, in numbers and in variable indices, are ASCII 0-9 only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ FUNCTIONS = {
 }
 
 _ARITY = {name: 1 for name in FUNCTIONS}
+
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if c.isdigit() or c == ".":
+        if c in _DIGITS or c == ".":
             return self.number()
         if c.isalpha():
             return self.name()
@@ -153,15 +157,15 @@ class _Parser:
     def number(self) -> Constant:
         start = self.pos
         src = self.src
-        while self.pos < len(src) and (src[self.pos].isdigit() or src[self.pos] == "."):
+        while self.pos < len(src) and (src[self.pos] in _DIGITS or src[self.pos] == "."):
             self.pos += 1
         if self.pos < len(src) and src[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(src) and src[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(src) and src[self.pos].isdigit():
-                while self.pos < len(src) and src[self.pos].isdigit():
+            if self.pos < len(src) and src[self.pos] in _DIGITS:
+                while self.pos < len(src) and src[self.pos] in _DIGITS:
                     self.pos += 1
             else:
                 self.pos = mark  # not an exponent after all
@@ -177,7 +181,7 @@ class _Parser:
         while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
             self.pos += 1
         word = src[start:self.pos]
-        if word[0] in "xX" and word[1:].isdigit():
+        if word[0] in "xX" and word[1:] and _DIGITS.issuperset(word[1:]):
             idx = int(word[1:])
             if not 1 <= idx <= self.n:
                 self.pos = start

@@ -10,7 +10,7 @@ caller's choice of seed.  ``noiseless`` evaluates the quartic part alone.
 
 The grid engines evaluate through ``Evaluator`` (cache, count, sense,
 common random numbers); the baselines call ``Objective.evaluate`` directly
-and pass their own random stream.
+and pass their own random stream.  Either way the value is a Python float.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class Objective:
         if self.stochastic:
             if rng is None:
                 raise SubgridError("%s is stochastic; pass a random source" % self.name)
-            return self.eval_fn(x, rng)
-        return self.eval_fn(x)
+            return float(self.eval_fn(x, rng))
+        return float(self.eval_fn(x))
 
     def noiseless(self, x: Sequence[float]) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""

@@ -101,8 +101,10 @@ def resolve_objective(cfg: ExperimentConfig) -> Objective:
         return get_objective(cfg.objective)
     if cfg.dim is None:
         raise ConfigError("--dim is required with an expression objective")
-    if cfg.lower >= cfg.upper:
-        raise ConfigError("lower bound must be below upper bound")
+    if cfg.dim < 1:
+        raise ConfigError("dim must be >= 1")
+    if not (math.isfinite(cfg.lower) and math.isfinite(cfg.upper) and cfg.lower < cfg.upper):
+        raise ConfigError("bounds must be finite, the lower below the upper")
     return expression_objective(cfg.expr, cfg.dim, cfg.lower, cfg.upper)
 
 

@@ -56,7 +56,7 @@ class SlmConfig:
     label_rule: LabelRule = field(default_factory=LabelRule)
 
     def __post_init__(self):
-        if self.h_tol <= 0:
+        if not self.h_tol > 0:
             raise ValueError("h_tol must be positive")
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
@@ -138,7 +138,7 @@ def _choose_cell(
     the region cell containing the overall best point.
 
     Every complete cell is a region cell; each region cell's vertex values
-    are read once, as the pair (min, sum) in ``cell_vertices`` order."""
+    are read once, as (min, sum), and its bounds come from its anchor index."""
     by_k = {p.k: f for p, f in values.items()}
     offsets = list(itertools.product((0, 1), repeat=grid.box.dim))
     summary = {}
@@ -149,7 +149,10 @@ def _choose_cell(
     def cell_key(c):
         return (summary[c.anchor.k][0], c.anchor.k)
 
-    containing = [c for c in region_cells if c.contains(best.x, grid, tol=1e-12)]
+    step = grid.step
+    containing = [c for c in region_cells if all(
+        lo + kd * sd - 1e-12 <= v <= lo + kd * sd + sd + 1e-12
+        for lo, kd, sd, v in zip(grid.box.lower, c.anchor.k, step, best.x))]
     if complete:
         comp = min(complete, key=cell_key)
         if containing:
@@ -220,6 +223,12 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
         active = lattice_points(chosen)
         level += 1
 
+    if best is None:
+        # no level to run: the answer is the best box corner, as in ga_run
+        grid = GridSpec(box, 1)
+        corners = [position_of(p, grid) for p in active]
+        best = argmin_candidate([Candidate(x, ev(x), point=p) for p, x in zip(active, corners)])
+
     final_grid = GridSpec(box, level)
     converged = all(hd < cfg.h_tol for hd in final_grid.step)
     report = RunReport(
@@ -254,6 +263,7 @@ def _negate_report(report: RunReport) -> None:
         return Candidate(c.x, -c.f, c.point)
 
     report.best = neg(report.best)
+    report.best_value = -report.best_value
     for s in report.steps:
         s.best = neg(s.best)
         s.population = [neg(c) for c in s.population]

@@ -58,7 +58,7 @@ class GaConfig:
     mutation_rate: float = 1.0  # fraction of members mutated, fittest first
 
     def __post_init__(self):
-        if self.h_tol <= 0:
+        if not self.h_tol > 0:
             raise ValueError("h_tol must be positive")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
@@ -117,10 +117,10 @@ def mutate(
             xs.append([lo + c * sd for c in axis])
         probes = zip(itertools.product(*ks), itertools.product(*xs))
         best_k, best_x = next(probes)
-        best_f = float(evaluate(best_x))
+        best_f = evaluate(best_x)
         moved = False
         for k, x in probes:
-            f = float(evaluate(x))
+            f = evaluate(x)
             if f < best_f or (moved and f == best_f and x < best_x):
                 best_k, best_x, best_f = k, x, f
                 moved = True
@@ -130,7 +130,7 @@ def mutate(
     # order, while the best over all probes follows the rule above
     cur_k = tuple(2 * kd for kd in parent.point.k)
     cur_x = tuple(lo + c * sd for lo, c, sd in zip(lower, cur_k, step))
-    cur_f = float(evaluate(cur_x))
+    cur_f = evaluate(cur_x)
     best_k, best_x, best_f = cur_k, cur_x, cur_f
     moved = False
     for d, (lo, sd) in enumerate(zip(lower, step)):
@@ -140,7 +140,7 @@ def mutate(
                 continue
             k = cur_k[:d] + (c,) + cur_k[d + 1:]
             x = cur_x[:d] + (lo + c * sd,) + cur_x[d + 1:]
-            f = float(evaluate(x))
+            f = evaluate(x)
             if f < best_f or (moved and f == best_f and x < best_x):
                 best_k, best_x, best_f = k, x, f
                 moved = True

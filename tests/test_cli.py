@@ -63,6 +63,42 @@ class TestRun:
         assert code == 3
         assert err.startswith("expression error:")
 
+    @pytest.mark.parametrize("h_tol", ["100", "inf"])
+    def test_slm_with_no_level_to_run(self, capsys, h_tol):
+        # h_tol above the level-1 step: the best box corner, as slmga reports
+        code, out, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slm",
+                               "--h-tol", h_tol, "--format", "json")
+        assert code == 0
+        data = json.loads(out[:out.rindex("# bv=")])
+        assert data[0]["steps"] == []
+        assert data[0]["evaluations"] == 4
+        assert data[0]["converged"]
+        assert data[0]["best"]["k"] == [1, 1]
+
+    @pytest.mark.parametrize("flags", [
+        ("--expr", "x1", "--dim", "0"),
+        ("--expr", "x1", "--dim", "-1"),
+        ("--expr", "x1", "--dim", "1", "--lower", "nan"),
+        ("--expr", "x1", "--dim", "1", "--upper", "inf"),
+        ("--expr", "x1", "--dim", "1", "--lower=-inf"),
+        ("--expr", "x1", "--dim", "1", "--lower", "5", "--upper", "1"),
+    ])
+    def test_bad_expression_box_is_config_error(self, capsys, flags):
+        code, _, err = run_cli(capsys, "run", "--algo", "rs", "--budget", "5", *flags)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("lines", [
+        "dim = 0", "dim = 1\nlower = nan", "dim = 1\nupper = inf",
+        "dim = 1\nlower = 5\nupper = 1",
+    ])
+    def test_bad_expression_box_in_config_is_config_error(self, capsys, tmp_path, lines):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = x1\nalgo = rs\nbudget = 5\n%s\n" % lines)
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+
     def test_not_converged_exit_code_still_writes(self, capsys, tmp_path):
         out_file = tmp_path / "r.csv"
         code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slmga",
@@ -136,6 +172,8 @@ class TestRun:
         ("slmga", "--budget", "5"),
         ("de", "--h-tol", "0.1"),
         ("rs", "--max-gens", "3"),
+        ("slm", "--h-tol", "nan"),
+        ("slmga", "--h-tol", "nan"),
     ])
     def test_bad_algorithm_flag_is_config_error(self, capsys, algo, flag, value):
         code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
@@ -155,6 +193,15 @@ class TestRun:
         ("rsw", "initial = 5,5"),
         ("sa", "initial = 1,2,3"),
         ("slmga", "function = f1"),
+        ("slm", "h_tol = nan"),
+        ("slmga", "h_tol = nan"),
+        ("sa", "t0 = nan"),
+        ("sa", "t0 = inf"),
+        ("rsw", "step_scale = nan"),
+        ("rsw", "step_scale = inf"),
+        ("sa", "step_scale = nan"),
+        ("de", "f_weight = nan"),
+        ("de", "f_weight = -inf"),
     ])
     def test_bad_config_parameter_is_config_error(self, capsys, tmp_path, algo, line):
         ini = tmp_path / "e.ini"
@@ -242,6 +289,11 @@ class TestEval:
     @pytest.mark.parametrize("expr", ["exp(x1*1000)", "floor(x1*1e308*10)"])
     def test_overflow_is_expression_error(self, capsys, expr):
         code, _, err = run_cli(capsys, "eval", "--expr", expr, "--at", "1")
+        assert code == 3
+        assert err.startswith("expression error:")
+
+    def test_non_ascii_digit_is_expression_error(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--expr", "x1\u00b2", "--at", "1")
         assert code == 3
         assert err.startswith("expression error:")
 

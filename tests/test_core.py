@@ -135,14 +135,6 @@ class TestCell:
         ks = {p.k for p in pts}
         assert ks == {(i, j) for i in (2, 3, 4) for j in (2, 3, 4)}
 
-    def test_contains(self):
-        box = BoxDomain.cube(-2.0, 2.0, 2)
-        grid = GridSpec(box, 2)  # step 2
-        cell = Cell(GridPoint((0, 0), 2))  # [-2, 0] x [-2, 0]
-        assert cell.contains((-1.0, -1.0), grid)
-        assert cell.contains((0.0, 0.0), grid)
-        assert not cell.contains((0.5, 0.0), grid)
-
     def test_vertex_overflow_rejected(self):
         cell = Cell(GridPoint((1,), 1))  # upper corner has no cell above it
         with pytest.raises(InvalidCellError):

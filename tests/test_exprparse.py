@@ -68,6 +68,13 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("2x1", 1)
 
+    @pytest.mark.parametrize("src", ["x1\u00b2", "x\u0661", "\u0663*x1"])
+    def test_digits_are_ascii_only(self, src):
+        # a superscript two and Arabic-Indic one and three: str.isdigit
+        # accepts all three
+        with pytest.raises(ExprError):
+            parse(src, 1)
+
 
 class TestEvaluation:
     def test_division_by_zero(self):

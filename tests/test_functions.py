@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from subgrid.core import BoxDomain
 from subgrid.errors import DomainError, GradientUnavailableError, SubgridError
-from subgrid.functions import REGISTRY, Evaluator, get_objective, objective_names
+from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
 
 # Values frozen from an independent 40-digit computation.
 KNOWN_VALUES = [
@@ -79,6 +80,14 @@ class TestValues:
         gp = get_objective("goldstein-price")
         with pytest.raises(DomainError):
             gp.evaluate((3.0, 0.0))
+
+    @pytest.mark.parametrize("value", [np.float64(2.5), 3, np.int64(4)])
+    def test_evaluate_returns_a_python_float(self, value):
+        obj = Objective(name="c", dim=1, box=BoxDomain.cube(0.0, 1.0, 1),
+                        eval_fn=lambda x: value)
+        got = obj.evaluate((0.5,))
+        assert type(got) is float
+        assert got == value
 
 
 class TestFormulas:

@@ -44,7 +44,7 @@ GOLDEN = [
     ("slm", "goldstein-price", {"h_tol": 0.01},
      "fe9e4d694f352768cbb5cb117b3509ef310d29a2bae7b8c3e3b4d412d9175d16"),
     ("slm", "f2", {"h_tol": 0.01, "sense": "max"},
-     "aa6e818a0aaf5fd20c5d63c1991df10d1d693deff5447df8b66529145fa4e444"),
+     "ee70ea61bdf5aa6d0620cdb25f35e14f4d375d7cfbe2767d8e770010c04335f2"),
     ("rs", "f4", {"budget": 200},
      "11f85164149a0aa7e152a8c415919b1e490bbf23ce82cc2fb6c8fb05c24ab281"),
     ("rsw", "f4", {"budget": 200},

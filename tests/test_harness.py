@@ -13,6 +13,7 @@ from subgrid.harness import (
     expression_objective,
     load_config_file,
     png_ratio,
+    run_algorithm,
     run_experiment,
 )
 
@@ -77,6 +78,50 @@ class TestRunExperiment:
     def test_algorithm_parameters_parsed_by_field_type(self, algo, params, key, want):
         cfg = ExperimentConfig(objective="f2", algo=algo, algo_params=params)
         assert run_experiment(cfg).reports[0].meta[key] == want
+
+
+# Each algorithm at small settings, on an expression objective and on F4
+# (SLM, which rejects the 30-d F4, on F2 instead); SLMGA also labels by the
+# finite-difference gradient of the expression.
+BOUNDARY_PARAMS = {
+    "slm": {"h_tol": 0.5},
+    "slmga": {"h_tol": 0.5},
+    "rs": {"budget": 30},
+    "rsw": {"budget": 30},
+    "sa": {"budget": 30},
+    "de": {"generations": 3},
+}
+BOUNDARY_CASES = [(algo, params, objective) for algo, params in BOUNDARY_PARAMS.items()
+                  for objective in ("expr", "f2" if algo == "slm" else "f4")]
+BOUNDARY_CASES.append(("slmga", {"h_tol": 0.5, "label_rule": "gradient-fixed-point"}, "expr"))
+
+
+class TestNumericBoundary:
+    """Numbers become Python floats and ints where they are made, so every
+    number a report holds is one, whichever algorithm made it."""
+
+    @pytest.mark.parametrize("algo,params,objective", BOUNDARY_CASES)
+    def test_report_numbers_are_python_floats_and_ints(self, algo, params, objective):
+        if objective == "expr":
+            obj = expression_objective("x1^2 + cos(3*x2) - floor(x1)", 2, -4.0, 4.0)
+        else:
+            obj = get_objective(objective)
+        rep = run_algorithm(algo, obj, params, seed=3)
+        candidates = [rep.best]
+        floats = [rep.best_value]
+        ints = []
+        for s in rep.steps:
+            candidates += [s.best, *s.population, *(lv.candidate for lv in s.labels)]
+            floats += [*s.h, *(d for lv in s.labels for d in lv.delta)]
+            if s.chosen_cell is not None:
+                ints += s.chosen_cell.anchor.k
+        for c in candidates:
+            floats += [*c.x, c.f]
+            if c.point is not None:
+                ints += c.point.k
+        assert len(floats) > 3
+        assert [v for v in floats if type(v) is not float] == []
+        assert [kd for kd in ints if type(kd) is not int] == []
 
 
 class TestBruteForce:

@@ -41,7 +41,8 @@ from subgrid.slm import (
 # agree with: it keeps the label and delta of every point labelled in the
 # run and refines all of them at every level, positions each active point
 # a second time for its labelled vertex, and selects the cell with
-# closures that rebuild the cell's vertices on every key evaluation.
+# closures that rebuild the cell's vertices on every key evaluation and a
+# containment test that positions each region cell's anchor.
 def reference_region_cells(active):
     present = {p.k for p in active}
     level = active[0].level
@@ -63,7 +64,12 @@ def reference_choose_cell(complete, grid, values, best, region_cells):
     def cell_key(c):
         return (vertex_min(c), c.anchor.k)
 
-    containing = [c for c in region_cells if c.contains(best.x, grid, tol=1e-12)]
+    def contains_best(c):
+        lo = position_of(c.anchor, grid)
+        hi = tuple(v + s for v, s in zip(lo, grid.step))
+        return all(a - 1e-12 <= v <= b + 1e-12 for v, a, b in zip(best.x, lo, hi))
+
+    containing = [c for c in region_cells if contains_best(c)]
     if complete:
         comp = min(complete, key=cell_key)
         if containing:
@@ -254,8 +260,39 @@ class TestEasomRun:
                         eval_fn=lambda x: -obj.evaluate(x))
         rep = slm_run(neg, SlmConfig(h_tol=0.1, sense=Sense.MAXIMIZE))
         assert rep.best.f > 0.99
+        # the largest value seen, with its sign
+        assert rep.best_value == rep.best.f
         for coord in rep.best.x:
             assert abs(coord - math.pi) < 0.5
+
+
+class TestNoLevelToRun:
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("h_tol", [100.0, math.inf])
+    def test_best_box_corner(self, sense, h_tol):
+        # h_tol above the level-1 step: no level runs, and the answer is the
+        # best corner by rank, as in slmga.ga_run
+        obj = get_objective("f2")
+        rep = slm_run(obj, SlmConfig(h_tol=h_tol, sense=sense))
+        sign = -1.0 if sense is Sense.MAXIMIZE else 1.0
+        grid = GridSpec(obj.box, 1)
+        corners = [position_of(p, grid) for p in initial_corners(obj.box)]
+        want = min(corners, key=lambda x: (sign * obj.evaluate(x), x))
+        assert rep.steps == []
+        assert rep.best.x == want
+        assert rep.best.point == GridPoint((0, 0) if sense is Sense.MAXIMIZE else (1, 1), 1)
+        assert rep.best.f == rep.best_value == obj.evaluate(want)
+        assert rep.evaluations == 4
+        assert rep.converged
+
+    def test_same_answer_as_ga_run(self):
+        from subgrid.slmga import GaConfig, ga_run
+
+        obj = get_objective("f5")
+        got = slm_run(obj, SlmConfig(h_tol=1000.0))
+        want = ga_run(obj, GaConfig(h_tol=1000.0))
+        assert (got.steps, got.best, got.best_value, got.evaluations, got.converged) == (
+            want.steps, want.best, want.best_value, want.evaluations, want.converged)
 
 
 class TestReports:
@@ -277,7 +314,8 @@ class TestReports:
         for s in rep.steps:
             assert s.chosen_cell is not None
             grid = GridSpec(obj.box, s.level)
-            lo, hi = s.chosen_cell.bounds(grid)
+            lo = position_of(s.chosen_cell.anchor, grid)
+            hi = tuple(v + sd for v, sd in zip(lo, grid.step))
             if prev is not None:
                 plo, phi = prev
                 assert all(a >= pa - 1e-9 and b <= pb + 1e-9
