@@ -30,8 +30,8 @@ REPORTED_GENERATIONS = {
 }
 
 
-def _report(algo: str, steps, best, evaluations, meta=None) -> RunReport:
-    base = {"algorithm": algo}
+def _report(algo: str, obj: Objective, steps, best, evaluations, meta=None) -> RunReport:
+    base = {"algorithm": algo, "objective": obj.name}
     base.update(meta or {})
     return RunReport(steps=steps, best=best, evaluations=evaluations,
                      converged=True, meta=base)
@@ -74,7 +74,7 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
         if best is None or rank(cand) < rank(best):
             best = cand
             _track(steps, i + 1, (), best)
-    return _report("rs", steps, best, cfg.budget, {"budget": cfg.budget, "seed": cfg.seed})
+    return _report("rs", obj, steps, best, cfg.budget, {"budget": cfg.budget, "seed": cfg.seed})
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,10 @@ class RswConfig:
             raise ConfigError("budget must be >= 1")
         if not 0.0 < self.contraction < 1.0:
             raise ConfigError("contraction must be in (0, 1)")
-        if not math.isfinite(self.step_scale):
-            raise ConfigError("step_scale must be finite")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ConfigError("step_scale must be finite and positive")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
 
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
@@ -129,7 +131,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
             if rejections >= cfg.patience:
                 scale *= cfg.contraction
                 rejections = 0
-    return _report("rsw", steps, best, cfg.budget + 1,
+    return _report("rsw", obj, steps, best, cfg.budget + 1,
                    {"budget": cfg.budget, "seed": cfg.seed,
                     "initial": start, "step_scale": cfg.step_scale,
                     "contraction": cfg.contraction, "patience": cfg.patience})
@@ -151,8 +153,8 @@ class SaConfig:
             raise ConfigError("cooling factor must be in (0, 1)")
         if not (math.isfinite(self.t0) and self.t0 > 0):
             raise ConfigError("initial temperature must be finite and positive")
-        if self.step_scale is not None and not math.isfinite(self.step_scale):
-            raise ConfigError("step_scale must be finite")
+        if self.step_scale is not None and not 0.0 < self.step_scale < math.inf:
+            raise ConfigError("step_scale must be finite and positive")
 
 
 def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
@@ -180,7 +182,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
                 best = Candidate(tuple(x.tolist()), f)
                 _track(steps, i + 1, (sigma,), best)
         t *= cfg.cooling
-    return _report("sa", steps, best, cfg.budget + 1,
+    return _report("sa", obj, steps, best, cfg.budget + 1,
                    {"budget": cfg.budget, "seed": cfg.seed, "t0": cfg.t0,
                     "cooling": cfg.cooling, "step_scale": sigma0,
                     "initial": start})
@@ -244,7 +246,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
         if gen_best.f < best.f:
             best = gen_best
         _track(steps, gen, (fw,), best)
-    return _report("de", steps, best, evaluations,
+    return _report("de", obj, steps, best, evaluations,
                    {"generations": cfg.generations, "seed": cfg.seed,
                     "pop_size": cfg.pop_size, "cr": cfg.cr,
                     "f_mode": "random" if cfg.f_weight is None else cfg.f_weight})

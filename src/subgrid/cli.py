@@ -3,7 +3,12 @@
 Subcommands: list, run, bench, trace, eval.  Exit codes: 0 success,
 2 configuration error, 3 objective or expression error, 4 convergence not
 reached (the report is still written).  SUBGRID_SEED overrides the
-default seed, also for a config-file section that sets no seed.
+default seed, also for a config-file section that sets no seed; a seed
+below 0 is a configuration error.
+
+``run`` checks its flags as one experiment section: each flag's dest is the
+section key it sets, and ``harness.experiment_config`` parses the flags and
+every section of a ``--config`` file alike.
 """
 
 from __future__ import annotations
@@ -27,16 +32,18 @@ EXIT_NOT_CONVERGED = 4
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``SUBGRID_SEED``, else 0."""
+    """``--seed``, else ``SUBGRID_SEED``, else 0; never negative."""
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("SUBGRID_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("SUBGRID_SEED=%r is not an integer" % raw) from None
+        seed = args.seed
+    else:
+        raw = os.environ.get("SUBGRID_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError("SUBGRID_SEED=%r is not an integer" % raw) from None
+    if seed < 0:
+        raise ConfigError("seed must be >= 0, not %d" % seed)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list objectives and algorithms")
 
-    # a flag that sets an ExperimentConfig field has the field name as dest
+    # each flag's dest is its key in an INI section (harness.experiment_config)
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--function", dest="objective", help="built-in objective name")
+    run.add_argument("--function", help="built-in objective name")
     run.add_argument("--expr", help="objective expression in x1..xn "
                      "(note: -x1^2 means -(x1^2))")
     run.add_argument("--dim", type=int, help="dimension for --expr")
@@ -64,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--h-tol", type=float)
     run.add_argument("--max-gens", type=int)
     run.add_argument("--budget", type=int)
-    run.add_argument("--format", dest="fmt", choices=("csv", "markdown", "json"),
+    run.add_argument("--format", choices=("csv", "markdown", "json"),
                      help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
     run.add_argument("--config", help="INI config file; runs every section as "
@@ -133,30 +140,18 @@ def _algorithm_params(args, algo: str) -> dict:
     return params
 
 
-def _experiment_from_args(args) -> ExperimentConfig:
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
-             if getattr(args, f.name, None) is not None}
-    cfg = harness.build_config(ExperimentConfig, given, seed=_seed(args))
-    return dataclasses.replace(cfg, algo_params=_algorithm_params(args, cfg.algo))
-
-
-# The run flags whose dest is not the flag's own name.
-RUN_FLAG_NAMES = {"objective": "--function", "fmt": "--format"}
-
-
 def _cmd_run(args) -> int:
+    given = {dest: value for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "config", "out")}
     if args.config:
-        given = [RUN_FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
-                 for dest, value in vars(args).items()
-                 if value is not None and dest not in ("command", "config", "out")]
         if given:
-            raise ConfigError("--config runs the file as written; %s cannot be given "
-                              "with it" % ", ".join(given))
+            raise ConfigError("--config runs the file as written; %s cannot be given with it"
+                              % ", ".join("--" + dest.replace("_", "-") for dest in given))
         configs = harness.load_config_file(args.config, _seed(args))
     else:
-        if args.objective and args.expr:
-            raise ConfigError("give either --function or --expr, not both")
-        configs = [_experiment_from_args(args)]
+        keys = {dest: value for dest, value in given.items() if dest not in ALGORITHM_FLAGS}
+        keys.update(_algorithm_params(args, args.algo or ExperimentConfig.algo))
+        configs = [harness.experiment_config(keys, _seed(args))]
     code = EXIT_OK
     chunks = []
     for cfg in configs:

@@ -7,9 +7,10 @@ tighter than unary minus, so "-x1^2" means -(x1^2)):
     term   := factor (('*' | '/') factor)*
     factor := unary ('^' factor)?
     unary  := '-'? atom
-    atom   := number | 'x' digits | name '(' expr (',' expr)* ')' | '(' expr ')'
+    atom   := number | 'x' digits | name '(' expr ')' | '(' expr ')'
 
-Variables are x1..xn.  Supported calls: cos, sin, exp, floor, abs, sqrt, log.
+Variables are x1..xn.  Supported calls, each of one argument: cos, sin, exp,
+floor, abs, sqrt, log.
 Digits, in numbers and in variable indices, are ASCII 0-9 only.
 """
 
@@ -30,8 +31,6 @@ FUNCTIONS = {
     "sqrt": math.sqrt,
     "log": math.log,
 }
-
-_ARITY = {name: 1 for name in FUNCTIONS}
 
 # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
 _DIGITS = frozenset("0123456789")
@@ -189,14 +188,9 @@ class _Parser:
             return Variable(idx)
         if word in FUNCTIONS:
             self.expect("(")
-            args = [self.expr()]
-            while self.accept(","):
-                args.append(self.expr())
+            arg = self.expr()
             self.expect(")")
-            if len(args) != _ARITY[word]:
-                self.pos = start
-                self.error("%s takes %d argument(s)" % (word, _ARITY[word]))
-            return Call(word, tuple(args))
+            return Call(word, (arg,))
         self.pos = start
         self.error("unknown function or variable %r" % word)
 

@@ -69,8 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.objective is None and self.expr is None:
-            raise ConfigError("need an objective name or an expression")
+        if (self.objective is None) == (self.expr is None):
+            raise ConfigError("give exactly one of an objective name and an expression")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.fmt not in ("csv", "markdown", "json"):
             raise ConfigError("format must be csv, markdown or json")
 
@@ -209,8 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             min_bv=min(bvs), median_bv=statistics.median(bvs))
 
 
-def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int,
-                         rng=None) -> Candidate:
+def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int) -> Candidate:
     """Exhaustive minimum over the full level-`level` grid; the independent
     oracle the engines are verified against."""
     side = 2 ** (level - 1) + 1
@@ -221,7 +222,7 @@ def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int,
     for k in itertools.product(range(side), repeat=box.dim):
         p = GridPoint(k, level)
         x = position_of(p, grid)
-        f = obj.evaluate(x, rng=rng)
+        f = obj.evaluate(x)
         if best is None or f < best.f or (f == best.f and x < best.x):
             best = Candidate(x, f, point=p)
     return best
@@ -389,40 +390,53 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
     return out.getvalue()
 
 
-# INI spellings of ExperimentConfig fields.
+# INI spellings of ExperimentConfig fields; the `run` flags take them as dests.
 INI_KEYS = {"function": "objective", "format": "fmt"}
+_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"algo_params"}
+
+
+def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
+    """The checked experiment of an INI section or of the ``run`` flags: a key
+    that names an ``ExperimentConfig`` field, or spells one as in ``INI_KEYS``,
+    sets it; any other key is a parameter of the algorithm.  ``seed`` applies
+    unless a key sets one.  The objective and an ``initial`` point are checked."""
+    fields = {INI_KEYS.get(k, k): v for k, v in keys.items()}
+    if len(fields) < len(keys):
+        raise ConfigError("a field is set by two spellings")
+    try:
+        cfg = build_config(
+            ExperimentConfig,
+            {"seed": seed, **{k: v for k, v in fields.items() if k in _EXPERIMENT_KEYS}},
+            algo_params={k: v for k, v in fields.items() if k not in _EXPERIMENT_KEYS})
+        algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
+    except SubgridError as exc:
+        raise ConfigError(str(exc)) from None
+    # a key, not the field: the dataclass defaults hide an unset lower and upper
+    if cfg.objective is not None and fields.keys() & {"dim", "lower", "upper"}:
+        raise ConfigError("dim, lower and upper apply to an expression, not to %r"
+                          % cfg.objective)
+    # an unknown objective or a bad expression keeps its own error (exit 3)
+    baselines.start_point(resolve_objective(cfg), getattr(algo_cfg, "initial", None))
+    return cfg
 
 
 def load_config_file(path: str, seed: int = 0) -> list[ExperimentConfig]:
-    """INI-style config: one experiment per section.  A key that names an
-    ``ExperimentConfig`` field sets it; every other key is a parameter of the
-    section's algorithm.  A section that sets no ``seed`` runs at ``seed``.
-    Every section is checked before any runs: its keys and values, its
-    objective, and an ``initial`` point against that objective's box."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """INI-style config: one ``experiment_config`` per section, at ``seed``
+    unless the section sets its own.  Values are taken literally (no ``%``
+    interpolation).  Every section is checked before any runs."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot parse config file %r: %s" % (path, exc)) from None
     if not read:
         raise ConfigError("cannot read config file %r" % path)
-    experiment = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"algo_params"}
     out = []
     for section in parser.sections():
-        keys = {INI_KEYS.get(k, k): v for k, v in parser[section].items()}
-        if len(keys) < len(parser[section]):
-            raise ConfigError("section [%s]: a field is set by two spellings" % section)
         try:
-            cfg = build_config(
-                ExperimentConfig,
-                {"seed": seed, **{k: v for k, v in keys.items() if k in experiment}},
-                algo_params={k: v for k, v in keys.items() if k not in experiment})
-            algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
-        except SubgridError as exc:
-            raise ConfigError("section [%s]: %s" % (section, exc)) from None
-        # an unknown objective or a bad expression keeps its own error (exit 3)
-        try:
-            baselines.start_point(resolve_objective(cfg), getattr(algo_cfg, "initial", None))
+            out.append(experiment_config(dict(parser[section]), seed))
         except ConfigError as exc:
             raise ConfigError("section [%s]: %s" % (section, exc)) from None
-        out.append(cfg)
     if not out:
         raise ConfigError("config file %r has no experiment sections" % path)
     return out

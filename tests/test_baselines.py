@@ -17,6 +17,18 @@ from subgrid.errors import ConfigError
 from subgrid.functions import get_objective
 
 
+@pytest.mark.parametrize("run,cfg", [
+    (random_search, RsConfig(budget=5)),
+    (random_walk_search, RswConfig(budget=5)),
+    (simulated_annealing, SaConfig(budget=5)),
+    (differential_evolution, DeConfig(generations=2)),
+])
+def test_report_names_algorithm_then_objective(run, cfg):
+    meta = run(get_objective("f2"), cfg).meta
+    assert list(meta)[:2] == ["algorithm", "objective"]
+    assert meta["objective"] == "f2"
+
+
 class TestReferenceConstants:
     def test_de_row(self):
         assert REPORTED_GENERATIONS["de"] == {
@@ -60,6 +72,14 @@ class TestRandomWalkSearch:
         with pytest.raises(ConfigError):
             random_walk_search(obj, RswConfig(initial=(5.0, 5.0), budget=10, seed=0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"step_scale": 0.0}, {"step_scale": -1.0}, {"step_scale": math.nan},
+        {"patience": 0}, {"patience": -3},
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ConfigError):
+            RswConfig(**kwargs)
+
     def test_meta_echoes_hyperparameters(self):
         obj = get_objective("f2")
         rep = random_walk_search(obj, RswConfig(initial=(0.0, 0.0), budget=20, seed=0))
@@ -95,6 +115,8 @@ class TestSimulatedAnnealing:
             SaConfig(cooling=1.5)
         with pytest.raises(ConfigError):
             SaConfig(t0=0.0)
+        with pytest.raises(ConfigError):
+            SaConfig(step_scale=-1.0)
 
 
 class TestDifferentialEvolution:

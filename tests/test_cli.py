@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
-from subgrid.cli import main
+from subgrid.cli import ALGORITHM_FLAGS, build_parser, main
+from subgrid.harness import INI_KEYS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +48,14 @@ class TestRun:
         assert code == 2
         assert "config error" in err
 
+    def test_every_run_flag_is_an_experiment_key(self):
+        # a new flag must reach harness.experiment_config, not a parser of its own
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["run"]._actions} - {"help"}
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | set(INI_KEYS)
+        assert dests <= keys | set(ALGORITHM_FLAGS) | {"seed", "config", "out"}
+
     def test_expr_without_dim_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--expr", "x1^2")
         assert code == 2
@@ -82,6 +94,11 @@ class TestRun:
         ("--expr", "x1", "--dim", "1", "--upper", "inf"),
         ("--expr", "x1", "--dim", "1", "--lower=-inf"),
         ("--expr", "x1", "--dim", "1", "--lower", "5", "--upper", "1"),
+        # a named objective has its own box
+        ("--function", "f2", "--dim", "5", "--lower", "3", "--upper", "1"),
+        ("--function", "f2", "--lower", "3"),
+        ("--function", "f2", "--upper", "10"),
+        ("--function", "f2", "--dim", "2"),
     ])
     def test_bad_expression_box_is_config_error(self, capsys, flags):
         code, _, err = run_cli(capsys, "run", "--algo", "rs", "--budget", "5", *flags)
@@ -136,6 +153,28 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--config", str(ini), "--out", str(out_file))
         assert code == 0
         assert out_file.read_text().startswith("trial,step,h")
+
+    @pytest.mark.parametrize("data", [
+        b"expr = x1\n",                                       # no section header
+        b"[a]\nobjective = f2\n[a]\nobjective = f1\n",        # duplicated section
+        b"[a]\nobjective = f2\nobjective = f1\n",             # duplicated key
+        b"[a]\nobjective = f2\nalgo = rs\n# \xff\xfe\n",      # not UTF-8
+    ])
+    def test_malformed_config_file_is_config_error(self, capsys, tmp_path, data):
+        ini = tmp_path / "e.ini"
+        ini.write_bytes(data)
+        code, out, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
+
+    def test_percent_in_config_value_is_literal(self, capsys, tmp_path):
+        # no interpolation: the value reaches the expression parser as written
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = x1 % 2\ndim = 1\nalgo = rs\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 3
+        assert err.startswith("expression error:")
 
     @pytest.mark.parametrize("second,want", [
         ("objective = f2\nalgo = rsw\ninitial = 5,5", 2),
@@ -202,6 +241,15 @@ class TestRun:
         ("sa", "step_scale = nan"),
         ("de", "f_weight = nan"),
         ("de", "f_weight = -inf"),
+        ("rsw", "step_scale = 0"),
+        ("sa", "step_scale = 0"),
+        ("rsw", "patience = 0"),
+        ("rs", "seed = -1"),
+        ("rs", "dim = 5\nlower = 3\nupper = 1"),
+        ("rs", "lower = 3"),
+        ("rs", "upper = 10"),
+        ("rs", "dim = 2"),
+        ("rs", "expr = x1^2\ndim = 1"),
     ])
     def test_bad_config_parameter_is_config_error(self, capsys, tmp_path, algo, line):
         ini = tmp_path / "e.ini"
@@ -235,6 +283,29 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(ini))
         assert code == 2
         assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--function", "f2", "--algo", "rs", "--budget", "5", "--seed", "-1"),
+        ("run", "--function", "f4", "--algo", "slmga", "--seed", "-2"),
+        ("bench", "--seed", "-1"),
+        ("trace", "--function", "easom", "--seed", "-1", "--out", os.devnull),
+    ])
+    def test_negative_seed_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--function", "f2", "--algo", "rs", "--budget", "5"),
+        ("bench",),
+    ])
+    def test_negative_seed_env_is_config_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SUBGRID_SEED", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
 
     def test_bad_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBGRID_SEED", "twelve")

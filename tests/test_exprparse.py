@@ -49,6 +49,12 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("tan(x1)", 1)
 
+    @pytest.mark.parametrize("src", ["cos(x1, x2)", "abs()", "sqrt(x1,)"])
+    def test_a_call_takes_exactly_one_argument(self, src):
+        with pytest.raises(ExprError):
+            parse(src, 2)
+        assert parse("cos(x1)", 1) == Call("cos", (Variable(1),))
+
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ExprError) as err:
             parse("x1 + + x2", 2)

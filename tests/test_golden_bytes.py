@@ -46,13 +46,13 @@ GOLDEN = [
     ("slm", "f2", {"h_tol": 0.01, "sense": "max"},
      "ee70ea61bdf5aa6d0620cdb25f35e14f4d375d7cfbe2767d8e770010c04335f2"),
     ("rs", "f4", {"budget": 200},
-     "11f85164149a0aa7e152a8c415919b1e490bbf23ce82cc2fb6c8fb05c24ab281"),
+     "3ac56f72c76c46c9b77e4989cc386475f75c89305bc1fea5c9174b020215f45a"),
     ("rsw", "f4", {"budget": 200},
-     "c5202f4ce073c55a428cd871b35c19c6002f05e4046d2a85db90b19d63e13583"),
+     "36d45d93f60817d0e7460bb73e4fa540f4566957485f837aabc9b458142d5471"),
     ("sa", "f4", {"budget": 200},
-     "f782f7b56e1c288a82c888b371289c27899e61ef71387200024a57a07682378c"),
+     "32b902facd20d82c336247e31703f66c729b1e0a4b4e0f6fb5469913e223e834"),
     ("de", "f4", {"generations": 20},
-     "e5a7d17d2e4a4abd49a5b747c5f9456de9cf3291cd985e3821a61efebfe0a2ad"),
+     "887cc9c38249017fb22ebe4604738e083777191ae8c7aac42ae2acc887a77db6"),
 ]
 
 

@@ -10,6 +10,7 @@ from subgrid.harness import (
     brute_force_grid_min,
     compute_metrics,
     emit_table,
+    experiment_config,
     expression_objective,
     load_config_file,
     png_ratio,
@@ -22,6 +23,14 @@ class TestExperimentConfig:
     def test_requires_an_objective(self):
         with pytest.raises(ConfigError):
             ExperimentConfig()
+
+    def test_takes_only_one_objective(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(objective="f1", expr="x1", dim=1)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(objective="f1", seed=-1)
 
     def test_requires_positive_trials(self):
         with pytest.raises(ConfigError):
@@ -214,6 +223,24 @@ class TestEmitTable:
     def test_empty_reports_rejected(self):
         with pytest.raises(ConfigError):
             emit_table([], "csv")
+
+
+class TestExperimentConfigKeys:
+    def test_flag_values_and_ini_strings_run_alike(self):
+        typed = experiment_config({"function": "f2", "algo": "rs", "budget": 30}, seed=4)
+        text = experiment_config({"objective": "f2", "algo": "rs", "budget": "30"}, seed=4)
+        assert typed.seed == text.seed == 4
+        assert (emit_table(run_experiment(typed).reports, "csv")
+                == emit_table(run_experiment(text).reports, "csv"))
+
+    @pytest.mark.parametrize("keys", [
+        {"function": "f2", "format": "csv", "fmt": "csv"},
+        {"function": "f2", "lower": "-10"},  # the default value, still refused
+        {"function": "f2", "dim": 2},
+    ])
+    def test_bad_keys_are_config_errors(self, keys):
+        with pytest.raises(ConfigError):
+            experiment_config(keys)
 
 
 class TestConfigFile:
