@@ -5,6 +5,9 @@ All four are seeded, stay inside the box, and report the same RunReport
 shape as the grid engines so the harness can tabulate them uniformly.
 Hyperparameter defaults are conventional choices (the reference tables
 give only budgets) and are echoed into each report's metadata.
+
+A point is a tuple of Python floats.  numpy only draws the random numbers,
+and each draw becomes a list where it is made.
 """
 
 from __future__ import annotations
@@ -42,13 +45,19 @@ def _track(steps, iteration, h, best):
                             chosen_cell=None, best=best))
 
 
+def _clipped_step(x, direction, scale, box) -> tuple[float, ...]:
+    """``x + direction * scale`` clipped to ``box`` per gene, as ``np.clip`` clips."""
+    return tuple(min(max(v + d * scale, lo), hi)
+                 for v, d, lo, hi in zip(x, direction, box.lower, box.upper))
+
+
 def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
     """The start point of a local search: ``initial``, else the box centre."""
     if initial is None:
         return obj.box.center()
     if not obj.box.contains(initial):
         raise ConfigError("initial point %r is not in the %d-d box" % (initial, obj.dim))
-    return tuple(initial)
+    return tuple(float(v) for v in initial)
 
 
 @dataclass(frozen=True)
@@ -64,12 +73,10 @@ class RsConfig:
 def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     """Uniform in-box sampling, best kept."""
     rng = np.random.default_rng(cfg.seed)
-    lo = np.asarray(obj.box.lower)
-    hi = np.asarray(obj.box.upper)
     best: Optional[Candidate] = None
     steps = []
     for i in range(cfg.budget):
-        x = tuple(rng.uniform(lo, hi).tolist())
+        x = tuple(rng.uniform(obj.box.lower, obj.box.upper).tolist())
         cand = Candidate(x, obj.evaluate(x, rng=rng))
         if best is None or rank(cand) < rank(best):
             best = cand
@@ -99,14 +106,11 @@ class RswConfig:
 
 def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     """Local random steps from a start point, accepting strict improvements."""
-    start = start_point(obj, cfg.initial)
+    x = start = start_point(obj, cfg.initial)
     rng = np.random.default_rng(cfg.seed)
-    lo = np.asarray(obj.box.lower)
-    hi = np.asarray(obj.box.upper)
     n = obj.dim
-    x = np.asarray(start, dtype=float)
-    f = obj.evaluate(tuple(x.tolist()), rng=rng)
-    best = Candidate(tuple(x.tolist()), f)
+    f = obj.evaluate(x, rng=rng)
+    best = Candidate(x, f)
     steps = []
     _track(steps, 0, (cfg.step_scale,), best)
     scale = cfg.step_scale
@@ -118,13 +122,13 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
         if norm == 0.0:
             continue
         radius = scale * rng.uniform() ** (1.0 / n)
-        trial = np.clip(x + direction * (radius / norm), lo, hi)
-        ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
+        trial = _clipped_step(x, direction.tolist(), radius / norm, obj.box)
+        ft = obj.evaluate(trial, rng=rng)
         if ft < f:
             x, f = trial, ft
             rejections = 0
             if f < best.f:
-                best = Candidate(tuple(x.tolist()), f)
+                best = Candidate(x, f)
                 _track(steps, i + 1, (scale,), best)
         else:
             rejections += 1
@@ -161,25 +165,22 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     """Metropolis acceptance with geometric cooling; Gaussian proposals whose
     spread shrinks with the temperature ratio, clamped to the box."""
     rng = np.random.default_rng(cfg.seed)
-    lo = np.asarray(obj.box.lower)
-    hi = np.asarray(obj.box.upper)
-    start = start_point(obj, cfg.initial)
+    x = start = start_point(obj, cfg.initial)
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
-    x = np.asarray(start, dtype=float)
-    f = obj.evaluate(tuple(x.tolist()), rng=rng)
-    best = Candidate(tuple(x.tolist()), f)
+    f = obj.evaluate(x, rng=rng)
+    best = Candidate(x, f)
     steps = []
     _track(steps, 0, (sigma0,), best)
     t = cfg.t0
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
-        trial = np.clip(x + rng.standard_normal(obj.dim) * sigma, lo, hi)
-        ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
+        trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
+        ft = obj.evaluate(trial, rng=rng)
         delta = ft - f
         if delta <= 0.0 or rng.uniform() < np.exp(-delta / t):
             x, f = trial, ft
             if f < best.f:
-                best = Candidate(tuple(x.tolist()), f)
+                best = Candidate(x, f)
                 _track(steps, i + 1, (sigma,), best)
         t *= cfg.cooling
     return _report("sa", obj, steps, best, cfg.budget + 1,
@@ -211,18 +212,16 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     """DE/rand/1/bin with per-generation random differential weight and
     uniform resampling of out-of-box genes."""
     rng = np.random.default_rng(cfg.seed)
-    lo = np.asarray(obj.box.lower)
-    hi = np.asarray(obj.box.upper)
+    lo, hi = obj.box.lower, obj.box.upper
     n = obj.dim
     np_ = cfg.pop_size
-    pop = rng.uniform(lo, hi, size=(np_, n))
-    fit = np.array([obj.evaluate(tuple(row), rng=rng) for row in pop.tolist()])
-    evaluations = np_
+    pop = [tuple(row) for row in rng.uniform(lo, hi, size=(np_, n)).tolist()]
+    fit = [obj.evaluate(x, rng=rng) for x in pop]
     steps = []
 
     def current_best() -> Candidate:
-        i = int(np.argmin(fit))
-        return Candidate(tuple(pop[i].tolist()), float(fit[i]))
+        i = int(np.argmin(fit))  # first index of the minimum; a NaN wins
+        return Candidate(pop[i], fit[i])
 
     best = current_best()
     _track(steps, 0, (), best)
@@ -230,15 +229,15 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
         fw = cfg.f_weight if cfg.f_weight is not None else rng.uniform(0.4, 1.0)
         for i in range(np_):
             a, b, c = _distinct_indices(rng, np_, i)
-            mutant = pop[a] + fw * (pop[b] - pop[c])
-            outside = (mutant < lo) | (mutant > hi)
-            if outside.any():
-                mutant[outside] = rng.uniform(lo, hi)[outside]
-            cross = rng.uniform(size=n) < cfg.cr
+            mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
+            outside = [v < low or v > high for v, low, high in zip(mutant, lo, hi)]  # NaN: inside
+            if any(outside):
+                fresh = rng.uniform(lo, hi).tolist()
+                mutant = [r if o else v for o, v, r in zip(outside, mutant, fresh)]
+            cross = (rng.uniform(size=n) < cfg.cr).tolist()
             cross[rng.integers(n)] = True  # at least one mutant gene
-            trial = np.where(cross, mutant, pop[i])
-            ft = obj.evaluate(tuple(trial.tolist()), rng=rng)
-            evaluations += 1
+            trial = tuple(m if take else p for take, m, p in zip(cross, mutant, pop[i]))
+            ft = obj.evaluate(trial, rng=rng)
             if ft <= fit[i]:
                 pop[i] = trial
                 fit[i] = ft
@@ -246,7 +245,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
         if gen_best.f < best.f:
             best = gen_best
         _track(steps, gen, (fw,), best)
-    return _report("de", obj, steps, best, evaluations,
+    return _report("de", obj, steps, best, np_ * (cfg.generations + 1),
                    {"generations": cfg.generations, "seed": cfg.seed,
                     "pop_size": cfg.pop_size, "cr": cfg.cr,
                     "f_mode": "random" if cfg.f_weight is None else cfg.f_weight})

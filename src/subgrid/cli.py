@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: list, run, bench, trace, eval.  Exit codes: 0 success,
-2 configuration error, 3 objective or expression error, 4 convergence not
-reached (the report is still written).  SUBGRID_SEED overrides the
-default seed, also for a config-file section that sets no seed; a seed
-below 0 is a configuration error.
+2 configuration error (also an ``--out`` that cannot be written, and a
+``trace`` of an objective that is not 2-d), 3 objective or expression error
+(also an expression nested too deeply), 4 convergence not reached (the
+report is still written).  SUBGRID_SEED overrides the default seed, also
+for a config-file section that sets no seed; a seed below 0 is a
+configuration error.
 
 ``run`` checks its flags as one experiment section: each flag's dest is the
 section key it sets, and ``harness.experiment_config`` parses the flags and
@@ -101,11 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (out_path, exc.strerror or exc)) from None
 
 
 def _cmd_list(args) -> int:
@@ -177,6 +182,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_trace(args) -> int:
     obj = get_objective(args.function)
+    if obj.dim != 2:
+        raise ConfigError("trace renders a 2-d objective; %s is %d-d" % (obj.name, obj.dim))
     report = harness.run_algorithm(args.algo, obj, _algorithm_params(args, args.algo),
                                    _seed(args))
     _write(svgtrace.emit_trace_svg(report, obj), args.out)

@@ -12,9 +12,11 @@ SLM's neighbour probes are the exception to the integer rule:
 so on a non-dyadic box a probe can differ in its last bits from the
 lattice point ``lower + k * step`` it stands for.
 
-Numbers become Python floats and ints where they are made (``BoxDomain``, int
-arithmetic on ``k``, ``functions.Objective.evaluate``, the baselines' numpy
-``.tolist()``); the records here hold what their makers pass, unconverted.
+Numbers become Python floats and ints where they are made: ``BoxDomain``,
+int arithmetic on ``k``, ``functions.Objective.evaluate``, and the baselines,
+which turn each numpy draw into a list of floats as it is drawn and keep
+every point a tuple of floats.  The records here hold what their makers
+pass, unconverted.
 """
 
 from __future__ import annotations

@@ -196,22 +196,36 @@ class _Parser:
 
 
 def parse(src: str, n: int) -> Expr:
-    """Parse ``src`` with variables x1..xn."""
+    """Parse ``src`` with variables x1..xn.  Nesting deeper than Python's
+    recursion limit allows is an ``ExprError`` at the offset reached."""
     if not src or not src.strip():
         raise ExprError("empty expression", 0)
-    return _Parser(src, n).parse()
+    parser = _Parser(src, n)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", parser.pos) from None
 
 
 def evaluate(ast: Expr, x: Sequence[float]) -> float:
+    """The value of ``ast`` at ``x``; an undefined value, or an AST nested
+    deeper than Python's recursion limit allows, is an ``ExprEvalError``."""
+    try:
+        return _evaluate(ast, x)
+    except RecursionError:
+        raise ExprEvalError("expression nested too deeply") from None
+
+
+def _evaluate(ast: Expr, x: Sequence[float]) -> float:
     if isinstance(ast, Constant):
         return ast.value
     if isinstance(ast, Variable):
         return float(x[ast.index - 1])
     if isinstance(ast, Unary):
-        return -evaluate(ast.child, x)
+        return -_evaluate(ast.child, x)
     if isinstance(ast, Binary):
-        a = evaluate(ast.left, x)
-        b = evaluate(ast.right, x)
+        a = _evaluate(ast.left, x)
+        b = _evaluate(ast.right, x)
         if ast.op == "+":
             return a + b
         if ast.op == "-":
@@ -232,7 +246,7 @@ def evaluate(ast: Expr, x: Sequence[float]) -> float:
             return float(r)
         raise ExprEvalError("unknown operator %r" % ast.op)
     if isinstance(ast, Call):
-        args = [evaluate(a, x) for a in ast.args]
+        args = [_evaluate(a, x) for a in ast.args]
         try:
             return float(FUNCTIONS[ast.fn](*args))
         except (OverflowError, ValueError) as exc:

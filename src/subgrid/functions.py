@@ -10,7 +10,8 @@ caller's choice of seed.  ``noiseless`` evaluates the quartic part alone.
 
 The grid engines evaluate through ``Evaluator`` (cache, count, sense,
 common random numbers); the baselines call ``Objective.evaluate`` directly
-and pass their own random stream.  Either way the value is a Python float.
+and pass their own random stream.  Either way the point is a tuple of
+Python floats, made so by its caller, and the value is a Python float.
 """
 
 from __future__ import annotations

@@ -288,9 +288,11 @@ def _emit_markdown(reports) -> str:
     for rep in reports:
         algo = rep.meta.get("algorithm", "?")
         fn = rep.meta.get("objective", "?")
+        rate = rep.meta.get("mutation_rate")
+        rate = "-" if rate is None else "%g" % rate
         for s in rep.steps:
-            out.write("| Step%d | %s | %s | %s | 0.5 | %s | %g | |\n" % (
-                s.level, algo.upper(), fn, _fmt_h(s.h), _fmt_point(s.best.x), s.best.f))
+            out.write("| Step%d | %s | %s | %s | %s | %s | %g | |\n" % (
+                s.level, algo.upper(), fn, _fmt_h(s.h), rate, _fmt_point(s.best.x), s.best.f))
     return out.getvalue()
 
 

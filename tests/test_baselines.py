@@ -29,6 +29,16 @@ def test_report_names_algorithm_then_objective(run, cfg):
     assert meta["objective"] == "f2"
 
 
+@pytest.mark.parametrize("run,cfg", [
+    (random_walk_search, RswConfig(initial=(1, -1), budget=5, step_scale=1e-9)),
+    (simulated_annealing, SaConfig(initial=(1, -1), budget=5, step_scale=1e-9)),
+])
+def test_an_integer_initial_point_starts_as_floats(run, cfg):
+    # called directly, not through harness.build_config, which parses floats
+    rep = run(get_objective("f2"), cfg)
+    assert [type(v) for s in rep.steps for v in s.best.x] == [float] * 2 * len(rep.steps)
+
+
 class TestReferenceConstants:
     def test_de_row(self):
         assert REPORTED_GENERATIONS["de"] == {

@@ -3,9 +3,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import subgrid
 from subgrid.cli import ALGORITHM_FLAGS, build_parser, main
 from subgrid.harness import INI_KEYS, ExperimentConfig
 
@@ -313,6 +316,21 @@ class TestRun:
                                "--budget", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("algo,budget", [("slm", ()), ("slmga", ()), ("de", ("--budget", "2"))],
+                             ids=["slm", "slmga", "de"])
+    def test_a_980_term_sum_runs(self, algo, budget):
+        # no fixed depth limit: a fresh interpreter, as the command line has,
+        # evaluates a sum nested 979 deep
+        src = os.path.dirname(os.path.dirname(os.path.abspath(subgrid.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from subgrid.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", "--expr", "+".join(["x1"] * 980),
+             "--dim", "1", "--algo", algo, *budget, "--format", "csv"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "# bv=" in proc.stdout
+
 
 class TestBench:
     def test_json_bench(self, capsys):
@@ -327,7 +345,27 @@ class TestBench:
             "fae20df8914451699c249797451d50bb76d0f0da7b562cb695d31c8b040fd569")
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--function", "f2", "--algo", "rs", "--budget", "5"),
+    ("bench",),
+    ("trace", "--function", "f2", "--h-tol", "0.5"),
+], ids=["run", "bench", "trace"])
+def test_out_into_a_missing_directory_is_config_error(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert err.startswith("config error: cannot write ")
+
+
 class TestTrace:
+    @pytest.mark.parametrize("name", ["f1", "f4"])
+    def test_objective_not_2d_is_config_error(self, capsys, tmp_path, name):
+        out_file = tmp_path / "t.svg"
+        code, _, err = run_cli(capsys, "trace", "--function", name, "--h-tol", "0.5",
+                               "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("config error:") and "2-d" in err
+        assert not out_file.exists()
+
     def test_svg_output(self, capsys, tmp_path):
         out_file = tmp_path / "t.svg"
         code, _, _ = run_cli(capsys, "trace", "--function", "easom",
@@ -367,6 +405,16 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--expr", "x1\u00b2", "--at", "1")
         assert code == 3
         assert err.startswith("expression error:")
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 250 + "x1" + ")" * 250,     # the parser recurses per parenthesis
+        "^".join(["1"] * 2000),           # and per right-associative power
+        "+".join(["x1"] * 3000),          # parses in a loop, evaluates recursively
+    ], ids=["parentheses", "powers", "sum"])
+    def test_deep_nesting_is_expression_error(self, capsys, expr):
+        code, _, err = run_cli(capsys, "eval", "--expr", expr, "--at", "1")
+        assert code == 3
+        assert err.startswith("expression error: expression nested too deeply")
 
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "x1", "--at", "a,b")

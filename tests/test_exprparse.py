@@ -81,6 +81,14 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse(src, 1)
 
+    @pytest.mark.parametrize("src", ["(" * 250 + "x1" + ")" * 250, "^".join(["1"] * 2000)],
+                             ids=["parentheses", "powers"])
+    def test_nesting_past_the_recursion_limit_is_expr_error(self, src):
+        with pytest.raises(ExprError) as err:
+            parse(src, 1)
+        assert "nested too deeply" in str(err.value)
+        assert 0 < err.value.offset < len(src)
+
 
 class TestEvaluation:
     def test_division_by_zero(self):
@@ -94,6 +102,12 @@ class TestEvaluation:
     def test_fractional_power_of_negative(self):
         with pytest.raises(ExprEvalError):
             evaluate(parse("x1^0.5", 1), (-4.0,))
+
+    def test_nesting_past_the_recursion_limit_is_eval_error(self):
+        # a left-leaning sum: it parses in a loop but evaluates recursively
+        ast = parse("+".join(["x1"] * 3000), 1)
+        with pytest.raises(ExprEvalError, match="nested too deeply"):
+            evaluate(ast, (1.0,))
 
     def test_rosenbrock_minimum(self):
         ast = parse("100*(x1^2-x2)^2+(1-x1)^2", 2)

@@ -6,7 +6,10 @@ re-records them and says so.
 Settings are coarse so the whole file stays fast: every deterministic
 objective under both engines (SLM rejects the 30-d F4), one maximizing SLM
 run, and the four baselines on F4, whose noise shares the run's random
-stream with the baselines' own draws.
+stream with the baselines' own draws.  The baselines also run on F2 (a
+non-dyadic box) and on a 3-d expression; DE with ``f_weight = 2`` resamples
+most mutants' out-of-box genes, and RSW and SA started at a corner with a
+step wider than the box clip most proposals.
 """
 
 import hashlib
@@ -14,6 +17,12 @@ import hashlib
 import pytest
 
 from subgrid.harness import ExperimentConfig, emit_table, run_experiment
+
+# Objectives named in GOLDEN that are expressions, not registry names.
+EXPRESSIONS = {
+    "expr3": {"expr": "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)",
+              "dim": 3, "lower": -1.3, "upper": 2.9},
+}
 
 GOLDEN = [
     ("slmga", "easom", {"h_tol": 1.0},
@@ -53,6 +62,30 @@ GOLDEN = [
      "32b902facd20d82c336247e31703f66c729b1e0a4b4e0f6fb5469913e223e834"),
     ("de", "f4", {"generations": 20},
      "887cc9c38249017fb22ebe4604738e083777191ae8c7aac42ae2acc887a77db6"),
+    ("rs", "f2", {"budget": 200},
+     "d129f9375a57e9f178567b97c7daafa214c06ce5b7be3139b7aeecbc95519e1c"),
+    ("rsw", "f2", {"budget": 200},
+     "6654524c05c8dd7ba8e89627db904e9181aab6416d182fa3dbf3c66cf3cbdb0f"),
+    ("sa", "f2", {"budget": 200},
+     "621844eb22177e13c2692c26430be019e19ba90a8e1e29a79c1d77a0877b881a"),
+    ("de", "f2", {"generations": 20},
+     "b414c4c7183048a0581d3134f667924d30ef84f28dbd82c17641b11403e2ddd7"),
+    # 252 of 400 mutants have a gene outside the box
+    ("de", "f2", {"generations": 20, "f_weight": 2.0},
+     "bb2539664362f1101fb7c56f4333b8e98d7d37e48f1b790d9052bfffbb085c02"),
+    # 167 and 193 of 201 evaluated points lie on the box boundary
+    ("rsw", "f2", {"budget": 200, "initial": (-2.048, 2.048), "step_scale": 10.0},
+     "f6039b44036b025cbd81ccb6a50a2c665f63f8eaad85aef4c681fff8fa6ff245"),
+    ("sa", "f2", {"budget": 200, "initial": (2.048, -2.048), "step_scale": 10.0},
+     "238cfae8ec20d369bfc209df45042df19aa7610360d0bc131fff765f375dc181"),
+    ("rs", "expr3", {"budget": 200},
+     "b67f162128f926bfb43ade97b137483246e1b5674eccf1c8003cc58ca2e36f32"),
+    ("rsw", "expr3", {"budget": 200},
+     "c5bc03cfdb6b65ac7bc5a99488ea9cb27fe3ebbead1302c5b42f817eb2e33f42"),
+    ("sa", "expr3", {"budget": 200},
+     "018184fee1f9a834c4754a2223a6a88e3318eebd9c27e4654913d35bd6a3c09c"),
+    ("de", "expr3", {"generations": 20},
+     "6d4ffc69c2eb24647bde8d68c42ff9b2524ba869851d3715c12d9f54ad4698ab"),
 ]
 
 
@@ -64,7 +97,8 @@ def _case_id(case):
 @pytest.mark.parametrize("algo,name,params,digest", GOLDEN,
                          ids=[_case_id(c) for c in GOLDEN])
 def test_seed0_tables_are_byte_identical(algo, name, params, digest):
-    cfg = ExperimentConfig(objective=name, algo=algo, algo_params=dict(params), seed=0)
+    keys = EXPRESSIONS.get(name, {"objective": name})
+    cfg = ExperimentConfig(**keys, algo=algo, algo_params=dict(params), seed=0)
     reports = run_experiment(cfg).reports
     data = (emit_table(reports, "csv") + emit_table(reports, "json")).encode()
     assert hashlib.sha256(data).hexdigest() == digest

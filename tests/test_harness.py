@@ -211,6 +211,18 @@ class TestEmitTable:
         assert "| Step1 |" in lines[2]
         assert "SLMGA" in lines[2]
 
+    @pytest.mark.parametrize("algo,params,rate", [
+        ("slmga", {"h_tol": 0.02}, "1"),
+        ("slmga", {"h_tol": 0.02, "mutation_rate": 0.5}, "0.5"),
+        ("slm", {"h_tol": 0.02}, "-"),
+        ("de", {"generations": 3}, "-"),
+    ])
+    def test_markdown_mutation_rate_column(self, algo, params, rate):
+        cfg = ExperimentConfig(objective="f2", algo=algo, algo_params=params)
+        lines = emit_table(run_experiment(cfg).reports, "markdown").strip().split("\n")
+        column = lines[0].split(" | ").index("Mutation Rate")
+        assert {line.split(" | ")[column] for line in lines[2:]} == {rate}
+
     def test_json_serialization(self):
         reports = self._reports()
         data = json.loads(emit_table(reports, "json"))
