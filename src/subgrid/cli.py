@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: list, run, bench, trace, eval.  Exit codes: 0 success,
-2 configuration error (also an ``--out`` that cannot be written, and a
+2 configuration error (also an ``--out`` that cannot be written, refused
+before any run when its directory is missing or it is a directory, and a
 ``trace`` of an objective that is not 2-d), 3 objective or expression error
 (also an expression nested too deeply), 4 convergence not reached (the
 report is still written).  SUBGRID_SEED overrides the default seed, also
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
@@ -100,6 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--at", required=True,
                     help="comma-separated coordinates, e.g. 1.0,2.5")
     return top
+
+
+def _check_out(out_path):
+    """Refuse an ``--out`` that cannot be written before any work is done:
+    its directory must exist and it must not be a directory itself.  The
+    file is not opened here, so a run that fails leaves it as it was."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise ConfigError("cannot write %s: %s" % (out_path, os.strerror(code)))
 
 
 def _write(text: str, out_path):
@@ -214,6 +234,7 @@ def main(argv=None) -> int:
         "eval": _cmd_eval,
     }[args.command]
     try:
+        _check_out(getattr(args, "out", None))
         return handler(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -4,6 +4,14 @@
 trials and aggregates best values; ``bench_suite`` reruns the five-function
 comparison table including the generation-ratio (PNG) row against the
 stored DE reference counts.
+
+``emit_table`` writes a list of reports as CSV, markdown or JSON.  The JSON
+is written directly in the layout ``json.dumps(..., indent=2)`` gives: an
+indent of 2, the keys of each report, step, candidate, label and cell in a
+fixed order, each float as its ``repr`` and NaN and the infinities as
+``json`` writes them (``NaN``, ``Infinity``, ``-Infinity``).  A report's
+``meta`` is written by ``json`` itself.  ``tests/test_golden_bytes.py`` pins
+the bytes by sha256 digests.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
-from .core import BoxDomain, Candidate, GridPoint, GridSpec, RunReport, position_of
+from .core import BoxDomain, Candidate, GridPoint, GridSpec, RunReport, StepRecord, position_of
 from .errors import ConfigError, GridTooLargeError, SubgridError
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
@@ -255,7 +263,7 @@ def emit_table(reports: Sequence[RunReport], fmt: str) -> str:
     if fmt == "markdown":
         return _emit_markdown(reports)
     if fmt == "json":
-        return json.dumps([report_to_jsonable(r) for r in reports], indent=2) + "\n"
+        return _json_array([_json_report(r, "  ") for r in reports], "") + "\n"
     raise ConfigError("unknown format %r" % fmt)
 
 
@@ -296,38 +304,111 @@ def _emit_markdown(reports) -> str:
     return out.getvalue()
 
 
-def report_to_jsonable(rep: RunReport) -> dict:
-    def cand(c):
-        d = {"x": list(c.x), "f": c.f}
-        if c.point is not None:
-            d["k"] = list(c.point.k)
-            d["level"] = c.point.level
-        return d
+# The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it: each
+# writer is passed the indent of the line its value starts on, keys come in a
+# fixed order, and every number is written as ``json`` writes it.
 
-    return {
-        "meta": rep.meta,
-        "evaluations": rep.evaluations,
-        "converged": rep.converged,
-        "best": cand(rep.best),
-        "best_value": rep.best_value,
-        "steps": [
-            {
-                "level": s.level,
-                "h": list(s.h),
-                "best": cand(s.best),
-                "population": [cand(c) for c in s.population],
-                "labels": [
-                    {"candidate": cand(lv.candidate), "label": lv.label,
-                     "delta": list(lv.delta)}
-                    for lv in s.labels
-                ],
-                "chosen_cell": (None if s.chosen_cell is None
-                                else {"anchor": list(s.chosen_cell.anchor.k),
-                                      "level": s.chosen_cell.level}),
-            }
-            for s in rep.steps
-        ],
-    }
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_FLOATS = frozenset([float])
+_INTS = frozenset([int])
+
+
+def _json_number(v) -> str:
+    """A JSON scalar as ``json`` writes it: a finite float or a plain int
+    directly, anything else (NaN, the infinities, a bool, a float subclass
+    such as ``np.float64``, None) through ``json.dumps``."""
+    if type(v) is float and v - v == 0.0:  # inf - inf and nan - nan are nan
+        return _float_repr(v)
+    if type(v) is int:
+        return _int_repr(v)
+    return json.dumps(v)
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """An array of values already written at indent ``pad + "  "``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_numbers(values, pad: str) -> str:
+    """An array of numbers.  All finite floats or all ints, as the engines
+    record them, are written in one pass; any other array number by number."""
+    if not values:
+        return "[]"
+    inner = "\n" + pad + "  "
+    sep = "," + inner
+    kinds = set(map(type, values))
+    if kinds == _FLOATS:
+        body = sep.join(map(_float_repr, values))
+        if "n" in body:  # 'nan' or 'inf'
+            body = sep.join(map(_json_number, values))
+    elif kinds == _INTS:
+        body = sep.join(map(_int_repr, values))
+    else:
+        body = sep.join(map(_json_number, values))
+    return "[" + inner + body + "\n" + pad + "]"
+
+
+def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
+    """An object of ``(key, written value)`` pairs; no key needs escaping."""
+    inner = "\n" + pad + "  "
+    return ("{" + inner + ("," + inner).join('"%s": %s' % kv for kv in fields)
+            + "\n" + pad + "}")
+
+
+def _json_candidate(c: Candidate, pad: str) -> str:
+    inner = pad + "  "
+    text = '{\n%s"x": %s,\n%s"f": %s' % (
+        inner, _json_numbers(c.x, inner), inner, _json_number(c.f))
+    if c.point is not None:
+        text += ',\n%s"k": %s,\n%s"level": %s' % (
+            inner, _json_numbers(c.point.k, inner), inner, _json_number(c.point.level))
+    return text + "\n" + pad + "}"
+
+
+def _json_step(s: StepRecord, pad: str) -> str:
+    inner = pad + "  "
+    item = inner + "  "
+    population = [_json_candidate(c, item) for c in s.population]
+    # A label's candidate is as a rule one of the population's: its text is
+    # that one's, one level deeper.
+    written = dict(zip(map(id, s.population), population))
+    labels = []
+    for lv in s.labels:
+        cand = written.get(id(lv.candidate))
+        cand = (_json_candidate(lv.candidate, item + "  ") if cand is None
+                else cand.replace("\n", "\n  "))
+        labels.append('{\n%s  "candidate": %s,\n%s  "label": %s,\n%s  "delta": %s\n%s}' % (
+            item, cand, item, _json_number(lv.label),
+            item, _json_numbers(lv.delta, item + "  "), item))
+    cell = s.chosen_cell
+    return _json_object([
+        ("level", _json_number(s.level)),
+        ("h", _json_numbers(s.h, inner)),
+        ("best", _json_candidate(s.best, inner)),
+        ("population", _json_array(population, inner)),
+        ("labels", _json_array(labels, inner)),
+        ("chosen_cell", "null" if cell is None else _json_object([
+            ("anchor", _json_numbers(cell.anchor.k, inner + "  ")),
+            ("level", _json_number(cell.level))], inner)),
+    ], pad)
+
+
+def _json_report(rep: RunReport, pad: str) -> str:
+    inner = pad + "  "
+    # meta is small and may hold any JSON value, so ``json`` writes it
+    meta = json.dumps(rep.meta, indent=2).replace("\n", "\n" + inner)
+    return _json_object([
+        ("meta", meta),
+        ("evaluations", _json_number(rep.evaluations)),
+        ("converged", _json_number(rep.converged)),
+        ("best", _json_candidate(rep.best, inner)),
+        ("best_value", _json_number(rep.best_value)),
+        ("steps", _json_array([_json_step(s, inner + "  ") for s in rep.steps], inner)),
+    ], pad)
 
 
 @dataclass

@@ -356,6 +356,50 @@ def test_out_into_a_missing_directory_is_config_error(capsys, tmp_path, argv):
     assert err.startswith("config error: cannot write ")
 
 
+OUT_ARGV = {
+    "run": ("run", "--function", "f2", "--algo", "rs", "--budget", "5"),
+    "run-config": ("run", "--config", "{ini}"),
+    "bench": ("bench",),
+    "trace": ("trace", "--function", "f2", "--h-tol", "0.5"),
+}
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("missing/x", "No such file or directory"),
+    ("a-file/x", "Not a directory"),
+    ("a-dir", "Is a directory"),
+], ids=["missing-directory", "parent-is-a-file", "out-is-a-directory"])
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_out_refused_before_any_run(capsys, tmp_path, monkeypatch, command, out, reason):
+    from subgrid import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in ("run_experiment", "run_algorithm", "bench_suite"):
+        monkeypatch.setattr(harness, name, refuse)
+    (tmp_path / "a-file").write_text("kept")
+    (tmp_path / "a-dir").mkdir()
+    ini = tmp_path / "e.ini"
+    ini.write_text("[a]\nobjective = f2\nalgo = rs\nbudget = 5\n")
+    argv = [a.format(ini=ini) for a in OUT_ARGV[command]]
+    path = str(tmp_path / out)
+    code, out_text, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2
+    assert err == "config error: cannot write %s: %s\n" % (path, reason)
+    assert out_text == ""
+    assert (tmp_path / "a-file").read_text() == "kept"
+
+
+def test_out_kept_when_the_run_is_refused(capsys, tmp_path):
+    out_file = tmp_path / "t.csv"
+    out_file.write_text("kept")
+    code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "rs",
+                         "--h-tol", "0.1", "--out", str(out_file))
+    assert code == 2
+    assert out_file.read_text() == "kept"
+
+
 class TestTrace:
     @pytest.mark.parametrize("name", ["f1", "f4"])
     def test_objective_not_2d_is_config_error(self, capsys, tmp_path, name):

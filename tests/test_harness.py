@@ -1,8 +1,20 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgrid.core import BoxDomain
+from subgrid.core import (
+    BoxDomain,
+    Candidate,
+    Cell,
+    GridPoint,
+    LabeledVertex,
+    RunReport,
+    StepRecord,
+)
 from subgrid.errors import ConfigError, GridTooLargeError
 from subgrid.functions import get_objective
 from subgrid.harness import (
@@ -235,6 +247,117 @@ class TestEmitTable:
     def test_empty_reports_rejected(self):
         with pytest.raises(ConfigError):
             emit_table([], "csv")
+
+
+def reference_jsonable(rep):
+    """The report as ``json.dumps(..., indent=2)`` took it before the writer
+    built the text directly: the oracle the writer is held to."""
+    def cand(c):
+        d = {"x": list(c.x), "f": c.f}
+        if c.point is not None:
+            d["k"] = list(c.point.k)
+            d["level"] = c.point.level
+        return d
+
+    return {
+        "meta": rep.meta,
+        "evaluations": rep.evaluations,
+        "converged": rep.converged,
+        "best": cand(rep.best),
+        "best_value": rep.best_value,
+        "steps": [
+            {
+                "level": s.level,
+                "h": list(s.h),
+                "best": cand(s.best),
+                "population": [cand(c) for c in s.population],
+                "labels": [
+                    {"candidate": cand(lv.candidate), "label": lv.label,
+                     "delta": list(lv.delta)}
+                    for lv in s.labels
+                ],
+                "chosen_cell": (None if s.chosen_cell is None
+                                else {"anchor": list(s.chosen_cell.anchor.k),
+                                      "level": s.chosen_cell.level}),
+            }
+            for s in rep.steps
+        ],
+    }
+
+
+def _reference_json(reports):
+    return json.dumps([reference_jsonable(r) for r in reports], indent=2) + "\n"
+
+
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    st.floats(allow_nan=False).map(np.float64),
+)
+_numbers = st.one_of(_floats, st.integers(), st.booleans())
+# mostly floats, as the engines record them; sometimes ints and bools too
+_vectors = (st.lists(_floats, max_size=3) | st.lists(_numbers, max_size=3)).map(tuple)
+_points = st.builds(GridPoint, st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+                    st.integers(1, 64))
+_candidates = st.builds(Candidate, _vectors, _floats, st.none() | _points)
+_meta = st.dictionaries(
+    st.text(),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | _floats
+        | st.text() | st.sampled_from(["\u00e9\u4e2d", 'a "quoted" word', "back\\slash"]),
+        lambda inner: (st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=8),
+    max_size=4)
+
+
+@st.composite
+def _steps(draw):
+    population = draw(st.lists(_candidates, max_size=4))
+    # a label's candidate is as a rule one of the population's own objects
+    label_candidates = (st.sampled_from(population) | _candidates) if population else _candidates
+    labels = draw(st.lists(st.builds(LabeledVertex, label_candidates, _numbers, _vectors),
+                           max_size=4))
+    return StepRecord(
+        level=draw(st.integers(1, 64)), h=draw(_vectors), population=population,
+        labels=labels, chosen_cell=draw(st.none() | st.builds(Cell, _points)),
+        best=draw(_candidates))
+
+
+_reports = st.builds(
+    RunReport, steps=st.lists(_steps(), max_size=3), best=_candidates,
+    evaluations=st.integers(0, 10**6), converged=st.booleans(), meta=_meta,
+    best_value=_numbers)
+
+
+class TestJsonWriter:
+    """``emit_table(..., "json")`` writes the bytes ``json.dumps(...,
+    indent=2)`` writes for ``reference_jsonable``."""
+
+    @given(st.lists(_reports, min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_json_dumps(self, reports):
+        assert emit_table(reports, "json") == _reference_json(reports)
+
+    @pytest.mark.parametrize("objective", ["f2", "expr3"])
+    @pytest.mark.parametrize("algo,params", [
+        ("slm", {"h_tol": 0.05}),
+        ("slm", {"h_tol": 0.05, "neighbor_scheme": "full-box"}),
+        ("slm", {"h_tol": 0.05, "sense": "max"}),
+        ("slmga", {"h_tol": 0.05}),
+        ("rs", {"budget": 50}),
+        ("rsw", {"budget": 50}),
+        ("sa", {"budget": 50}),
+        ("de", {"generations": 5}),
+    ], ids=["slm", "slm-full-box", "slm-max", "slmga", "rs", "rsw", "sa", "de"])
+    def test_matches_json_dumps_on_real_reports(self, algo, params, objective):
+        if objective == "expr3":
+            obj = expression_objective(
+                "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)", 3, -2.0, 3.0)
+        else:
+            obj = get_objective(objective)
+        reports = [run_algorithm(algo, obj, params, seed) for seed in (0, 1)]
+        assert emit_table(reports, "json") == _reference_json(reports)
 
 
 class TestExperimentConfigKeys:

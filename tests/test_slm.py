@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -23,7 +22,7 @@ from subgrid.core import (
 )
 from subgrid.errors import DimensionTooLargeError
 from subgrid.functions import Evaluator, Objective, get_objective
-from subgrid.harness import report_to_jsonable
+from subgrid.harness import emit_table
 from subgrid.labeling import delta_of, find_complete_cells, label_from_delta
 from subgrid.slm import (
     NeighborScheme,
@@ -387,7 +386,7 @@ def _slm_case(draw):
 
 
 def _json(rep):
-    return json.dumps(report_to_jsonable(rep))
+    return emit_table([rep], "json")
 
 
 class TestMatchesReference:
