@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import errno
 import os
+import stat
 import sys
 
 from . import BACKEND, harness, svgtrace
@@ -107,19 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(out_path):
     """Refuse an ``--out`` that cannot be written before any work is done:
     its directory must exist and it must not be a directory itself.  The
-    file is not opened here, so a run that fails leaves it as it was."""
+    reason given is the one the OS gives.  The file is not opened here, so a
+    run that fails leaves it as it was."""
     if not out_path:
         return
-    parent = os.path.dirname(out_path) or "."
     if os.path.isdir(out_path):
-        code = errno.EISDIR
-    elif not os.path.exists(parent):
-        code = errno.ENOENT
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR
+        reason = os.strerror(errno.EISDIR)
     else:
-        return
-    raise ConfigError("cannot write %s: %s" % (out_path, os.strerror(code)))
+        try:
+            mode = os.stat(os.path.dirname(out_path) or ".").st_mode
+        except OSError as exc:
+            reason = exc.strerror
+        else:
+            if stat.S_ISDIR(mode):
+                return
+            reason = os.strerror(errno.ENOTDIR)
+    raise ConfigError("cannot write %s: %s" % (out_path, reason))
 
 
 def _write(text: str, out_path):

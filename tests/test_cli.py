@@ -367,8 +367,10 @@ OUT_ARGV = {
 @pytest.mark.parametrize("out,reason", [
     ("missing/x", "No such file or directory"),
     ("a-file/x", "Not a directory"),
+    ("a-file/sub/x", "Not a directory"),
     ("a-dir", "Is a directory"),
-], ids=["missing-directory", "parent-is-a-file", "out-is-a-directory"])
+], ids=["missing-directory", "parent-is-a-file", "grandparent-is-a-file",
+        "out-is-a-directory"])
 @pytest.mark.parametrize("command", sorted(OUT_ARGV))
 def test_out_refused_before_any_run(capsys, tmp_path, monkeypatch, command, out, reason):
     from subgrid import harness

@@ -134,13 +134,6 @@ def _case_id(case):
     return "-".join([algo, name] + ["%s=%s" % kv for kv in sorted(params.items())])
 
 
-def _tables(algo, name, params):
-    keys = EXPRESSIONS.get(name, {"objective": name})
-    cfg = ExperimentConfig(**keys, algo=algo, algo_params=dict(params), seed=0)
-    reports = run_experiment(cfg).reports
-    return emit_table(reports, "csv"), emit_table(reports, "json")
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -148,12 +141,9 @@ def _sha256(text):
 @pytest.mark.parametrize("algo,name,params,csv_digest,digest", GOLDEN,
                          ids=[_case_id(c) for c in GOLDEN])
 def test_seed0_tables_are_byte_identical(algo, name, params, csv_digest, digest):
-    csv, json = _tables(algo, name, params)
-    assert _sha256(csv + json) == digest
-
-
-@pytest.mark.parametrize("algo,name,params,csv_digest,digest", GOLDEN,
-                         ids=[_case_id(c) for c in GOLDEN])
-def test_seed0_csv_is_byte_identical(algo, name, params, csv_digest, digest):
-    csv, _ = _tables(algo, name, params)
+    keys = EXPRESSIONS.get(name, {"objective": name})
+    cfg = ExperimentConfig(**keys, algo=algo, algo_params=dict(params), seed=0)
+    reports = run_experiment(cfg).reports
+    csv = emit_table(reports, "csv")
     assert _sha256(csv) == csv_digest
+    assert _sha256(csv + emit_table(reports, "json")) == digest

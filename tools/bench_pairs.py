@@ -1,19 +1,21 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --number 10 --parent REV --claim small-runs \\
+    python3 tools/bench_pairs.py --parent REV --claim small-runs \\
         --title "..." small-runs:1 small-runs:2 paper-bench:6 de-baseline:7
 
 Each ``WORKLOAD:SEED`` argument is one pair: ``perfbench/run.py`` runs once
 from the parent tree and once from the change tree, one process at a time,
 the parent first in a workload's first pair and the order alternating over
-that workload's pairs.  The parent tree is ``git archive REV`` unpacked into
+that workload's pairs.  Every run lasts the ``run_seconds`` that
+``BENCHMARK.json`` sets.  The parent tree is ``git archive REV`` unpacked into
 a temporary directory (removed at the end); the change tree is the checkout
 this script lives in, as it stands on disk.  The file keeps, per run, the
 first four lines of the benchmark's log and its result line, and per
 workload the pairs' end-to-end figures with the quartiles of ``wall_s`` on
 each side and the number of pairs in which the change was faster.  A
 workload named by ``--claim`` is marked as the claimed gain; the others are
-reported only.
+reported only.  The file is BENCH_<n>.json for the first ``n`` above every
+BENCH file already in the checkout, unless ``--number`` names another.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -37,12 +40,12 @@ PAIR_METRICS = ("wall_s", "run_ms_p50", "run_ms_p95", "peak_rss_mb", "evaluation
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("pairs", nargs="+", metavar="WORKLOAD:SEED")
-    ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
+    ap.add_argument("--number", type=int, default=next_number(),
+                    help="writes BENCH_<number>.json (default: the next free number)")
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent (default HEAD)")
     ap.add_argument("--title", required=True)
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD",
                     help="a workload whose wall_s gain the change claims")
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     plan = []
     for item in args.pairs:
@@ -51,6 +54,12 @@ def parse_args(argv=None):
             ap.error("a pair is WORKLOAD:SEED, not %r" % item)
         plan.append((workload, int(seed)))
     return args, plan
+
+
+def next_number() -> int:
+    numbers = [int(m.group(1)) for p in CHANGE.glob("BENCH_*.json")
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return max(numbers, default=0) + 1
 
 
 def git(*argv) -> bytes:
@@ -103,6 +112,7 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float) ->
 
 def main(argv=None) -> int:
     args, plan = parse_args(argv)
+    seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
     parent_commit = git("rev-parse", "--short", args.parent).decode().strip()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -111,7 +121,7 @@ def main(argv=None) -> int:
         done = {}
         for workload, seed in plan:
             command = [sys.executable, "perfbench/run.py", "--workload", workload,
-                       "--seed", str(seed), "--seconds", "%g" % args.seconds, "--trace", "0"]
+                       "--seed", str(seed), "--seconds", "%g" % seconds, "--trace", "0"]
             done[workload] = done.get(workload, 0) + 1
             order = ("parent", "change") if done[workload] % 2 else ("change", "parent")
             run = {"workload": workload, "seed": seed, "trace": 0,
@@ -137,7 +147,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": {
             workload: summarize(workload, [r for r in runs if r["workload"] == workload],
-                                workload in args.claim, args.seconds)
+                                workload in args.claim, seconds)
             for workload in dict.fromkeys(w for w, _ in plan)
         },
     }
