@@ -119,6 +119,30 @@ class TestRun:
         assert code == 2
         assert err.startswith("config error:")
 
+    @pytest.mark.parametrize("algo", ["slm", "slmga", "rs", "rsw", "sa", "de"])
+    def test_overflowing_box_width_is_config_error(self, capsys, tmp_path, algo):
+        # each bound is finite, the width is not
+        code, _, err = run_cli(capsys, "run", "--expr", "x1^2+x2^2", "--dim", "2",
+                               "--lower=-1e308", "--upper=1e308", "--algo", algo)
+        assert code == 2
+        assert err.startswith("config error:")
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = x1^2+x2^2\ndim = 2\nlower = -1e308\nupper = 1e308\n"
+                       "algo = %s\n" % algo)
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("algo", ["slm", "slmga"])
+    def test_grid_engines_run_on_a_decimal_box(self, capsys, algo):
+        # the level-1 top vertex -1.3 + 1 * 4.2 rounds past the upper bound
+        code, out, _ = run_cli(capsys, "run", "--expr", "x1^2+x2^2", "--dim", "2",
+                               "--lower", "-1.3", "--upper", "2.9", "--algo", algo,
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out[:out.rindex("# bv=")])
+        assert [2.9, 2.9] in [c["x"] for c in data[0]["steps"][0]["population"]]
+
     def test_not_converged_exit_code_still_writes(self, capsys, tmp_path):
         out_file = tmp_path / "r.csv"
         code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slmga",

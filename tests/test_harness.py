@@ -11,12 +11,14 @@ from subgrid.core import (
     Candidate,
     Cell,
     GridPoint,
+    GridSpec,
     LabeledVertex,
     RunReport,
     StepRecord,
+    position_of,
 )
 from subgrid.errors import ConfigError, GridTooLargeError
-from subgrid.functions import get_objective
+from subgrid.functions import Objective, get_objective
 from subgrid.harness import (
     ExperimentConfig,
     brute_force_grid_min,
@@ -339,7 +341,7 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, reports):
         assert emit_table(reports, "json") == _reference_json(reports)
 
-    @pytest.mark.parametrize("objective", ["f2", "expr3"])
+    @pytest.mark.parametrize("objective", ["f2", "expr3", "expr3-decimal"])
     @pytest.mark.parametrize("algo,params", [
         ("slm", {"h_tol": 0.05}),
         ("slm", {"h_tol": 0.05, "neighbor_scheme": "full-box"}),
@@ -351,9 +353,11 @@ class TestJsonWriter:
         ("de", {"generations": 5}),
     ], ids=["slm", "slm-full-box", "slm-max", "slmga", "rs", "rsw", "sa", "de"])
     def test_matches_json_dumps_on_real_reports(self, algo, params, objective):
-        if objective == "expr3":
+        if objective.startswith("expr3"):
+            # a dyadic box, and the golden expression's decimal box
+            lower, upper = (-2.0, 3.0) if objective == "expr3" else (-1.3, 2.9)
             obj = expression_objective(
-                "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)", 3, -2.0, 3.0)
+                "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)", 3, lower, upper)
         else:
             obj = get_objective(objective)
         reports = [run_algorithm(algo, obj, params, seed) for seed in (0, 1)]
@@ -450,3 +454,76 @@ class TestExpressionObjective:
         g = obj.gradient((0.25, -0.5))
         assert g[0] == pytest.approx(0.5, rel=1e-5)
         assert g[1] == pytest.approx(-1.0, rel=1e-5)
+
+
+# The grid engines' settings on decimal boxes: SLM under both neighbour
+# schemes, and SLMGA.
+GRID_ENGINES = [
+    ("slm", {}),
+    ("slm", {"neighbor_scheme": "full-box"}),
+    ("slmga", {}),
+]
+GRID_ENGINE_IDS = ["slm", "slm-full-box", "slmga"]
+
+
+def _points_in_box(rep, box):
+    """Every population member, every step's best and the report's best."""
+    points = [rep.best.x]
+    for s in rep.steps:
+        points += [s.best.x, *(c.x for c in s.population)]
+    return [x for x in points if not box.contains(x)]
+
+
+# Decimal bounds with 1-3 decimals: about one such box in six has a top
+# lattice index ``lower + width`` that rounds past ``upper``, and about as
+# many have one that rounds below it.
+@st.composite
+def _decimal_box(draw):
+    n = draw(st.integers(1, 3))
+    scale = 10 ** draw(st.integers(1, 3))
+    lower, upper = [], []
+    for _ in range(n):
+        a = draw(st.integers(-20 * scale, 20 * scale - 1))
+        b = draw(st.integers(a + 1, 20 * scale))
+        lower.append(a / scale)
+        upper.append(b / scale)
+    return BoxDomain(tuple(lower), tuple(upper))
+
+
+class TestDecimalBoxes:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("algo,params", GRID_ENGINES, ids=GRID_ENGINE_IDS)
+    def test_grid_engines_finish_on_the_golden_decimal_box(self, algo, params, dim):
+        # -1.3 + 1 * 4.2 is 2.9000000000000004, past the upper bound 2.9
+        obj = expression_objective(
+            "(x1-0.3)^2 + 2*(x2+0.7)^2" + (" + abs(x3-1.1) + sin(3*x1*x3)" if dim == 3 else ""),
+            dim, -1.3, 2.9)
+        rep = run_algorithm(algo, obj, dict(params, h_tol=0.01), seed=0)
+        assert rep.converged
+        assert _points_in_box(rep, obj.box) == []
+        assert obj.box.upper in [c.x for c in rep.steps[0].population]
+
+    @given(_decimal_box(), st.sampled_from(["sphere", "lower-corner", "upper-corner"]),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_grid_point_lies_in_the_box(self, box, kind, at):
+        if kind == "sphere":
+            centre = tuple(lo + at * w for lo, w in zip(box.lower, box.width))
+            fn = lambda x: sum((v - c) ** 2 for v, c in zip(x, centre))  # noqa: E731
+        elif kind == "lower-corner":
+            fn = sum
+        else:
+            fn = lambda x: -sum(x)  # noqa: E731
+        obj = Objective(name=kind, dim=box.dim, box=box, eval_fn=fn)
+        for algo, params in GRID_ENGINES:
+            rep = run_algorithm(algo, obj, dict(params, h_tol=min(box.width) / 2**4), seed=0)
+            assert _points_in_box(rep, box) == []
+            if kind == "upper-corner":
+                assert rep.best.x == box.upper
+
+    @given(_decimal_box(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_top_lattice_index_sits_at_upper(self, box, level):
+        grid = GridSpec(box, level)
+        assert position_of(GridPoint((0,) * box.dim, level), grid) == box.lower
+        assert position_of(GridPoint((grid.max_index,) * box.dim, level), grid) == box.upper
