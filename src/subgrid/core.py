@@ -1,11 +1,19 @@
 """Domain types for dyadic refinement grids.
 
 A grid point's position is derived from its integer relative coordinates
-``k`` via ``lower + k * step``.  Refinement doubles ``k`` and halves the
-step, so ``k * step`` is the same double at every level and a point keeps
-the same position through any number of refinements.  That position is
-rounded unless the box width is dyadic: Easom and Goldstein-Price have
-dyadic widths, but F1-F5 (10.24, 4.096, 2.56, 131.072) do not.
+``k`` by one rule, ``coordinate``: ``lower + k * step`` on each axis, with
+the top index at ``upper`` exactly.  ``lower + width`` can round to either
+side of ``upper`` (on [-1.3, 2.9] it gives 2.9000000000000004), so the top
+index is placed at ``upper`` rather than computed; no other index can pass
+it.  Every caller that places a lattice point, ``position_of``,
+``slmga.mutate`` and the cell bounds of ``slm._choose_cell``, goes through
+``coordinate``.
+
+Refinement doubles ``k`` and halves the step, so ``k * step`` is the same
+double at every level and a point keeps the same position through any
+number of refinements.  That position is rounded unless the box width is
+dyadic: Easom and Goldstein-Price have dyadic widths, but F1-F5 (10.24,
+4.096, 2.56, 131.072) do not.
 
 SLM's neighbour probes are the exception to the integer rule:
 ``slm.slm_neighbors`` adds the half step to a position in floating point,
@@ -51,8 +59,10 @@ class BoxDomain:
         if len(lower) != len(upper) or not lower:
             raise InvalidDomainError("lower/upper must be non-empty and equal length")
         for lo, hi in zip(lower, upper):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidDomainError("need finite lower < upper in every dimension")
+            # also refuses NaN and infinite bounds
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise InvalidDomainError("need lower < upper and a finite width in every "
+                                         "dimension")
 
     @property
     def dim(self) -> int:
@@ -110,16 +120,27 @@ class GridPoint:
         return len(self.k)
 
 
+def coordinate(lo: float, hi: float, k: int, sd: float) -> float:
+    """Position of lattice index ``k`` on the axis ``[lo, hi]`` with step
+    ``sd``: ``lo + k * sd``, and ``hi`` exactly for the top index, whose
+    offset ``k * sd`` is the width ``hi - lo``.  A smaller offset cannot
+    round past ``hi``, so every index lies in ``[lo, hi]`` and the
+    positions never decrease as ``k`` grows."""
+    d = k * sd
+    return lo + d if d < hi - lo else hi
+
+
 def position_of(p: GridPoint, g: GridSpec) -> Vector:
-    """Real position ``lower + k * step`` of ``p`` on grid ``g``."""
+    """Real position of ``p`` on grid ``g``: ``coordinate`` on each axis,
+    so the all-``max_index`` point is ``upper`` exactly."""
     if p.level != g.level:
         raise InvalidGridPointError("point level %d != grid level %d" % (p.level, g.level))
-    lower = g.box.lower
-    if len(p.k) != len(lower):
+    box = g.box
+    if len(p.k) != len(box.lower):
         raise InvalidGridPointError("point dimension mismatch")
     if min(p.k) < 0 or max(p.k) > g.max_index:
         raise InvalidGridPointError("relative coordinates %r outside grid" % (p.k,))
-    return tuple(lo + kd * sd for lo, kd, sd in zip(lower, p.k, g.step))
+    return tuple(map(coordinate, box.lower, box.upper, p.k, g.step))
 
 
 def refine(p: GridPoint) -> GridPoint:

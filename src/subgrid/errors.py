@@ -5,8 +5,13 @@ class SubgridError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidDomainError(SubgridError):
-    """Box bounds are malformed (empty, or lower >= upper somewhere)."""
+class ConfigError(SubgridError):
+    """An experiment configuration is inconsistent or unresolvable."""
+
+
+class InvalidDomainError(ConfigError):
+    """Box bounds are malformed: empty, or somewhere lower >= upper or a
+    width that is not finite."""
 
 
 class InvalidGridPointError(SubgridError):
@@ -56,7 +61,3 @@ class ExprError(SubgridError):
 
 class ExprEvalError(SubgridError):
     """Expression evaluation hit an undefined operation (x/0, log(-1))."""
-
-
-class ConfigError(SubgridError):
-    """An experiment configuration is inconsistent or unresolvable."""

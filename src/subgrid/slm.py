@@ -26,6 +26,7 @@ from .core import (
     Vector,
     argmin_candidate,
     cell_vertices,
+    coordinate,
     lattice_points,
     position_of,
     refine,
@@ -138,7 +139,8 @@ def _choose_cell(
     the region cell containing the overall best point.
 
     Every complete cell is a region cell; each region cell's vertex values
-    are read once, as (min, sum), and its bounds come from its anchor index."""
+    are read once, as (min, sum), and its bounds are the ``coordinate`` of
+    its anchor index and of the index one above."""
     by_k = {p.k: f for p, f in values.items()}
     offsets = list(itertools.product((0, 1), repeat=grid.box.dim))
     summary = {}
@@ -149,10 +151,10 @@ def _choose_cell(
     def cell_key(c):
         return (summary[c.anchor.k][0], c.anchor.k)
 
-    step = grid.step
+    box, step = grid.box, grid.step
     containing = [c for c in region_cells if all(
-        lo + kd * sd - 1e-12 <= v <= lo + kd * sd + sd + 1e-12
-        for lo, kd, sd, v in zip(grid.box.lower, c.anchor.k, step, best.x))]
+        coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
+        for lo, hi, kd, sd, v in zip(box.lower, box.upper, c.anchor.k, step, best.x))]
     if complete:
         comp = min(complete, key=cell_key)
         if containing:

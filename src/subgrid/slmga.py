@@ -28,6 +28,7 @@ from .core import (
     StepRecord,
     Vector,
     argmin_candidate,
+    coordinate,
     lattice_points,
     position_of,
     rank,
@@ -94,11 +95,11 @@ def mutate(
     call, and the best is chosen over all probes: ties keep the parent
     (fixed points stay put); after a strict improvement a tie moves to the
     lexicographically smaller position.  Only the winner becomes a
-    ``GridPoint``; positions are ``lower + k * step`` as in ``position_of``,
-    computed once per axis value."""
+    ``GridPoint``; positions follow ``coordinate``, the rule of
+    ``position_of``, so the top index sits at ``upper`` exactly."""
     level = parent.point.level + 1
     top = 2 ** (level - 1)
-    lower = box.lower
+    lower, upper = box.lower, box.upper
     if len(parent.point.k) != len(lower) or min(parent.point.k) < 0 \
             or 2 * max(parent.point.k) > top:
         raise InvalidGridPointError("parent %r is not a point of the %d-d grid at level %d"
@@ -107,14 +108,14 @@ def mutate(
 
     if 3 ** len(lower) <= MAX_ENUMERATED_OFFSPRING:
         # per axis, the in-box child indices in (0, +1, -1) move order and
-        # their positions; the product of the lists is the filtered product
-        # of the moves, in the same order
+        # their positions, computed once per axis value; the product of the
+        # lists is the filtered product of the moves, in the same order
         ks = []
         xs = []
-        for lo, sd, kd in zip(lower, step, parent.point.k):
+        for lo, hi, sd, kd in zip(lower, upper, step, parent.point.k):
             axis = [c for c in (2 * kd, 2 * kd + 1, 2 * kd - 1) if 0 <= c <= top]
             ks.append(axis)
-            xs.append([lo + c * sd for c in axis])
+            xs.append([coordinate(lo, hi, c, sd) for c in axis])
         probes = zip(itertools.product(*ks), itertools.product(*xs))
         best_k, best_x = next(probes)
         best_f = evaluate(best_x)
@@ -129,17 +130,17 @@ def mutate(
     # coordinate-greedy: accept strict single-axis improvements (by rank) in
     # order, while the best over all probes follows the rule above
     cur_k = tuple(2 * kd for kd in parent.point.k)
-    cur_x = tuple(lo + c * sd for lo, c, sd in zip(lower, cur_k, step))
+    cur_x = tuple(map(coordinate, lower, upper, cur_k, step))
     cur_f = evaluate(cur_x)
     best_k, best_x, best_f = cur_k, cur_x, cur_f
     moved = False
-    for d, (lo, sd) in enumerate(zip(lower, step)):
+    for d, (lo, hi, sd) in enumerate(zip(lower, upper, step)):
         for a in (1, -1):
             c = cur_k[d] + a
             if c < 0 or c > top:
                 continue
             k = cur_k[:d] + (c,) + cur_k[d + 1:]
-            x = cur_x[:d] + (lo + c * sd,) + cur_x[d + 1:]
+            x = cur_x[:d] + (coordinate(lo, hi, c, sd),) + cur_x[d + 1:]
             f = evaluate(x)
             if f < best_f or (moved and f == best_f and x < best_x):
                 best_k, best_x, best_f = k, x, f

@@ -16,6 +16,7 @@ from subgrid.core import (
     refine,
 )
 from subgrid.errors import (
+    ConfigError,
     InvalidCellError,
     InvalidDomainError,
     InvalidGridPointError,
@@ -39,6 +40,18 @@ class TestBoxDomain:
             BoxDomain((1.0,), (0.0,))
         with pytest.raises(InvalidDomainError):
             BoxDomain((0.0,), (0.0,))
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-1e308, 1e308),            # finite bounds, an infinite width
+        (float("nan"), 1.0), (0.0, float("nan")),
+        (float("-inf"), 1.0), (0.0, float("inf")),
+    ])
+    def test_rejects_a_width_that_is_not_finite(self, lo, hi):
+        with pytest.raises(InvalidDomainError):
+            BoxDomain((0.0, lo), (1.0, hi))
+
+    def test_bad_box_is_a_config_error(self):
+        assert issubclass(InvalidDomainError, ConfigError)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(InvalidDomainError):

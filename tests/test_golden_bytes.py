@@ -9,8 +9,9 @@ and says so.
 Settings are coarse so the whole file stays fast: every deterministic
 objective under both engines (SLM rejects the 30-d F4), one maximizing SLM
 run, a 2-d expression on the default box as the benchmark's small runs
-use them, and the four baselines on F4, whose noise shares the run's random
-stream with the baselines' own draws.  The baselines also run on F2 (a
+use them, a 3-d expression on a decimal box under both engines, and the
+four baselines on F4, whose noise shares the run's random stream with the
+baselines' own draws.  The baselines also run on F2 (a
 non-dyadic box) and on a 3-d expression; DE with ``f_weight = 2`` resamples
 most mutants' out-of-box genes, and RSW and SA started at a corner with a
 step wider than the box clip most proposals.
@@ -76,6 +77,14 @@ GOLDEN = [
     ("slmga", "expr2", {},
      "07e4f8ce9885e4bd27afa14dcf08f140fcfd50f0f47681adaf93f4948f649747",
      "4e6e76696b22637b0ff9aabf12a9f67035bfb14d863d023cf11a1956c5b59474"),
+    # a decimal box: the top lattice index -1.3 + 4.2 rounds past 2.9, and
+    # is placed at 2.9
+    ("slm", "expr3", {"h_tol": 0.01},
+     "e8686dbd8b7a4bfa5088df2a3833890ea95f00ece36c66f1daf1ffde6147084b",
+     "bce03d7478408d946ae914f1153790912eb7a0019da23687f34191c06af8ad06"),
+    ("slmga", "expr3", {"h_tol": 0.01},
+     "65f1adbd8474e89f2c4b2be715e9d96cc85e5acf567e4601eef60dce70a25a29",
+     "82ff67a62418259e90cf7dcf3e3cb6e588e6933908ce3604ef9e8ff99a42085c"),
     ("slm", "f2", {"h_tol": 0.01, "sense": "max"},
      "04ce77a90b1f5d34be895406d767c5aecc294e3e445685ad831314608eb60b25",
      "ee70ea61bdf5aa6d0620cdb25f35e14f4d375d7cfbe2767d8e770010c04335f2"),

@@ -15,6 +15,7 @@ from subgrid.core import (
     LabeledVertex,
     RunReport,
     StepRecord,
+    coordinate,
     position_of,
 )
 from subgrid.errors import ConfigError, GridTooLargeError
@@ -505,7 +506,7 @@ class TestDecimalBoxes:
 
     @given(_decimal_box(), st.sampled_from(["sphere", "lower-corner", "upper-corner"]),
            st.floats(0.0, 1.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_every_grid_point_lies_in_the_box(self, box, kind, at):
         if kind == "sphere":
             centre = tuple(lo + at * w for lo, w in zip(box.lower, box.width))
@@ -527,3 +528,13 @@ class TestDecimalBoxes:
         grid = GridSpec(box, level)
         assert position_of(GridPoint((0,) * box.dim, level), grid) == box.lower
         assert position_of(GridPoint((grid.max_index,) * box.dim, level), grid) == box.upper
+
+    @given(_decimal_box(), st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_axis_positions_rise_from_lower_to_upper(self, box, level):
+        grid = GridSpec(box, level)
+        for lo, hi, sd in zip(box.lower, box.upper, grid.step):
+            xs = [coordinate(lo, hi, k, sd) for k in range(grid.max_index + 1)]
+            assert xs[0] == lo
+            assert xs[-1] == hi
+            assert xs == sorted(xs)

@@ -11,10 +11,13 @@ that workload's pairs.  Every run lasts the ``run_seconds`` that
 a temporary directory (removed at the end); the change tree is the checkout
 this script lives in, as it stands on disk.  The file keeps, per run, the
 first four lines of the benchmark's log and its result line, and per
-workload the pairs' end-to-end figures with the quartiles of ``wall_s`` on
-each side and the number of pairs in which the change was faster.  A
-workload named by ``--claim`` is marked as the claimed gain; the others are
-reported only.  The file is BENCH_<n>.json for the first ``n`` above every
+workload the pairs' end-to-end figures, the quartiles of ``wall_s`` on
+each side and the number of pairs in which the change was faster.  For
+every end-to-end metric that ``BENCHMARK.json`` declares it gives the
+median on each side and flags a change median worse than the parent's by
+more than the metric's bound, as a fraction of the parent's median (as an
+absolute difference where that median is 0).  A workload named by
+``--claim`` is marked as the claimed gain; the others are reported only.  The file is BENCH_<n>.json for the first ``n`` above every
 BENCH file already in the checkout, unless ``--number`` names another.
 """
 
@@ -33,8 +36,6 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
 LOG_HEAD = 4
-# End-to-end figures copied into each pair's summary, parent and change.
-PAIR_METRICS = ("wall_s", "run_ms_p50", "run_ms_p95", "peak_rss_mb", "evaluations")
 
 
 def parse_args(argv=None):
@@ -88,16 +89,32 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float) -> dict:
+def worse_by(metric: dict, parent: float, change: float) -> float:
+    """How much worse ``change`` is than ``parent`` for ``metric`` (an
+    ``end_to_end`` entry of BENCHMARK.json), as a fraction of ``parent``, or
+    as a difference where ``parent`` is 0; negative when it is better."""
+    diff = change - parent if metric["better"] == "lower" else parent - change
+    return diff / abs(parent) if parent else diff
+
+
+def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
+              end_to_end: list[dict]) -> dict:
     pairs = []
     for run in runs:
         pair = {"seed": run["seed"], "order": run["order"]}
         for side in ("parent", "change"):
             metrics = run[side]["result"]["metrics"]
-            for name in PAIR_METRICS:
-                pair["%s_%s" % (side, name)] = metrics[name]["value"]
+            for metric in end_to_end:
+                pair["%s_%s" % (side, metric["name"])] = metrics[metric["name"]]["value"]
         pair["correct"] = [run[side]["result"]["correct"] for side in ("parent", "change")]
         pairs.append(pair)
+    medians = {}
+    for metric in end_to_end:
+        parent, change = (statistics.median(p["%s_%s" % (side, metric["name"])] for p in pairs)
+                          for side in ("parent", "change"))
+        worse = worse_by(metric, parent, change)
+        medians[metric["name"]] = {"parent": parent, "change": change, "worse_by": worse,
+                                   "bound": metric["bound"], "over_bound": worse > metric["bound"]}
     return {
         "command": "python3 perfbench/run.py --workload %s --seed N --seconds %g --trace 0"
                    % (workload, seconds),
@@ -107,12 +124,15 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float) ->
         "change_wall_s": quartiles([p["change_wall_s"] for p in pairs]),
         "change_wins": sum(p["change_wall_s"] < p["parent_wall_s"] for p in pairs),
         "pairs_run": len(pairs),
+        "medians": medians,
+        "over_bound": [name for name, m in medians.items() if m["over_bound"]],
     }
 
 
 def main(argv=None) -> int:
     args, plan = parse_args(argv)
-    seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     parent_commit = git("rev-parse", "--short", args.parent).decode().strip()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -147,13 +167,18 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": {
             workload: summarize(workload, [r for r in runs if r["workload"] == workload],
-                                workload in args.claim, seconds)
+                                workload in args.claim, seconds, benchmark["end_to_end"])
             for workload in dict.fromkeys(w for w, _ in plan)
         },
     }
     path = CHANGE / ("BENCH_%d.json" % args.number)
     path.write_text(json.dumps(out, indent=1) + "\n")
     print("wrote %s" % path, file=sys.stderr)
+    for workload, summary in out["summary"].items():
+        for name in summary["over_bound"]:
+            m = summary["medians"][name]
+            print("%s: %s median %r is worse than the parent's %r by more than %g"
+                  % (workload, name, m["change"], m["parent"], m["bound"]), file=sys.stderr)
     return 0
 
 
