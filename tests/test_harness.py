@@ -467,17 +467,17 @@ GRID_ENGINES = [
 GRID_ENGINE_IDS = ["slm", "slm-full-box", "slmga"]
 
 
-def _points_in_box(rep, box):
-    """Every population member, every step's best and the report's best."""
+def _points_outside(rep, box):
+    """The population members, step bests and report best of ``rep`` that
+    lie outside ``box``."""
     points = [rep.best.x]
     for s in rep.steps:
         points += [s.best.x, *(c.x for c in s.population)]
     return [x for x in points if not box.contains(x)]
 
 
-# Decimal bounds with 1-3 decimals: about one such box in six has a top
-# lattice index ``lower + width`` that rounds past ``upper``, and about as
-# many have one that rounds below it.
+# Bounds with 1-3 decimals: on about one such axis in six ``lower + width``
+# rounds past ``upper``, and on about as many it rounds below it.
 @st.composite
 def _decimal_box(draw):
     n = draw(st.integers(1, 3))
@@ -501,7 +501,7 @@ class TestDecimalBoxes:
             dim, -1.3, 2.9)
         rep = run_algorithm(algo, obj, dict(params, h_tol=0.01), seed=0)
         assert rep.converged
-        assert _points_in_box(rep, obj.box) == []
+        assert _points_outside(rep, obj.box) == []
         assert obj.box.upper in [c.x for c in rep.steps[0].population]
 
     @given(_decimal_box(), st.sampled_from(["sphere", "lower-corner", "upper-corner"]),
@@ -518,7 +518,7 @@ class TestDecimalBoxes:
         obj = Objective(name=kind, dim=box.dim, box=box, eval_fn=fn)
         for algo, params in GRID_ENGINES:
             rep = run_algorithm(algo, obj, dict(params, h_tol=min(box.width) / 2**4), seed=0)
-            assert _points_in_box(rep, box) == []
+            assert _points_outside(rep, box) == []
             if kind == "upper-corner":
                 assert rep.best.x == box.upper
 

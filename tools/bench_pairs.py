@@ -17,8 +17,9 @@ every end-to-end metric that ``BENCHMARK.json`` declares it gives the
 median on each side and flags a change median worse than the parent's by
 more than the metric's bound, as a fraction of the parent's median (as an
 absolute difference where that median is 0).  A workload named by
-``--claim`` is marked as the claimed gain; the others are reported only.  The file is BENCH_<n>.json for the first ``n`` above every
-BENCH file already in the checkout, unless ``--number`` names another.
+``--claim`` is marked as the claimed gain; the others are reported only.
+The file is BENCH_<n>.json for the first ``n`` above every BENCH file
+already in the checkout, unless ``--number`` names another.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
     for metric in end_to_end:
         parent, change = (statistics.median(p["%s_%s" % (side, metric["name"])] for p in pairs)
                           for side in ("parent", "change"))
-        worse = worse_by(metric, parent, change)
-        medians[metric["name"]] = {"parent": parent, "change": change, "worse_by": worse,
-                                   "bound": metric["bound"], "over_bound": worse > metric["bound"]}
+        medians[metric["name"]] = {"parent": parent, "change": change,
+                                   "worse_by": worse_by(metric, parent, change),
+                                   "bound": metric["bound"]}
     return {
         "command": "python3 perfbench/run.py --workload %s --seed N --seconds %g --trace 0"
                    % (workload, seconds),
@@ -125,7 +126,7 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
         "change_wins": sum(p["change_wall_s"] < p["parent_wall_s"] for p in pairs),
         "pairs_run": len(pairs),
         "medians": medians,
-        "over_bound": [name for name, m in medians.items() if m["over_bound"]],
+        "over_bound": [name for name, m in medians.items() if m["worse_by"] > m["bound"]],
     }
 
 
