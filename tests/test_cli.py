@@ -90,6 +90,38 @@ class TestRun:
         assert data[0]["converged"]
         assert data[0]["best"]["k"] == [1, 1]
 
+    def test_slm_with_no_level_to_run_csv(self, capsys):
+        # a report with no steps writes one row for its best point
+        code, out, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slm",
+                               "--h-tol", "100", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "trial,step,h,best_x_1,best_x_2,best_f,label_multiset\n"
+            "0,1,,2.048,2.048,461.7603900415999,\n"
+            "# bv=461.7603900415999 median_bv=461.7603900415999 generations=0 "
+            "sd=1.4820958133670037\n")
+
+    @pytest.mark.parametrize("algo,key,cap", [("slm", "max_levels", 1024),
+                                              ("slmga", "max_generations", 1023)])
+    def test_level_cap_beyond_float_steps_is_config_error(self, capsys, tmp_path,
+                                                          algo, key, cap):
+        # the top index of a level-L lattice, 2**(L-1), is a float only up to
+        # L = 1024; SLMGA places its offspring one level below its generation
+        code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
+                               "--h-tol", "1e-320", "--max-gens", str(cap + 1))
+        assert code == 2
+        assert err.startswith("config error:")
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = %s\nh_tol = 1e-320\n%s = 2000\n"
+                       % (algo, key))
+        code, _, err = run_cli(capsys, "run", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("config error:")
+        # the deepest cap runs to its end without converging
+        code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
+                             "--h-tol", "1e-320", "--max-gens", str(cap), "--format", "csv")
+        assert code == 4
+
     @pytest.mark.parametrize("flags", [
         ("--expr", "x1", "--dim", "0"),
         ("--expr", "x1", "--dim", "-1"),
@@ -367,6 +399,17 @@ class TestBench:
         # byte pin of the whole table at seed 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fae20df8914451699c249797451d50bb76d0f0da7b562cb695d31c8b040fd569")
+
+    @pytest.mark.parametrize("flags,digest", [
+        # markdown is the default format
+        ((), "34e4ea7726f9b200ac064be24728eb423f23ee14f9b0966a44be04cb734dc752"),
+        (("--format", "csv"),
+         "a271ab8511b2874e2358818eb6d685a5644787758a3804130a5cb6adc497b190"),
+    ], ids=["markdown", "csv"])
+    def test_table_bytes(self, capsys, flags, digest):
+        code, out, _ = run_cli(capsys, "bench", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -308,3 +308,19 @@ class TestConfigValidation:
             GaConfig(mutation_rate=0.0)
         with pytest.raises(ValueError):
             GaConfig(mutation_rate=1.5)
+
+
+class TestGradientFallback:
+    def test_f3_gradient_labels_fall_back_to_best_neighbor(self):
+        # f3 is a step function with no gradient: every label falls back to
+        # the best-neighbor rule, so the run is the best-neighbor run
+        from subgrid.labeling import LabelRule, LabelVariant
+
+        obj = get_objective("f3")
+        grad = ga_run(obj, GaConfig(h_tol=0.1, label_rule=LabelRule(
+            LabelVariant.GRADIENT_FIXED_POINT)))
+        plain = ga_run(obj, GaConfig(h_tol=0.1))
+        assert grad.generations == plain.generations == 7
+        assert grad.steps == plain.steps
+        assert (grad.best, grad.best_value, grad.evaluations) == (
+            plain.best, plain.best_value, plain.evaluations)
