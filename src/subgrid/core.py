@@ -7,7 +7,8 @@ side of ``upper`` (on [-1.3, 2.9] it gives 2.9000000000000004), so the top
 index is placed at ``upper`` rather than computed; no other index can pass
 it.  Every caller that places a lattice point, ``position_of``,
 ``slmga.mutate`` and the cell bounds of ``slm._choose_cell``, goes through
-``coordinate``.
+``coordinate``; only SLM's neighbour probes are placed in floating point
+(``slm.slm_neighbors``).
 
 Refinement doubles ``k`` and halves the step, so ``k * step`` is the same
 double at every level and a point keeps the same position through any
@@ -15,10 +16,9 @@ number of refinements.  That position is rounded unless the box width is
 dyadic: Easom and Goldstein-Price have dyadic widths, but F1-F5 (10.24,
 4.096, 2.56, 131.072) do not.
 
-SLM's neighbour probes are the exception to the integer rule:
-``slm.slm_neighbors`` adds the half step to a position in floating point,
-so on a non-dyadic box a probe can differ in its last bits from the
-lattice point ``lower + k * step`` it stands for.
+A run's depth is fixed before its loop: the smaller of ``levels``, the
+count of levels whose step reaches the tolerance, and its level cap, which
+may not pass ``MAX_LEVEL``.
 
 Numbers become Python floats and ints where they are made: ``BoxDomain``,
 int arithmetic on ``k``, ``functions.Objective.evaluate``, and the baselines,
@@ -42,6 +42,9 @@ from .errors import (
 )
 
 Vector = tuple[float, ...]
+
+# The deepest grid level: a level-L top index, 2**(L-1), is a float to L = 1024.
+MAX_LEVEL = 1024
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,15 @@ class GridSpec:
     @property
     def max_index(self) -> int:
         return 2 ** (self.level - 1)
+
+
+def levels(box: BoxDomain, h_tol: float) -> int:
+    """The number of levels whose step is at least a positive ``h_tol`` on
+    some axis, 0 when ``h_tol`` exceeds every width.  The level-L step, the width
+    times ``2**(1 - L)`` as in ``GridSpec.step``, is scaled by
+    ``math.ldexp``: the same double, with no overflow at any level."""
+    w = max(box.width)
+    return next(n for n in itertools.count() if math.ldexp(w, -n) < h_tol)
 
 
 @dataclass(frozen=True)

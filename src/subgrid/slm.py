@@ -9,12 +9,14 @@ lattice until the step drops below tolerance.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
+    MAX_LEVEL,
     BoxDomain,
     Candidate,
     Cell,
@@ -28,6 +30,7 @@ from .core import (
     cell_vertices,
     coordinate,
     lattice_points,
+    levels,
     position_of,
     refine,
 )
@@ -59,8 +62,8 @@ class SlmConfig:
     def __post_init__(self):
         if not self.h_tol > 0:
             raise ValueError("h_tol must be positive")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
+        if not 1 <= self.max_levels <= MAX_LEVEL:
+            raise ValueError("max_levels must be in 1..%d" % MAX_LEVEL)
         if self.label_rule.variant is not LabelVariant.BEST_NEIGHBOR:
             raise ValueError("slm labels by the best neighbor only")
 
@@ -72,39 +75,52 @@ def initial_corners(box: BoxDomain) -> list[GridPoint]:
     return [GridPoint(k, 1) for k in itertools.product((0, 1), repeat=box.dim)]
 
 
+def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list[Candidate]:
+    """The evaluated level-1 lattice both engines start from: all 2**n
+    corners, or the two diagonal corners when 2**n is unaffordable (which
+    SLM refuses)."""
+    if box.dim <= MAX_CORNER_DIM:
+        points = initial_corners(box)
+    else:
+        points = [GridPoint((0,) * box.dim, 1), GridPoint((1,) * box.dim, 1)]
+    grid = GridSpec(box, 1)
+    members = []
+    for p in points:
+        x = position_of(p, grid)
+        members.append(Candidate(x, evaluate(x), point=p))
+    return members
+
+
+@functools.cache
+def _moves(n: int, scheme: NeighborScheme) -> list[tuple[int, ...]]:
+    """The moves of ``scheme`` in the ``product((0, 1, -1))`` order that
+    ``slmga.mutate`` walks: all 3**n for full-box; for sign-uniform the
+    nonzero moves whose nonzero entries share one sign."""
+    return [m for m in itertools.product((0, 1, -1), repeat=n)
+            if scheme is NeighborScheme.FULL_BOX or (1 in m) != (-1 in m)]
+
+
 def slm_neighbors(
     x: Sequence[float],
     h_next: Sequence[float],
     scheme: NeighborScheme,
     box: BoxDomain,
 ) -> list[Vector]:
-    """Probe positions around ``x`` displaced by the halved step, in-box only.
-
-    Sign-uniform: +h or -h applied uniformly on every nonempty coordinate
-    subset (at most 2*(2^n - 1) candidates).  Full-box: all of
-    {0, +h, -h}^n including ``x`` itself (3^n candidates).
+    """The in-box probes ``x + move * h_next``, one per move of ``scheme``
+    (``_moves``); a coordinate that does not move is ``x``'s own, ``-0.0``
+    included.
 
     The displacement is added in floating point, so on a box of non-dyadic
     width a probe can differ in its last bits from the next level's lattice
     point ``lower + k * h``: 21,160 of the 27,736 probes of the six SLM runs
-    in ``tests/test_golden_bytes.py`` do, all on F1, F2, F3 and F5."""
-    n = len(x)
+    in ``tests/test_golden_bytes.py`` do, all on F1, F2, F3 and F5.  Within
+    a run none is lost to rounding: a moved coordinate of a lattice point
+    lands on an odd index one level down, never on the even top index."""
     out = []
-    if scheme is NeighborScheme.SIGN_UNIFORM:
-        for subset in itertools.product((0, 1), repeat=n):
-            if not any(subset):
-                continue
-            for sign in (1.0, -1.0):
-                cand = tuple(
-                    xi + sign * hi if si else xi for xi, hi, si in zip(x, h_next, subset)
-                )
-                if box.contains(cand):
-                    out.append(cand)
-    else:
-        for alphas in itertools.product((0.0, 1.0, -1.0), repeat=n):
-            cand = tuple(xi + ai * hi for xi, hi, ai in zip(x, h_next, alphas))
-            if box.contains(cand):
-                out.append(cand)
+    for move in _moves(len(x), scheme):
+        cand = tuple(xi + a * hi if a else xi for xi, hi, a in zip(x, h_next, move))
+        if box.contains(cand):
+            out.append(cand)
     return out
 
 
@@ -113,61 +129,70 @@ def best_neighbor(
     p: Candidate,
     candidates: Sequence[Vector],
 ) -> Candidate:
-    """Argmin of f over candidates plus p itself.  Ties prefer p (a strict
-    improvement is required to move), then the lexicographically smallest
-    position."""
+    """The lowest ``(f, x)`` among the candidates whose f is strictly lower
+    than ``p``'s, so the order of the candidates cannot change the answer;
+    ``p`` itself when none is (a fixed point stays put)."""
     best = p
-    moved = False
     for x in candidates:
         f = evaluate(x)
-        if f < best.f or (moved and f == best.f and x < best.x):
+        if f < p.f and (f, x) < (best.f, best.x):
             best = Candidate(x, f)
-            moved = True
     return best
+
+
+def _region_cells(
+    level: int, values_by_k: dict[tuple[int, ...], float],
+) -> dict[tuple[int, ...], tuple[float, float]]:
+    """The region cells of a step: each anchor ``k`` mapped to the (min,
+    sum) of the cell's vertex values, in ``cell_vertices`` order.
+
+    A step's lattice is the box's 2**n corners at level 1, one cell, and
+    after that the last chosen cell refined, 3**n points holding its 2**n
+    subcells.  ``values_by_k`` maps the lattice's ``k`` to its values in
+    the order the lattice is made, ascending ``k``, so every cell is read
+    off the first, lowest point without a search."""
+    base = next(iter(values_by_k))
+    unit = list(itertools.product((0, 1), repeat=len(base)))
+    cells = {}
+    for off in unit[:1] if level == 1 else unit:
+        anchor = tuple(map(operator.add, base, off))
+        fs = [values_by_k[tuple(map(operator.add, anchor, v))] for v in unit]
+        cells[anchor] = (min(fs), sum(fs))
+    return cells
 
 
 def _choose_cell(
     complete: list[Cell],
     grid: GridSpec,
-    values: dict[GridPoint, float],
+    cells: dict[tuple[int, ...], tuple[float, float]],
     best: Candidate,
-    region_cells: list[Cell],
 ) -> Cell:
     """Complete cell with the fittest vertex; without a complete cell (or
     when the cell holding the overall best point has a strictly fitter
     vertex, as on plateaus where completeness only marks discontinuities),
     the region cell containing the overall best point.
 
-    Every complete cell is a region cell; each region cell's vertex values
-    are read once, as (min, sum), and its bounds are the ``coordinate`` of
-    its anchor index and of the index one above."""
-    by_k = {p.k: f for p, f in values.items()}
-    offsets = list(itertools.product((0, 1), repeat=grid.box.dim))
-    summary = {}
-    for c in region_cells:
-        fs = [by_k[tuple(map(operator.add, c.anchor.k, off))] for off in offsets]
-        summary[c.anchor.k] = (min(fs), sum(fs))
-
-    def cell_key(c):
-        return (summary[c.anchor.k][0], c.anchor.k)
-
+    ``cells`` maps each region cell's anchor ``k`` to the (min, sum) of its
+    vertex values, as ``_region_cells`` gives them; every complete cell is
+    a region cell.  A cell's bounds are the ``coordinate`` of its anchor
+    index and of the index one above."""
     box, step = grid.box, grid.step
-    containing = [c for c in region_cells if all(
+    containing = [k for k in cells if all(
         coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
-        for lo, hi, kd, sd, v in zip(box.lower, box.upper, c.anchor.k, step, best.x))]
+        for lo, hi, kd, sd, v in zip(box.lower, box.upper, k, step, best.x))]
     if complete:
-        comp = min(complete, key=cell_key)
+        chosen = min((c.anchor.k for c in complete), key=lambda k: (cells[k][0], k))
         if containing:
-            cont = min(containing, key=lambda c: (
-                *summary[c.anchor.k], tuple(-kd for kd in c.anchor.k)))
-            if summary[cont.anchor.k] < summary[comp.anchor.k]:
-                return cont
-        return comp
-    if containing:
+            cont = min(containing, key=lambda k: (*cells[k], tuple(-kd for kd in k)))
+            if cells[cont] < cells[chosen]:
+                chosen = cont
+    elif containing:
         # prefer the cell whose anchor sits at the best point, i.e. the one
         # extending toward larger coordinates (matches the published traces)
-        return max(containing, key=lambda c: c.anchor.k)
-    return min(region_cells, key=cell_key)
+        chosen = max(containing)
+    else:
+        chosen = min(cells, key=lambda k: (cells[k][0], k))
+    return Cell(GridPoint(chosen, grid.level))
 
 
 def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
@@ -177,30 +202,29 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     negate = cfg.sense is Sense.MAXIMIZE
     ev = Evaluator(obj, negate=negate)
     rule = cfg.label_rule
+    n_levels = levels(box, cfg.h_tol)
 
     active: list[GridPoint] = initial_corners(box)
+    # the corners first, as in ga_run; level 1 reads them back from the cache
+    best = argmin_candidate(init_population(box, ev))
     # the labelled vertices of the last chosen cell, keyed by their refined
     # point: every other point of its lattice has an odd coordinate, so no
     # earlier level labelled it
     carried: dict[GridPoint, LabeledVertex] = {}
     steps: list[StepRecord] = []
-    best: Optional[Candidate] = None
-    level = 1
 
-    while level <= cfg.max_levels:
+    for level in range(1, min(n_levels, cfg.max_levels) + 1):
         grid = GridSpec(box, level)
         h = grid.step
-        if all(hd < cfg.h_tol for hd in h):
-            break
         h_next = tuple(hd / 2.0 for hd in h)
 
         population: list[Candidate] = []
         labels: list[LabeledVertex] = []
-        for p in sorted(active, key=lambda q: q.k):
+        for p in active:
             x = position_of(p, grid)
             cand = Candidate(x, ev(x), point=p)
             population.append(cand)
-            best = cand if best is None else argmin_candidate((best, cand))
+            best = argmin_candidate((best, cand))
             old = carried.get(p)
             if old is not None:
                 labels.append(LabeledVertex(cand, old.label, old.delta))
@@ -212,10 +236,9 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
             labels.append(LabeledVertex(cand, label_from_delta(delta, rule), delta))
 
         labelled = {lv.candidate.point: lv for lv in labels}
-        # every vertex of a complete cell is active, so it is a region cell
         complete = find_complete_cells({p: lv.label for p, lv in labelled.items()})
-        values = {c.point: c.f for c in population}
-        chosen = _choose_cell(complete, grid, values, best, _region_cells(active))
+        cells = _region_cells(level, {c.point.k: c.f for c in population})
+        chosen = _choose_cell(complete, grid, cells, best)
 
         steps.append(StepRecord(
             level=level, h=h, population=population, labels=labels,
@@ -223,21 +246,12 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
 
         carried = {refine(v): labelled[v] for v in cell_vertices(chosen)}
         active = lattice_points(chosen)
-        level += 1
 
-    if best is None:
-        # no level to run: the answer is the best box corner, as in ga_run
-        grid = GridSpec(box, 1)
-        corners = [position_of(p, grid) for p in active]
-        best = argmin_candidate([Candidate(x, ev(x), point=p) for p, x in zip(active, corners)])
-
-    final_grid = GridSpec(box, level)
-    converged = all(hd < cfg.h_tol for hd in final_grid.step)
     report = RunReport(
         steps=steps,
         best=best,
         evaluations=ev.count,
-        converged=converged,
+        converged=n_levels <= cfg.max_levels,
         meta={
             "algorithm": "slm",
             "objective": obj.name,
@@ -250,14 +264,6 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     if negate:
         _negate_report(report)
     return report
-
-
-def _region_cells(active: Sequence[GridPoint]) -> list[Cell]:
-    """Cells whose full vertex set lies in the active lattice."""
-    present = {p.k for p in active}
-    offsets = list(itertools.product((0, 1), repeat=active[0].dim))
-    return [Cell(p) for p in sorted(active, key=lambda q: q.k)
-            if all(tuple(map(operator.add, p.k, off)) in present for off in offsets)]
 
 
 def _negate_report(report: RunReport) -> None:

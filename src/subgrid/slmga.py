@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import (
+    MAX_LEVEL,
     BoxDomain,
     Candidate,
     GridPoint,
@@ -30,6 +31,7 @@ from .core import (
     argmin_candidate,
     coordinate,
     lattice_points,
+    levels,
     position_of,
     rank,
     refine,
@@ -44,7 +46,7 @@ from .labeling import (
     gradient_delta,
     label_from_delta,
 )
-from .slm import MAX_CORNER_DIM, _choose_cell, _region_cells, initial_corners
+from .slm import _choose_cell, _region_cells, init_population
 
 # beyond this many offspring per member, fall back to coordinate-greedy probing
 MAX_ENUMERATED_OFFSPRING = 768
@@ -61,25 +63,11 @@ class GaConfig:
     def __post_init__(self):
         if not self.h_tol > 0:
             raise ValueError("h_tol must be positive")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+        # a generation places its offspring one level deeper
+        if not 1 <= self.max_generations < MAX_LEVEL:
+            raise ValueError("max_generations must be in 1..%d" % (MAX_LEVEL - 1))
         if not 0.0 < self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in (0, 1]")
-
-
-def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list[Candidate]:
-    """Generation-0 population on the level-1 grid: all 2**n corners, or the
-    two diagonal corners when 2**n is unaffordable."""
-    if box.dim <= MAX_CORNER_DIM:
-        points = initial_corners(box)
-    else:
-        points = [GridPoint((0,) * box.dim, 1), GridPoint((1,) * box.dim, 1)]
-    grid = GridSpec(box, 1)
-    members = []
-    for p in points:
-        x = position_of(p, grid)
-        members.append(Candidate(x, evaluate(x), point=p))
-    return members
 
 
 def mutate(
@@ -158,21 +146,15 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     evaluate = Evaluator(obj, seed=cfg.seed)
     pop = init_population(box, evaluate)
     best = argmin_candidate(pop)
+    n_levels = levels(box, cfg.h_tol)
 
-    gen = 0
-    while True:
-        gen += 1
+    for gen in range(1, min(n_levels, cfg.max_generations) + 1):
         grid = GridSpec(box, gen)
-        h = grid.step
-        if gen > cfg.max_generations or all(hd < cfg.h_tol for hd in h):
-            gen -= 1
-            break
         evaluate.start_generation(gen)
-        members = sorted(pop, key=rank)
         # re-evaluate under this generation's noise so comparisons are fair
         if obj.stochastic:
-            members = [Candidate(c.x, evaluate(c.x), point=c.point) for c in members]
-            members.sort(key=rank)
+            pop = [Candidate(c.x, evaluate(c.x), point=c.point) for c in pop]
+        members = sorted(pop, key=rank)
         n_mutate = max(1, int(round(cfg.mutation_rate * len(members))))
 
         labels: dict[GridPoint, int] = {}
@@ -190,17 +172,17 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
             recorded.append(LabeledVertex(parent, labels[parent.point], delta))
             best = argmin_candidate((best, parent, child))
 
-        vertex_values = {c.point: c.f for c in members}
         if 3**n <= MAX_ENUMERATED_OFFSPRING:
-            # every vertex of a complete cell is labelled, so it is a region cell
-            region = _region_cells([c.point for c in members])
-            chosen = _choose_cell(find_complete_cells(labels), grid, vertex_values, best, region)
+            # pop is the lattice of the last chosen cell (the corners at
+            # generation 1), in the order it was made
+            cells = _region_cells(gen, {c.point.k: c.f for c in pop})
+            chosen = _choose_cell(find_complete_cells(labels), grid, cells, best)
         else:
             # cell enumeration is unaffordable here; mutation alone refines
             chosen = None
 
         steps.append(StepRecord(
-            level=gen, h=h, population=list(members), labels=recorded,
+            level=gen, h=grid.step, population=list(members), labels=recorded,
             chosen_cell=chosen, best=best))
 
         # the next generation's crossing points are the finer lattice of the
@@ -219,8 +201,6 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
                 first.setdefault(c.point.k, c)
             pop = list(first.values())
 
-    final = GridSpec(box, gen + 1)
-    converged = all(hd < cfg.h_tol for hd in final.step)
     # the answer is the best member of the converged population; probes may
     # have seen a lower value elsewhere, which best_value keeps
     solution = argmin_candidate(pop)
@@ -229,7 +209,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         best=solution,
         best_value=best.f,
         evaluations=evaluate.count,
-        converged=converged,
+        converged=n_levels <= cfg.max_generations,
         meta={
             "algorithm": "slmga",
             "objective": obj.name,

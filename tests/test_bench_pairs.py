@@ -19,13 +19,14 @@ def bench_pairs():
     return module
 
 
-def _run(seed, parent, change):
+def _run(seed, parent, change, correct=(True, True)):
     """One pair: every metric at 1.0, except those named in ``parent`` or
     ``change``."""
-    def side(values):
+    def side(values, ok):
         metrics = {m["name"]: {"value": values.get(m["name"], 1.0)} for m in END_TO_END}
-        return {"result": {"correct": True, "metrics": metrics}}
-    return {"seed": seed, "order": "parent first", "parent": side(parent), "change": side(change)}
+        return {"result": {"correct": ok, "metrics": metrics}}
+    return {"seed": seed, "order": "parent first", "parent": side(parent, correct[0]),
+            "change": side(change, correct[1])}
 
 
 def test_every_metric_is_summarised_and_only_the_worse_one_flagged(bench_pairs):
@@ -59,3 +60,29 @@ def test_a_higher_is_better_metric_flags_a_fall(bench_pairs):
     summary = bench_pairs.summarize("w", runs, True, 30, END_TO_END)
     assert summary["over_bound"] == ["ok_ratio"]
     assert summary["medians"]["ok_ratio"]["worse_by"] == pytest.approx(0.1)
+
+
+def test_pairs_with_an_incorrect_side_are_listed(bench_pairs):
+    runs = [_run(1, {}, {}), _run(2, {}, {}, correct=(True, False)),
+            _run(3, {}, {}, correct=(False, True))]
+    summary = bench_pairs.summarize("w", runs, False, 30, END_TO_END)
+    assert summary["incorrect_pairs"] == [2, 3]
+    assert summary["unresolved"] == []
+
+
+@pytest.mark.parametrize("change_wall_s,unresolved", [
+    # the parent's wall_s quartiles, 1.625 and 2.375, lie 0.375 of its median
+    # apart, wider than the 0.25 bound: a change median inside them tells nothing
+    ((1.9, 2.0, 2.1, 2.0), ["wall_s"]),
+    # every change run beats every parent run: resolved despite the spread
+    ((0.5, 0.6, 0.7, 0.6), []),
+])
+def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound(
+        bench_pairs, change_wall_s, unresolved):
+    parent_wall_s = (1.5, 2.0, 2.5, 2.0)
+    runs = [_run(i, {"wall_s": p}, {"wall_s": c})
+            for i, (p, c) in enumerate(zip(parent_wall_s, change_wall_s))]
+    summary = bench_pairs.summarize("w", runs, False, 30, END_TO_END)
+    assert summary["unresolved"] == unresolved
+    assert summary["medians"]["wall_s"]["parent_spread"] == pytest.approx(0.375)
+    assert summary["over_bound"] == []

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgrid.core import (
+    MAX_LEVEL,
     BoxDomain,
     Candidate,
     Cell,
@@ -11,6 +14,7 @@ from subgrid.core import (
     argmin_candidate,
     cell_vertices,
     lattice_points,
+    levels,
     position_of,
     rank,
     refine,
@@ -99,6 +103,56 @@ class TestGridSpec:
         box = BoxDomain.cube(0.0, 1.0, 1)
         assert GridSpec(box, 1).max_index == 1
         assert GridSpec(box, 4).max_index == 8
+
+
+# The loop both engines ran before ``levels``: one level after another
+# until every step is below ``h_tol``.  ``GridSpec.step`` divides by the int
+# ``2**(level - 1)``, which stops converting to a float past ``MAX_LEVEL``.
+def reference_levels(box, h_tol):
+    level = 1
+    while not all(hd < h_tol for hd in GridSpec(box, level).step):
+        level += 1
+    return level - 1
+
+
+@st.composite
+def _box_and_tolerance(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "powers-of-two", "subnormal"]))
+    if kind == "random":
+        lower = [draw(st.floats(-1e3, 1e3)) for _ in range(n)]
+        upper = [lo + draw(st.floats(1e-3, 1e3)) for lo in lower]
+        h_tol = draw(st.one_of(st.just(math.inf), st.floats(1e-9, 1e4),
+                               st.integers(-40, 12).map(lambda e: math.ldexp(1.0, e))))
+    elif kind == "powers-of-two":
+        # a step equal to h_tol at some level: the boundary of the count
+        lower = [0.0] * n
+        upper = [math.ldexp(1.0, draw(st.integers(-20, 20))) for _ in range(n)]
+        h_tol = math.ldexp(1.0, draw(st.integers(-40, 30)))
+    else:
+        # widths just above the subnormal range: the last steps round
+        lower = [0.0] * n
+        upper = [math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)),
+                            draw(st.integers(-1060, -960))) for _ in range(n)]
+        h_tol = draw(st.floats(5e-324, 2.2250738585072014e-308))
+    return BoxDomain(tuple(lower), tuple(upper)), h_tol
+
+
+class TestLevels:
+    @given(_box_and_tolerance())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_the_levels_the_old_loop_ran(self, case):
+        box, h_tol = case
+        assert levels(box, h_tol) == reference_levels(box, h_tol)
+
+    def test_edges(self):
+        box = BoxDomain.cube(0.0, 1.0, 2)
+        assert levels(box, math.inf) == 0
+        assert levels(box, 1.0) == 1
+        assert levels(box, 0.5) == 2
+        # every step down to the smallest subnormal, 2**-1074, counts
+        assert levels(box, 5e-324) == 1075 > MAX_LEVEL
+        assert levels(BoxDomain.cube(-1e308, 0.0, 1), 5e-324) > 2000
 
 
 class TestGridPoint:

@@ -1,9 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_harness import _decimal_box
+
+from subgrid import slm, slmga
 
 from subgrid.core import (
     BoxDomain,
@@ -28,6 +32,7 @@ from subgrid.slm import (
     NeighborScheme,
     Sense,
     SlmConfig,
+    _moves,
     _negate_report,
     best_neighbor,
     initial_corners,
@@ -191,6 +196,42 @@ class TestNeighbors:
         assert len(out) == 9
         assert (0.0, 0.0) in out
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_move_tables(self, n):
+        # sign-uniform: +h or -h on every nonempty coordinate subset
+        subsets = [s for s in itertools.product((0, 1), repeat=n) if any(s)]
+        want = {tuple(sign * si for si in s) for s in subsets for sign in (1, -1)}
+        su = _moves(n, NeighborScheme.SIGN_UNIFORM)
+        assert len(su) == len(want) == 2 * (2**n - 1)
+        assert set(su) == want
+        assert _moves(n, NeighborScheme.FULL_BOX) == list(itertools.product((0, 1, -1), repeat=n))
+
+    @pytest.mark.parametrize("scheme", list(NeighborScheme))
+    def test_unmoved_coordinate_keeps_its_bits(self, scheme):
+        box = BoxDomain.cube(-1.0, 1.0, 2)
+        out = slm_neighbors((-0.0, 0.5), (0.25, 0.25), scheme, box)
+        kept = [x for x in out if x[0] == 0.0]
+        assert kept
+        assert all(math.copysign(1.0, x[0]) == -1.0 for x in kept)
+
+    # On decimal boxes a float probe can round past ``upper`` (on [-1.3, 2.9]
+    # 0.8 + 2.1 does), but no probe that a run makes does: from a level-L
+    # lattice point a moved coordinate lands on an odd index of level L+1.
+    @given(_decimal_box(), st.integers(1, 7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_in_grid_probe_is_dropped_on_decimal_boxes(self, box, level, data):
+        top = 2 ** (level - 1)
+        grid = GridSpec(box, level)
+        h_next = tuple(hd / 2.0 for hd in grid.step)
+        index = st.one_of(st.sampled_from([0, 1, top - 1, top]), st.integers(0, top))
+        for _ in range(8):
+            k = tuple(data.draw(index) for _ in range(box.dim))
+            x = position_of(GridPoint(k, level), grid)
+            for scheme in NeighborScheme:
+                in_grid = [m for m in _moves(box.dim, scheme)
+                           if all(0 <= 2 * kd + md <= 2 * top for kd, md in zip(k, m))]
+                assert len(slm_neighbors(x, h_next, scheme, box)) == len(in_grid)
+
 
 class TestBestNeighbor:
     def test_strict_improvement_required(self):
@@ -210,6 +251,21 @@ class TestBestNeighbor:
         p = Candidate((0.0,), 1.0)
         got = best_neighbor(lambda x: values[x], p, [(1.0,), (-1.0,)])
         assert got.x == (-1.0,)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+                    max_size=8, unique_by=lambda c: c[0]),
+           st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_probe_order_cannot_change_the_answer(self, probes, fp, rnd):
+        # many ties: the answer is the lowest (f, x) of the strict improvements
+        values = {(float(x),): f for x, f in probes}
+        p = Candidate((0.5,), fp)
+        xs = list(values)
+        got = best_neighbor(values.__getitem__, p, xs)
+        rnd.shuffle(xs)
+        assert best_neighbor(values.__getitem__, p, xs) == got
+        better = [(f, x) for x, f in values.items() if f < fp]
+        assert got == (Candidate(min(better)[1], min(better)[0]) if better else p)
 
 
 class TestGoldsteinPriceRun:
@@ -387,6 +443,35 @@ def _slm_case(draw):
 
 def _json(rep):
     return emit_table([rep], "json")
+
+
+class TestRegionCells:
+    @given(_slm_case(), st.floats(0.1, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_reference_at_every_step_of_both_engines(self, case, rate):
+        obj, cfg = case
+        seen = []
+        real = slm._region_cells
+
+        def recording(level, values_by_k):
+            cells = real(level, values_by_k)
+            seen.append((level, dict(values_by_k), cells))
+            return cells
+
+        with mock.patch.object(slm, "_region_cells", recording), \
+                mock.patch.object(slmga, "_region_cells", recording):
+            slm_run(obj, cfg)
+            slmga.ga_run(obj, slmga.GaConfig(h_tol=cfg.h_tol, max_generations=cfg.max_levels,
+                                             mutation_rate=rate))
+        assert len(seen) == 2 * cfg.max_levels
+        for level, values, cells in seen:
+            # the lattice is born sorted by k
+            assert list(values) == sorted(values)
+            want = {}
+            for c in reference_region_cells([GridPoint(k, level) for k in values]):
+                fs = [values[v.k] for v in cell_vertices(c)]
+                want[c.anchor.k] = (min(fs), sum(fs))
+            assert cells == want
 
 
 class TestMatchesReference:

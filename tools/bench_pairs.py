@@ -16,7 +16,10 @@ each side and the number of pairs in which the change was faster.  For
 every end-to-end metric that ``BENCHMARK.json`` declares it gives the
 median on each side and flags a change median worse than the parent's by
 more than the metric's bound, as a fraction of the parent's median (as an
-absolute difference where that median is 0).  A workload named by
+absolute difference where that median is 0).  A metric is unresolved when
+the parent's own quartile spread, measured the same way, is wider than its
+bound, unless every change run reads better than every parent run.  Pairs
+in which either side's result is not ``correct`` are listed.  A workload named by
 ``--claim`` is marked as the claimed gain; the others are reported only.
 The file is BENCH_<n>.json for the first ``n`` above every BENCH file
 already in the checkout, unless ``--number`` names another.
@@ -98,6 +101,16 @@ def worse_by(metric: dict, parent: float, change: float) -> float:
     return diff / abs(parent) if parent else diff
 
 
+def spread(values: list[float]) -> float:
+    """The distance between the quartiles of ``values`` as a fraction of
+    their median (as a distance where the median is 0); 0 for one value."""
+    q = quartiles(values)
+    if "q1" not in q:
+        return 0.0
+    width = q["q3"] - q["q1"]
+    return width / abs(q["median"]) if q["median"] else width
+
+
 def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
               end_to_end: list[dict]) -> dict:
     pairs = []
@@ -111,11 +124,18 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
         pairs.append(pair)
     medians = {}
     for metric in end_to_end:
-        parent, change = (statistics.median(p["%s_%s" % (side, metric["name"])] for p in pairs)
-                          for side in ("parent", "change"))
+        runs_of = {side: [p["%s_%s" % (side, metric["name"])] for p in pairs]
+                   for side in ("parent", "change")}
+        parent, change = (statistics.median(runs_of[side]) for side in ("parent", "change"))
+        sign = 1 if metric["better"] == "lower" else -1
+        all_better = max(sign * v for v in runs_of["change"]) < min(
+            sign * v for v in runs_of["parent"])
+        parent_spread = spread(runs_of["parent"])
         medians[metric["name"]] = {"parent": parent, "change": change,
                                    "worse_by": worse_by(metric, parent, change),
-                                   "bound": metric["bound"]}
+                                   "bound": metric["bound"], "parent_spread": parent_spread,
+                                   "unresolved": parent_spread > metric["bound"]
+                                   and not all_better}
     return {
         "command": "python3 perfbench/run.py --workload %s --seed N --seconds %g --trace 0"
                    % (workload, seconds),
@@ -127,6 +147,8 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
         "pairs_run": len(pairs),
         "medians": medians,
         "over_bound": [name for name, m in medians.items() if m["worse_by"] > m["bound"]],
+        "unresolved": [name for name, m in medians.items() if m["unresolved"]],
+        "incorrect_pairs": [p["seed"] for p in pairs if not all(p["correct"])],
     }
 
 
@@ -180,6 +202,13 @@ def main(argv=None) -> int:
             m = summary["medians"][name]
             print("%s: %s median %r is worse than the parent's %r by more than %g"
                   % (workload, name, m["change"], m["parent"], m["bound"]), file=sys.stderr)
+        for name in summary["unresolved"]:
+            m = summary["medians"][name]
+            print("%s: %s is unresolved: the parent's quartile spread %g is wider than %g"
+                  % (workload, name, m["parent_spread"], m["bound"]), file=sys.stderr)
+        if summary["incorrect_pairs"]:
+            print("%s: a side is not correct in the pairs of seeds %s"
+                  % (workload, summary["incorrect_pairs"]), file=sys.stderr)
     return 0
 
 
