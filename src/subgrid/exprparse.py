@@ -9,14 +9,17 @@ tighter than unary minus, so "-x1^2" means -(x1^2)):
     unary  := '-'? atom
     atom   := number | 'x' digits | name '(' expr ')' | '(' expr ')'
 
-Variables are x1..xn.  Supported calls, each of one argument: cos, sin, exp,
-floor, abs, sqrt, log.
-Digits, in numbers and in variable indices, are ASCII 0-9 only.
+Variables are x1..xn, with an index of any length (leading zeros allowed).
+Supported calls, each of one argument: cos, sin, exp, floor, abs, sqrt, log.
+After any whitespace, each token is a number (ASCII digits and dots, with an
+exponent only where digits follow the 'e'), a word (letters, digits and '_';
+a name only if it starts with a letter) or any other single character.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -34,6 +37,8 @@ FUNCTIONS = {
 
 # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
 _DIGITS = frozenset("0123456789")
+# the token rule above; the empty token at the end of the text
+_TOKEN = re.compile(r"\s*([0-9.]+(?:[eE][+-]?[0-9]+)?|\w+|\S|)")
 
 
 @dataclass(frozen=True)
@@ -72,22 +77,21 @@ class _Parser:
     def __init__(self, src: str, n: int):
         self.src = src
         self.n = n
-        self.pos = 0
+        self.pos = self.end = 0
+
+    def advance(self):
+        """Step to the next token: ``tok`` is its text ("" at the end) and
+        ``pos`` its offset, past any whitespace."""
+        m = _TOKEN.match(self.src, self.end)
+        self.pos, self.end = m.span(1)
+        self.tok = m.group(1)
 
     def error(self, msg):
         raise ExprError(msg, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
     def accept(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+        if self.tok == ch:
+            self.advance()
             return True
         return False
 
@@ -96,21 +100,18 @@ class _Parser:
             self.error("expected %r" % ch)
 
     def parse(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.src):
-            self.error("empty expression")
+        self.advance()
         e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
+        if self.tok:
             self.error("trailing input")
         return e
 
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            c = self.peek()
-            if c and c in "+-":
-                self.pos += 1
+            c = self.tok
+            if c in ("+", "-"):
+                self.advance()
                 e = Binary(c, e, self.term())
             else:
                 return e
@@ -118,9 +119,9 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while True:
-            c = self.peek()
-            if c and c in "*/":
-                self.pos += 1
+            c = self.tok
+            if c in ("*", "/"):
+                self.advance()
                 e = Binary(c, e, self.factor())
             else:
                 return e
@@ -141,57 +142,39 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Expr:
-        c = self.peek()
+        c = self.tok[:1]
         if c == "(":
-            self.pos += 1
+            self.advance()
             e = self.expr()
             self.expect(")")
             return e
         if c in _DIGITS or c == ".":
-            return self.number()
+            try:
+                value = float(self.tok)
+            except ValueError:
+                self.error("bad number literal")
+            self.advance()
+            return Constant(value)
         if c.isalpha():
             return self.name()
         self.error("unexpected character %r" % c)
 
-    def number(self) -> Constant:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos] in _DIGITS or src[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(src) and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(src) and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(src) and src[self.pos] in _DIGITS:
-                while self.pos < len(src) and src[self.pos] in _DIGITS:
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent after all
-        try:
-            return Constant(float(src[start:self.pos]))
-        except ValueError:
-            self.pos = start
-            self.error("bad number literal")
-
     def name(self) -> Expr:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        word = src[start:self.pos]
+        word = self.tok
         if word[0] in "xX" and word[1:] and _DIGITS.issuperset(word[1:]):
-            idx = int(word[1:])
+            # the index is sized as text first: int() refuses over 4,300 digits
+            digits = word[1:].lstrip("0")
+            idx = int(digits) if 0 < len(digits) <= len(str(self.n)) else 0
             if not 1 <= idx <= self.n:
-                self.pos = start
                 self.error("variable %s out of range 1..%d" % (word, self.n))
+            self.advance()
             return Variable(idx)
         if word in FUNCTIONS:
+            self.advance()
             self.expect("(")
             arg = self.expr()
             self.expect(")")
             return Call(word, (arg,))
-        self.pos = start
         self.error("unknown function or variable %r" % word)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import BoxDomain, Vector
-from .errors import DomainError, GradientUnavailableError, SubgridError
+from .errors import DomainError, GradientUnavailableError, InvalidDomainError, SubgridError
 
 
 @dataclass
@@ -37,6 +37,11 @@ class Objective:
     stochastic: bool = False
     smooth: bool = True
     noiseless_fn: Optional[Callable[[Sequence[float]], float]] = None
+
+    def __post_init__(self):
+        if self.dim != self.box.dim:
+            raise InvalidDomainError("%s: dim %d is not its box's %d"
+                                     % (self.name, self.dim, self.box.dim))
 
     def evaluate(self, x: Sequence[float], rng=None) -> float:
         if not self.box.contains(x):

@@ -106,22 +106,19 @@ def mutate(
             xs.append([coordinate(lo, hi, c, sd) for c in axis])
         probes = zip(itertools.product(*ks), itertools.product(*xs))
         best_k, best_x = next(probes)
-        best_f = evaluate(best_x)
-        moved = False
+        best_f = parent_f = evaluate(best_x)
         for k, x in probes:
             f = evaluate(x)
-            if f < best_f or (moved and f == best_f and x < best_x):
+            if f < best_f or (f == best_f < parent_f and x < best_x):
                 best_k, best_x, best_f = k, x, f
-                moved = True
         return Candidate(best_x, best_f, point=GridPoint(best_k, level))
 
     # coordinate-greedy: accept strict single-axis improvements (by rank) in
-    # order, while the best over all probes follows the rule above
-    cur_k = tuple(2 * kd for kd in parent.point.k)
-    cur_x = tuple(map(coordinate, lower, upper, cur_k, step))
-    cur_f = evaluate(cur_x)
-    best_k, best_x, best_f = cur_k, cur_x, cur_f
-    moved = False
+    # order; the walker ends at the lowest-ranked probe, which is the rule
+    # above once its value is below the parent's
+    parent_k = cur_k = tuple(2 * kd for kd in parent.point.k)
+    parent_x = cur_x = tuple(map(coordinate, lower, upper, cur_k, step))
+    parent_f = cur_f = evaluate(cur_x)
     for d, (lo, hi, sd) in enumerate(zip(lower, upper, step)):
         for a in (1, -1):
             c = cur_k[d] + a
@@ -130,12 +127,11 @@ def mutate(
             k = cur_k[:d] + (c,) + cur_k[d + 1:]
             x = cur_x[:d] + (coordinate(lo, hi, c, sd),) + cur_x[d + 1:]
             f = evaluate(x)
-            if f < best_f or (moved and f == best_f and x < best_x):
-                best_k, best_x, best_f = k, x, f
-                moved = True
             if (f, x) < (cur_f, cur_x):
                 cur_k, cur_x, cur_f = k, x, f
-    return Candidate(best_x, best_f, point=GridPoint(best_k, level))
+    if cur_f < parent_f:
+        return Candidate(cur_x, cur_f, point=GridPoint(cur_k, level))
+    return Candidate(parent_x, parent_f, point=GridPoint(parent_k, level))
 
 
 def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:

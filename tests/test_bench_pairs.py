@@ -21,10 +21,11 @@ def bench_pairs():
 
 def _run(seed, parent, change, correct=(True, True)):
     """One pair: every metric at 1.0, except those named in ``parent`` or
-    ``change``."""
+    ``change``; each side's log reports a host-speed scale of 2."""
     def side(values, ok):
         metrics = {m["name"]: {"value": values.get(m["name"], 1.0)} for m in END_TO_END}
-        return {"result": {"correct": ok, "metrics": metrics}}
+        log = ["iteration walls: raw 0.5; scaled 1.0; host-speed scale of the run 2.0000"]
+        return {"log": log, "result": {"correct": ok, "metrics": metrics}}
     return {"seed": seed, "order": "parent first", "parent": side(parent, correct[0]),
             "change": side(change, correct[1])}
 
@@ -86,3 +87,18 @@ def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound(
     assert summary["unresolved"] == unresolved
     assert summary["medians"]["wall_s"]["parent_spread"] == pytest.approx(0.375)
     assert summary["over_bound"] == []
+
+
+def test_outlier_runs_are_listed_with_their_host_speed_scale(bench_pairs):
+    # BENCH_12's small-runs walls, seeds 41-46: one parent run read 1.906 s
+    # against 2.93-3.50 s for the other eleven
+    parent_wall_s = (1.9062, 3.3563, 3.4314, 3.1028, 2.9316, 3.5011)
+    change_wall_s = (3.1965, 3.1653, 3.3002, 3.3153, 3.2146, 3.2999)
+    runs = [_run(seed, {"wall_s": p}, {"wall_s": c})
+            for seed, p, c in zip(range(41, 47), parent_wall_s, change_wall_s)]
+    summary = bench_pairs.summarize("w", runs, False, 30, END_TO_END)
+    assert summary["outlier_runs"] == [
+        {"seed": 41, "side": "parent", "wall_s": 1.9062, "host_scale": 2.0}]
+    # three runs a side are too few to have quartiles worth fencing
+    assert bench_pairs.summarize("w", runs[:3], False, 30, END_TO_END)["outlier_runs"] == []
+    assert bench_pairs.host_scale(["no scale here"]) is None

@@ -529,6 +529,27 @@ class TestEval:
         assert code == 3
         assert err.startswith("expression error: expression nested too deeply")
 
+    @pytest.mark.parametrize("way", ["eval", "run", "ini"])
+    def test_a_long_variable_index_is_expression_error(self, capsys, tmp_path, way):
+        # more digits than int() converts (4,300): checked as text first
+        expr = "x" + "1" * 5000
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = %s\ndim = 2\n" % expr)
+        argv = {"eval": ("eval", "--expr", expr, "--dim", "2", "--at", "1,2"),
+                "run": ("run", "--expr", expr, "--dim", "2"),
+                "ini": ("run", "--config", str(ini))}[way]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("expression error: variable x111")
+        assert "out of range 1..2 (at offset 0)" in err
+        assert out == ""
+
+    def test_leading_zeros_of_any_length(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--expr", "x" + "0" * 5000 + "1",
+                               "--dim", "2", "--at", "1,2")
+        assert code == 0
+        assert out == "1.0\n"
+
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "x1", "--at", "a,b")
         assert code == 2

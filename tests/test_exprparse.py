@@ -3,12 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subgrid.errors import ExprError, ExprEvalError
 from subgrid.exprparse import (
+    FUNCTIONS,
     Binary,
     Call,
     Constant,
+    Expr,
     Unary,
     Variable,
     evaluate,
@@ -16,6 +20,167 @@ from subgrid.exprparse import (
     to_string,
 )
 from subgrid.functions import get_objective
+
+_DIGITS = frozenset("0123456789")
+
+
+class ReferenceParser:
+    """The character-by-character parser that the token pattern replaced,
+    kept as the reference for ``parse``."""
+
+    def __init__(self, src: str, n: int):
+        self.src = src
+        self.n = n
+        self.pos = 0
+
+    def error(self, msg):
+        raise ExprError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def accept(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.accept(ch):
+            self.error("expected %r" % ch)
+
+    def parse(self) -> Expr:
+        self.skip_ws()
+        if self.pos >= len(self.src):
+            self.error("empty expression")
+        e = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.src):
+            self.error("trailing input")
+        return e
+
+    def expr(self) -> Expr:
+        e = self.term()
+        while True:
+            c = self.peek()
+            if c and c in "+-":
+                self.pos += 1
+                e = Binary(c, e, self.term())
+            else:
+                return e
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while True:
+            c = self.peek()
+            if c and c in "*/":
+                self.pos += 1
+                e = Binary(c, e, self.factor())
+            else:
+                return e
+
+    def factor(self) -> Expr:
+        e = self.unary()
+        if self.accept("^"):
+            return Binary("^", e, self.factor())  # right-associative
+        return e
+
+    def unary(self) -> Expr:
+        if self.accept("-"):
+            # '^' binds tighter: -x1^2 parses as -(x1^2)
+            child = self.unary()
+            if self.accept("^"):
+                child = Binary("^", child, self.factor())
+            return Unary("-", child)
+        return self.atom()
+
+    def atom(self) -> Expr:
+        c = self.peek()
+        if c == "(":
+            self.pos += 1
+            e = self.expr()
+            self.expect(")")
+            return e
+        if c in _DIGITS or c == ".":
+            return self.number()
+        if c.isalpha():
+            return self.name()
+        self.error("unexpected character %r" % c)
+
+    def number(self) -> Constant:
+        start = self.pos
+        src = self.src
+        while self.pos < len(src) and (src[self.pos] in _DIGITS or src[self.pos] == "."):
+            self.pos += 1
+        if self.pos < len(src) and src[self.pos] in "eE":
+            mark = self.pos
+            self.pos += 1
+            if self.pos < len(src) and src[self.pos] in "+-":
+                self.pos += 1
+            if self.pos < len(src) and src[self.pos] in _DIGITS:
+                while self.pos < len(src) and src[self.pos] in _DIGITS:
+                    self.pos += 1
+            else:
+                self.pos = mark  # not an exponent after all
+        try:
+            return Constant(float(src[start:self.pos]))
+        except ValueError:
+            self.pos = start
+            self.error("bad number literal")
+
+    def name(self) -> Expr:
+        start = self.pos
+        src = self.src
+        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
+            self.pos += 1
+        word = src[start:self.pos]
+        if word[0] in "xX" and word[1:] and _DIGITS.issuperset(word[1:]):
+            idx = int(word[1:])
+            if not 1 <= idx <= self.n:
+                self.pos = start
+                self.error("variable %s out of range 1..%d" % (word, self.n))
+            return Variable(idx)
+        if word in FUNCTIONS:
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Call(word, (arg,))
+        self.pos = start
+        self.error("unknown function or variable %r" % word)
+
+
+def reference_parse(src: str, n: int) -> Expr:
+    """``parse`` over the reference parser."""
+    if not src or not src.strip():
+        raise ExprError("empty expression", 0)
+    parser = ReferenceParser(src, n)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", parser.pos) from None
+
+
+def outcome(parse_fn, src, n):
+    """The AST, or the message and offset of the ``ExprError``."""
+    try:
+        return parse_fn(src, n)
+    except ExprError as exc:
+        return str(exc), exc.offset
+
+
+# the grammar's characters, Unicode whitespace (no-break, em and ideographic
+# spaces, a file separator, next-line), and Unicode digits, numerals and
+# letters that str.isalnum or str.isalpha accept
+ALPHABET = ("0123456789.eE+-*/^()xX_, \t\n" + "".join(sorted(set("".join(FUNCTIONS))))
+            + "\u00a0\u2003\u3000\x1c\x85" + "\u00b2\u0661\u0663\u2155\u2167"
+            + "\u00e9\u00df\u03a9\u00aa\u4e00")
+TOKENS = sorted(FUNCTIONS) + ["x1", "x2", "x01", "x10", "X3", "x0", "x", "1e5", "2.5E-1",
+                              "1e", ".5", "1..2", "(", ")", "+", "-", "*", "/", "^", " "]
 
 
 class TestParsing:
@@ -88,6 +253,32 @@ class TestParsing:
             parse(src, 1)
         assert "nested too deeply" in str(err.value)
         assert 0 < err.value.offset < len(src)
+
+
+    @pytest.mark.parametrize("digits", ["1" * 5000, "0" * 5000],
+                             ids=["ones", "zeros"])
+    def test_an_index_of_any_length_is_out_of_range_at_its_offset(self, digits):
+        # more digits than int() converts (4,300)
+        with pytest.raises(ExprError, match=r"out of range 1\.\.2 \(at offset 2\)$"):
+            parse("1+x" + digits, 2)
+
+
+class TestTokenPattern:
+    @settings(max_examples=2000, deadline=None)
+    @given(src=st.one_of(st.text(ALPHABET, max_size=16),
+                         st.lists(st.sampled_from(TOKENS), max_size=8).map("".join)),
+           n=st.integers(0, 12))
+    @example(src="x1 + + x2", n=2).via("an operator where an operand belongs")
+    @example(src="1.5e2x", n=1).via("a word right after an exponent")
+    @example(src="1e+x1", n=1).via("an exponent sign without digits")
+    @example(src="x1.5", n=2).via("a number right after a variable")
+    @example(src="_x", n=1).via("a word that starts with '_'")
+    @example(src="cos x1", n=1).via("a call without '('")
+    @example(src="\u3000x01\u00a0", n=1).via("Unicode spaces around a zero-led index")
+    @example(src="x1\u00b2", n=1).via("a superscript digit in a word")
+    @example(src="((x1)", n=1).via("a missing ')' at the end")
+    def test_matches_the_reference_parser(self, src, n):
+        assert outcome(parse, src, n) == outcome(reference_parse, src, n)
 
 
 class TestEvaluation:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from subgrid.core import BoxDomain
-from subgrid.errors import DomainError, GradientUnavailableError, SubgridError
+from subgrid.errors import (
+    ConfigError,
+    DomainError,
+    GradientUnavailableError,
+    InvalidDomainError,
+    SubgridError,
+)
 from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
 
 # Values frozen from an independent 40-digit computation.
@@ -48,6 +54,11 @@ class TestRegistry:
             assert obj.dim == dim
             assert obj.box.lower == (-half,) * dim
             assert obj.box.upper == (half,) * dim
+
+    def test_dim_must_be_the_boxes(self):
+        with pytest.raises(InvalidDomainError, match="dim 3 is not its box's 2") as err:
+            Objective(name="bad", dim=3, box=BoxDomain.cube(0.0, 1.0, 2), eval_fn=sum)
+        assert isinstance(err.value, ConfigError)
 
 
 class TestValues:

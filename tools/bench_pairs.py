@@ -19,8 +19,11 @@ more than the metric's bound, as a fraction of the parent's median (as an
 absolute difference where that median is 0).  A metric is unresolved when
 the parent's own quartile spread, measured the same way, is wider than its
 bound, unless every change run reads better than every parent run.  Pairs
-in which either side's result is not ``correct`` are listed.  A workload named by
-``--claim`` is marked as the claimed gain; the others are reported only.
+in which either side's result is not ``correct`` are listed, and so are the
+runs whose ``wall_s`` lies more than 1.5 interquartile ranges outside its
+side's quartiles (on a side of at least 4 runs), each with the host-speed
+scale its log reports.  A workload named by ``--claim`` is marked as the
+claimed gain; the others are reported only.
 The file is BENCH_<n>.json for the first ``n`` above every BENCH file
 already in the checkout, unless ``--number`` names another.
 """
@@ -111,6 +114,33 @@ def spread(values: list[float]) -> float:
     return width / abs(q["median"]) if q["median"] else width
 
 
+def host_scale(log: list[str]):
+    """The host-speed scale that a run's log head reports, or None."""
+    for line in log:
+        if m := re.search(r"host-speed scale of the run (\S+)$", line):
+            return float(m.group(1))
+    return None
+
+
+def outlier_runs(runs: list[dict]) -> list[dict]:
+    """The runs whose ``wall_s`` lies more than 1.5 interquartile ranges
+    outside the quartiles of their side, for each side of at least 4 runs.
+    The quartiles are the inclusive ones: the exclusive ones of a small
+    sample reach out towards its extreme runs, so the fence would widen to
+    hold the very run it should show."""
+    out = []
+    for side in ("parent", "change"):
+        walls = [run[side]["result"]["metrics"]["wall_s"]["value"] for run in runs]
+        if len(walls) < 4:
+            continue
+        q1, _, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+        fence = 1.5 * (q3 - q1)
+        out += [{"seed": run["seed"], "side": side, "wall_s": wall,
+                 "host_scale": host_scale(run[side]["log"])}
+                for run, wall in zip(runs, walls) if not q1 - fence <= wall <= q3 + fence]
+    return out
+
+
 def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
               end_to_end: list[dict]) -> dict:
     pairs = []
@@ -149,6 +179,7 @@ def summarize(workload: str, runs: list[dict], claimed: bool, seconds: float,
         "over_bound": [name for name, m in medians.items() if m["worse_by"] > m["bound"]],
         "unresolved": [name for name, m in medians.items() if m["unresolved"]],
         "incorrect_pairs": [p["seed"] for p in pairs if not all(p["correct"])],
+        "outlier_runs": outlier_runs(runs),
     }
 
 
@@ -209,6 +240,10 @@ def main(argv=None) -> int:
         if summary["incorrect_pairs"]:
             print("%s: a side is not correct in the pairs of seeds %s"
                   % (workload, summary["incorrect_pairs"]), file=sys.stderr)
+        for run in summary["outlier_runs"]:
+            print("%s: the %s run of seed %d is an outlier: wall_s %.4f, host-speed scale %s"
+                  % (workload, run["side"], run["seed"], run["wall_s"], run["host_scale"]),
+                  file=sys.stderr)
     return 0
 
 
