@@ -190,7 +190,7 @@ def _cmd_run(args) -> int:
             code = EXIT_NOT_CONVERGED
         m = result.metrics
         summary = ("# bv=%r median_bv=%r generations=%d"
-                   % (result.min_bv, result.median_bv, m.generations))
+                   % (m.bv, result.median_bv, m.generations))
         if m.sd_euclid is not None:
             summary += " sd=%r" % m.sd_euclid
         chunks.append(summary + "\n")

@@ -1,6 +1,11 @@
 """Exception hierarchy shared by all subgrid modules."""
 
 
+def clip(text: str) -> str:
+    """``text`` as a message quotes it: cut to 20 characters and ``...`` if longer."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 class SubgridError(Exception):
     """Base class for every error raised by this package."""
 

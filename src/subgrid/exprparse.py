@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import ExprError, ExprEvalError
+from .errors import ExprError, ExprEvalError, clip
 
 FUNCTIONS = {
     "cos": math.cos,
@@ -166,7 +166,7 @@ class _Parser:
             digits = word[1:].lstrip("0")
             idx = int(digits) if 0 < len(digits) <= len(str(self.n)) else 0
             if not 1 <= idx <= self.n:
-                self.error("variable %s out of range 1..%d" % (word, self.n))
+                self.error("variable %s out of range 1..%d" % (clip(word), self.n))
             self.advance()
             return Variable(idx)
         if word in FUNCTIONS:
@@ -175,7 +175,7 @@ class _Parser:
             arg = self.expr()
             self.expect(")")
             return Call(word, (arg,))
-        self.error("unknown function or variable %r" % word)
+        self.error("unknown function or variable %r" % clip(word))
 
 
 def parse(src: str, n: int) -> Expr:

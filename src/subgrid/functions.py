@@ -4,9 +4,10 @@ All objectives are minimized over an axis-aligned box.  Out-of-box
 evaluation raises ``DomainError``; the engines discard out-of-box
 candidates before they evaluate.
 
-F4 is stochastic: each of its 30 quartic terms gets one standard-normal
-draw from the caller-supplied random source, so reproducibility is the
-caller's choice of seed.  ``noiseless`` evaluates the quartic part alone.
+``eval_fn`` takes the point alone and gives its value without noise, which
+``noiseless`` returns inside the box.  ``evaluate`` adds ``noise_fn(rng, n)``
+where there is one: F4's sums one standard-normal draw per quartic term from
+the caller's random source, so reproducibility is the caller's choice of seed.
 
 The grid engines evaluate through ``Evaluator`` (cache, count, sense,
 common random numbers); the baselines call ``Objective.evaluate`` directly
@@ -23,42 +24,40 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import BoxDomain, Vector
-from .errors import DomainError, GradientUnavailableError, InvalidDomainError, SubgridError
+from .errors import DomainError, GradientUnavailableError, SubgridError, clip
 
 
 @dataclass
 class Objective:
     name: str
-    dim: int
     box: BoxDomain
-    eval_fn: Callable[..., float]
+    eval_fn: Callable[[Sequence[float]], float]
     gradient_fn: Optional[Callable[[Sequence[float]], Vector]] = None
     known_optimum: Optional[tuple[Vector, float]] = None
-    stochastic: bool = False
     smooth: bool = True
-    noiseless_fn: Optional[Callable[[Sequence[float]], float]] = None
+    noise_fn: Optional[Callable[[np.random.Generator, int], float]] = None
 
-    def __post_init__(self):
-        if self.dim != self.box.dim:
-            raise InvalidDomainError("%s: dim %d is not its box's %d"
-                                     % (self.name, self.dim, self.box.dim))
+    @property
+    def dim(self) -> int:
+        return self.box.dim
 
-    def evaluate(self, x: Sequence[float], rng=None) -> float:
-        if not self.box.contains(x):
-            raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
-        if self.stochastic:
-            if rng is None:
-                raise SubgridError("%s is stochastic; pass a random source" % self.name)
-            return float(self.eval_fn(x, rng))
-        return float(self.eval_fn(x))
+    @property
+    def stochastic(self) -> bool:
+        return self.noise_fn is not None
 
     def noiseless(self, x: Sequence[float]) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""
-        if self.noiseless_fn is None:
-            return self.evaluate(x)
         if not self.box.contains(x):
             raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
-        return self.noiseless_fn(x)
+        return float(self.eval_fn(x))
+
+    def evaluate(self, x: Sequence[float], rng=None) -> float:
+        f = self.noiseless(x)
+        if self.noise_fn is None:
+            return f
+        if rng is None:
+            raise SubgridError("%s is stochastic; pass a random source" % self.name)
+        return f + self.noise_fn(rng, len(x))
 
     def gradient(self, x: Sequence[float]) -> Vector:
         """Analytic gradient where defined, else central finite differences.
@@ -208,9 +207,8 @@ def _f4_noiseless(x):
     return s
 
 
-def _f4(x, rng):
-    noise = rng.standard_normal(len(x))
-    return _f4_noiseless(x) + float(noise.sum())
+def _f4_noise(rng, n):
+    return float(rng.standard_normal(n).sum())
 
 
 _FOXHOLE = (-32.0, -16.0, 0.0, 16.0, 32.0)
@@ -250,32 +248,31 @@ def _build_registry() -> dict[str, Objective]:
         reg[obj.name] = obj
 
     add(Objective(
-        name="goldstein-price", dim=2, box=BoxDomain.cube(-2.0, 2.0, 2),
+        name="goldstein-price", box=BoxDomain.cube(-2.0, 2.0, 2),
         eval_fn=_gp, gradient_fn=_gp_grad,
         known_optimum=((0.0, -1.0), 3.0)))
     add(Objective(
-        name="easom", dim=2, box=BoxDomain.cube(-100.0, 100.0, 2),
+        name="easom", box=BoxDomain.cube(-100.0, 100.0, 2),
         eval_fn=_easom, gradient_fn=_easom_grad,
         known_optimum=((math.pi, math.pi), -1.0)))
     add(Objective(
-        name="f1", dim=3, box=BoxDomain.cube(-5.12, 5.12, 3),
+        name="f1", box=BoxDomain.cube(-5.12, 5.12, 3),
         eval_fn=_f1, gradient_fn=_f1_grad,
         known_optimum=((0.0, 0.0, 0.0), 0.0)))
     add(Objective(
-        name="f2", dim=2, box=BoxDomain.cube(-2.048, 2.048, 2),
+        name="f2", box=BoxDomain.cube(-2.048, 2.048, 2),
         eval_fn=_f2, gradient_fn=_f2_grad,
         known_optimum=((1.0, 1.0), 0.0)))
     add(Objective(
-        name="f3", dim=5, box=BoxDomain.cube(-5.12, 5.12, 5),
+        name="f3", box=BoxDomain.cube(-5.12, 5.12, 5),
         eval_fn=_f3, smooth=False,
         known_optimum=((-5.12,) * 5, 0.0)))
     add(Objective(
-        name="f4", dim=30, box=BoxDomain.cube(-1.28, 1.28, 30),
-        eval_fn=_f4, stochastic=True, smooth=False,
-        noiseless_fn=_f4_noiseless,
+        name="f4", box=BoxDomain.cube(-1.28, 1.28, 30),
+        eval_fn=_f4_noiseless, noise_fn=_f4_noise, smooth=False,
         known_optimum=((0.0,) * 30, 0.0)))
     add(Objective(
-        name="f5", dim=2, box=BoxDomain.cube(-65.536, 65.536, 2),
+        name="f5", box=BoxDomain.cube(-65.536, 65.536, 2),
         eval_fn=_f5, gradient_fn=_f5_grad,
         known_optimum=((-32.0, -32.0), 0.998003838818649)))
     return reg
@@ -289,7 +286,7 @@ def get_objective(name: str) -> Objective:
         return REGISTRY[name]
     except KeyError:
         raise SubgridError(
-            "unknown objective %r (have: %s)" % (name, ", ".join(sorted(REGISTRY)))) from None
+            "unknown objective %r (have: %s)" % (clip(name), ", ".join(sorted(REGISTRY)))) from None
 
 
 def objective_names() -> list[str]:

@@ -32,7 +32,7 @@ from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
 from .core import (BoxDomain, Candidate, GridPoint, GridSpec, LabeledVertex, RunReport, StepRecord,
                    position_of)
-from .errors import ConfigError, GridTooLargeError, SubgridError
+from .errors import ConfigError, GridTooLargeError
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
 from .functions import Objective, get_objective
@@ -57,7 +57,6 @@ BENCH_FUNCTIONS = ("f1", "f2", "f3", "f4", "f5")
 @dataclass
 class Metrics:
     bv: float
-    sd_vec: Optional[tuple[float, ...]]
     sd_euclid: Optional[float]
     generations: int
 
@@ -90,8 +89,6 @@ class ExperimentConfig:
 class ExperimentResult:
     metrics: Metrics
     reports: list[RunReport]
-    best_trial: int
-    min_bv: float
     median_bv: float
 
 
@@ -104,7 +101,7 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
     def eval_fn(x):
         return expr_evaluate(ast, x)
 
-    return Objective(name="expr:%s" % src, dim=dim, box=box, eval_fn=eval_fn)
+    return Objective(name="expr:%s" % src, box=box, eval_fn=eval_fn)
 
 
 def resolve_objective(cfg: ExperimentConfig) -> Objective:
@@ -197,13 +194,11 @@ def algorithm_names() -> list[str]:
 
 
 def compute_metrics(report: RunReport, obj: Objective) -> Metrics:
-    sd_vec = sd_euclid = None
+    sd_euclid = None
     if obj.known_optimum is not None:
         x_star = obj.known_optimum[0]
-        sd_vec = tuple(abs(a - b) for a, b in zip(report.best.x, x_star))
-        sd_euclid = math.sqrt(sum(v * v for v in sd_vec))
-    return Metrics(bv=report.best_value, sd_vec=sd_vec, sd_euclid=sd_euclid,
-                   generations=report.generations)
+        sd_euclid = math.sqrt(sum((a - b) * (a - b) for a, b in zip(report.best.x, x_star)))
+    return Metrics(bv=report.best_value, sd_euclid=sd_euclid, generations=report.generations)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -213,9 +208,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                for t in range(cfg.trials)]
     bvs = [r.best_value for r in reports]
     best_trial = min(range(len(reports)), key=lambda i: (bvs[i], reports[i].best.x))
-    metrics = compute_metrics(reports[best_trial], obj)
-    return ExperimentResult(metrics=metrics, reports=reports, best_trial=best_trial,
-                            min_bv=min(bvs), median_bv=statistics.median(bvs))
+    return ExperimentResult(metrics=compute_metrics(reports[best_trial], obj), reports=reports,
+                            median_bv=statistics.median(bvs))
 
 
 def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int) -> Candidate:
@@ -447,6 +441,8 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
                 r.sd_euclid if r.sd_euclid is not None else float("nan"),
                 r.de_generations, round(r.png)))
         return out.getvalue()
+    if fmt != "markdown":
+        raise ConfigError("unknown format %r" % fmt)
     out.write("| Function | Generations | Final step | Best point | BV | SD | DE gens | PNG |\n")
     out.write("|---|---|---|---|---|---|---|---|\n")
     for r in rows:
@@ -470,14 +466,11 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
     fields = {INI_KEYS.get(k, k): v for k, v in keys.items()}
     if len(fields) < len(keys):
         raise ConfigError("a field is set by two spellings")
-    try:
-        cfg = build_config(
-            ExperimentConfig,
-            {"seed": seed, **{k: v for k, v in fields.items() if k in _EXPERIMENT_KEYS}},
-            algo_params={k: v for k, v in fields.items() if k not in _EXPERIMENT_KEYS})
-        algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
-    except SubgridError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = build_config(
+        ExperimentConfig,
+        {"seed": seed, **{k: v for k, v in fields.items() if k in _EXPERIMENT_KEYS}},
+        algo_params={k: v for k, v in fields.items() if k not in _EXPERIMENT_KEYS})
+    algo_cfg = algorithm_config(cfg.algo, cfg.algo_params)
     # a key, not the field: the dataclass defaults hide an unset lower and upper
     if cfg.objective is not None and fields.keys() & {"dim", "lower", "upper"}:
         raise ConfigError("dim, lower and upper apply to an expression, not to %r"

@@ -542,7 +542,33 @@ class TestEval:
         assert code == 3
         assert err.startswith("expression error: variable x111")
         assert "out of range 1..2 (at offset 0)" in err
+        assert len(err.encode()) < 200  # the index is quoted in part
         assert out == ""
+
+    @pytest.mark.parametrize("way", ["eval", "run", "ini"])
+    def test_a_long_name_is_quoted_in_part(self, capsys, tmp_path, way):
+        word = "q" * 5000
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = %s\ndim = 2\n" % word)
+        argv = {"eval": ("eval", "--expr", word, "--dim", "2", "--at", "1,2"),
+                "run": ("run", "--expr", word, "--dim", "2"),
+                "ini": ("run", "--config", str(ini))}[way]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "unknown function or variable 'qqqqqqqqqqqqqqqqqqqq...' (at offset 0)" in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("way", ["run", "ini"])
+    def test_a_long_objective_name_is_quoted_in_part(self, capsys, tmp_path, way):
+        name = "f" * 3000
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nfunction = %s\n" % name)
+        argv = {"run": ("run", "--function", name),
+                "ini": ("run", "--config", str(ini))}[way]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "unknown objective 'ffffffffffffffffffff...' (have: easom," in err
+        assert len(err.encode()) < 200
 
     def test_leading_zeros_of_any_length(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--expr", "x" + "0" * 5000 + "1",

@@ -143,7 +143,7 @@ class ReferenceParser:
             idx = int(word[1:])
             if not 1 <= idx <= self.n:
                 self.pos = start
-                self.error("variable %s out of range 1..%d" % (word, self.n))
+                self.error("variable %s out of range 1..%d" % (_clip(word), self.n))
             return Variable(idx)
         if word in FUNCTIONS:
             self.expect("(")
@@ -151,7 +151,12 @@ class ReferenceParser:
             self.expect(")")
             return Call(word, (arg,))
         self.pos = start
-        self.error("unknown function or variable %r" % word)
+        self.error("unknown function or variable %r" % _clip(word))
+
+
+def _clip(word):
+    """An error message quotes a word's first 20 characters only."""
+    return word if len(word) <= 20 else word[:20] + "..."
 
 
 def reference_parse(src: str, n: int) -> Expr:
@@ -261,6 +266,20 @@ class TestParsing:
         # more digits than int() converts (4,300)
         with pytest.raises(ExprError, match=r"out of range 1\.\.2 \(at offset 2\)$"):
             parse("1+x" + digits, 2)
+
+
+    @pytest.mark.parametrize("src, n, message", [
+        ("1+x" + "1" * 5000, 2, "variable x1111111111111111111... out of range 1..2 (at offset 2)"),
+        ("1+x" + "1" * 19, 2, "variable x1111111111111111111 out of range 1..2 (at offset 2)"),
+        ("x1 * " + "q" * 5000, 1, "unknown function or variable 'qqqqqqqqqqqqqqqqqqqq...' "
+                                  "(at offset 5)"),
+        ("x1 * " + "q" * 20, 1, "unknown function or variable 'qqqqqqqqqqqqqqqqqqqq' "
+                                "(at offset 5)"),
+    ], ids=["long-index", "20-character-index", "long-name", "20-character-name"])
+    def test_a_message_quotes_a_word_up_to_20_characters(self, src, n, message):
+        with pytest.raises(ExprError) as err:
+            parse(src, n)
+        assert str(err.value) == message
 
 
 class TestTokenPattern:

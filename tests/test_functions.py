@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from subgrid.core import BoxDomain
-from subgrid.errors import (
-    ConfigError,
-    DomainError,
-    GradientUnavailableError,
-    InvalidDomainError,
-    SubgridError,
-)
+from subgrid.errors import DomainError, GradientUnavailableError, SubgridError
 from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
+from subgrid.harness import expression_objective
 
 # Values frozen from an independent 40-digit computation.
 KNOWN_VALUES = [
@@ -55,11 +50,6 @@ class TestRegistry:
             assert obj.box.lower == (-half,) * dim
             assert obj.box.upper == (half,) * dim
 
-    def test_dim_must_be_the_boxes(self):
-        with pytest.raises(InvalidDomainError, match="dim 3 is not its box's 2") as err:
-            Objective(name="bad", dim=3, box=BoxDomain.cube(0.0, 1.0, 2), eval_fn=sum)
-        assert isinstance(err.value, ConfigError)
-
 
 class TestValues:
     @pytest.mark.parametrize("name,x,want", KNOWN_VALUES)
@@ -94,7 +84,7 @@ class TestValues:
 
     @pytest.mark.parametrize("value", [np.float64(2.5), 3, np.int64(4)])
     def test_evaluate_returns_a_python_float(self, value):
-        obj = Objective(name="c", dim=1, box=BoxDomain.cube(0.0, 1.0, 1),
+        obj = Objective(name="c", box=BoxDomain.cube(0.0, 1.0, 1),
                         eval_fn=lambda x: value)
         got = obj.evaluate((0.5,))
         assert type(got) is float
@@ -209,6 +199,43 @@ class TestStochasticF4:
         rng = np.random.default_rng(0)
         draws = [f4.evaluate((0.0,) * 30, rng=rng) for _ in range(10_000)]
         assert abs(float(np.mean(draws))) < 0.5
+
+
+class TestEvaluationPins:
+    """Values pinned bit for bit, so a change to how an objective is built
+    cannot move them."""
+
+    F4_POINTS = [(0.0,) * 30, (0.5,) * 30, tuple((-1) ** i * 0.04 * i for i in range(30))]
+    # float.hex of f4.evaluate(point, rng=default_rng(seed)) for seeds 0 and 7
+    F4_HEX = [
+        ("-0x1.d28216b68886cp+1", "-0x1.8d81c48756661p+3"),
+        ("0x1.96afbd292eef2p+4", "0x1.0a3f1dbc54cd0p+4"),
+        ("0x1.209542cb4ad12p+8", "0x1.17ce38d47d2f0p+8"),
+    ]
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_f4_values_under_seeded_noise(self, i):
+        f4 = get_objective("f4")
+        got = [f4.evaluate(self.F4_POINTS[i], rng=np.random.default_rng(s)).hex()
+               for s in (0, 7)]
+        assert got == list(self.F4_HEX[i])
+
+    @pytest.mark.parametrize("name", sorted(set(REGISTRY) - {"f4"}))
+    def test_deterministic_evaluate_is_noiseless(self, name):
+        obj = get_objective(name)
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            x = tuple(rng.uniform(obj.box.lower, obj.box.upper).tolist())
+            assert obj.evaluate(x) == obj.noiseless(x)
+
+    def test_only_f4_is_stochastic(self):
+        assert [name for name in objective_names() if get_objective(name).stochastic] == ["f4"]
+
+    def test_dim_is_the_boxes(self):
+        objs = list(REGISTRY.values()) + [expression_objective("x1 + x3", 3, -1.0, 2.0)]
+        for obj in objs:
+            assert obj.dim == obj.box.dim, obj.name
+        assert objs[-1].dim == 3
 
 
 class TestGradients:

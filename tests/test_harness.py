@@ -21,7 +21,9 @@ from subgrid.core import (
 from subgrid.errors import ConfigError, GridTooLargeError
 from subgrid.functions import Objective, get_objective
 from subgrid.harness import (
+    BenchRow,
     ExperimentConfig,
+    bench_table,
     brute_force_grid_min,
     compute_metrics,
     emit_table,
@@ -76,9 +78,9 @@ class TestRunExperiment:
                                algo_params={"budget": 200}, trials=3, seed=0)
         a = run_experiment(cfg)
         b = run_experiment(cfg)
-        assert a.min_bv == b.min_bv
+        assert a.metrics.bv == b.metrics.bv
         assert a.median_bv == b.median_bv
-        assert a.min_bv <= a.median_bv
+        assert a.metrics.bv <= a.median_bv
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -188,7 +190,8 @@ class TestMetrics:
         rep = run_experiment(cfg).reports[0]
         m = compute_metrics(rep, obj)
         x_star = obj.known_optimum[0]
-        assert m.sd_vec == tuple(abs(a - b) for a, b in zip(rep.best.x, x_star))
+        sd_vec = [abs(a - b) for a, b in zip(rep.best.x, x_star)]
+        assert m.sd_euclid == math.sqrt(sum(v * v for v in sd_vec))
         assert m.bv == rep.best.f
 
 
@@ -250,6 +253,14 @@ class TestEmitTable:
     def test_empty_reports_rejected(self):
         with pytest.raises(ConfigError):
             emit_table([], "csv")
+
+    def test_an_unknown_format_is_refused_by_both_tables(self):
+        row = BenchRow(function="f1", generations=1, final_h=0.5, best=Candidate((0.0,), 0.0),
+                       bv=0.0, sd_euclid=None, de_generations=1, png=1.0)
+        with pytest.raises(ConfigError, match="^unknown format 'html'$"):
+            emit_table(self._reports(), "html")
+        with pytest.raises(ConfigError, match="^unknown format 'html'$"):
+            bench_table([row], "html")
 
 
 def reference_jsonable(rep):
@@ -426,7 +437,7 @@ class TestConfigFile:
                         "algo = slmga\nlabel_rule = gradient-fixed-point\n")
         result = run_experiment(load_config_file(str(path))[0])
         assert result.reports[0].converged
-        assert result.min_bv == 0.0
+        assert result.metrics.bv == 0.0
 
     def test_unset_fields_keep_their_defaults(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -515,7 +526,7 @@ class TestDecimalBoxes:
             fn = sum
         else:
             fn = lambda x: -sum(x)  # noqa: E731
-        obj = Objective(name=kind, dim=box.dim, box=box, eval_fn=fn)
+        obj = Objective(name=kind, box=box, eval_fn=fn)
         for algo, params in GRID_ENGINES:
             rep = run_algorithm(algo, obj, dict(params, h_tol=min(box.width) / 2**4), seed=0)
             assert _points_outside(rep, box) == []

@@ -311,7 +311,7 @@ class TestEasomRun:
         obj = get_objective("easom")
         from subgrid.functions import Objective
 
-        neg = Objective(name="neg-easom", dim=2, box=obj.box,
+        neg = Objective(name="neg-easom", box=obj.box,
                         eval_fn=lambda x: -obj.evaluate(x))
         rep = slm_run(neg, SlmConfig(h_tol=0.1, sense=Sense.MAXIMIZE))
         assert rep.best.f > 0.99
@@ -431,7 +431,7 @@ def _slm_case(draw):
         fn = lambda x: math.floor(x[0] / 3.0) - math.floor(x[-1] / 7.0)  # noqa: E731
     else:
         fn = lambda x: 0.0  # noqa: E731
-    obj = Objective(name=kind, dim=n, box=box, eval_fn=fn)
+    obj = Objective(name=kind, box=box, eval_fn=fn)
     cfg = SlmConfig(
         h_tol=min(box.width) * 1e-9,
         max_levels=draw(st.integers(1, 9)),

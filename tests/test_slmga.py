@@ -111,7 +111,7 @@ class TestSurvivorDedup:
         # the mutated survivors carry the search; on a symmetric box every
         # corner's best offspring is the centre, kept once
         box = BoxDomain.cube(-1.0, 1.0, 7)
-        obj = Objective(name="sphere-7", dim=7, box=box, eval_fn=_sphere)
+        obj = Objective(name="sphere-7", box=box, eval_fn=_sphere)
         rep = ga_run(obj, GaConfig(h_tol=0.5, max_generations=2))
         assert len(rep.steps[0].population) == 2**7
         assert rep.steps[0].chosen_cell is None
