@@ -24,7 +24,7 @@ import stat
 import sys
 
 from . import BACKEND, harness, svgtrace
-from .errors import ConfigError, ExprError, ExprEvalError, SubgridError
+from .errors import ConfigError, ExprError, ExprEvalError, SubgridError, clip
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
 from .functions import get_objective, objective_names
@@ -45,7 +45,7 @@ def _seed(args) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            raise ConfigError("SUBGRID_SEED=%r is not an integer" % raw) from None
+            raise ConfigError("SUBGRID_SEED=%r is not an integer" % clip(raw)) from None
     if seed < 0:
         raise ConfigError("seed must be >= 0, not %d" % seed)
     return seed

@@ -35,11 +35,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (
-    InvalidCellError,
-    InvalidDomainError,
-    InvalidGridPointError,
-)
+from .errors import ConfigError, SubgridError
 
 Vector = tuple[float, ...]
 
@@ -60,12 +56,11 @@ class BoxDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if len(lower) != len(upper) or not lower:
-            raise InvalidDomainError("lower/upper must be non-empty and equal length")
+            raise ConfigError("lower/upper must be non-empty and equal length")
         for lo, hi in zip(lower, upper):
             # also refuses NaN and infinite bounds
             if not (lo < hi and math.isfinite(hi - lo)):
-                raise InvalidDomainError("need lower < upper and a finite width in every "
-                                         "dimension")
+                raise ConfigError("need lower < upper and a finite width in every dimension")
 
     @property
     def dim(self) -> int:
@@ -99,7 +94,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.level < 1:
-            raise InvalidGridPointError("level must be >= 1")
+            raise SubgridError("level must be >= 1")
 
     @property
     def step(self) -> Vector:
@@ -146,12 +141,12 @@ def position_of(p: GridPoint, g: GridSpec) -> Vector:
     """Real position of ``p`` on grid ``g``: ``coordinate`` on each axis,
     so the all-``max_index`` point is ``upper`` exactly."""
     if p.level != g.level:
-        raise InvalidGridPointError("point level %d != grid level %d" % (p.level, g.level))
+        raise SubgridError("point level %d != grid level %d" % (p.level, g.level))
     box = g.box
     if len(p.k) != len(box.lower):
-        raise InvalidGridPointError("point dimension mismatch")
+        raise SubgridError("point dimension mismatch")
     if min(p.k) < 0 or max(p.k) > g.max_index:
-        raise InvalidGridPointError("relative coordinates %r outside grid" % (p.k,))
+        raise SubgridError("relative coordinates %r outside grid" % (p.k,))
     return tuple(map(coordinate, box.lower, box.upper, p.k, g.step))
 
 
@@ -198,7 +193,7 @@ def cell_vertices(c: Cell) -> list[GridPoint]:
     n = c.dim
     top = 2 ** (c.level - 1)
     if any(kd < 0 or kd + 1 > top for kd in c.anchor.k):
-        raise InvalidCellError("cell %r has a vertex outside the grid" % (c.anchor.k,))
+        raise SubgridError("cell %r has a vertex outside the grid" % (c.anchor.k,))
     out = []
     for delta in itertools.product((0, 1), repeat=n):
         out.append(GridPoint(tuple(kd + dd for kd, dd in zip(c.anchor.k, delta)), c.level))

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all subgrid modules."""
+"""The errors this package raises, and the rule that keeps them few.
+
+Every error is a ``SubgridError``.  A subclass exists only where some
+``except`` clause names it; any other refusal raises ``SubgridError`` itself
+with a message that says what went wrong.  The command line maps them to
+exit codes: ``ConfigError`` exits 2, and every other ``SubgridError``
+(``ExprError`` and ``ExprEvalError`` included) exits 3.
+``tests/test_errors.py`` checks the rule.
+"""
 
 
 def clip(text: str) -> str:
@@ -14,46 +22,10 @@ class ConfigError(SubgridError):
     """An experiment configuration is inconsistent or unresolvable."""
 
 
-class InvalidDomainError(ConfigError):
-    """Box bounds are malformed: empty, or somewhere lower >= upper or a
-    width that is not finite."""
-
-
-class InvalidGridPointError(SubgridError):
-    """Relative coordinates fall outside the refinement grid."""
-
-
-class InvalidCellError(SubgridError):
-    """A cell vertex would fall outside the grid bounds."""
-
-
-class DimensionTooLargeError(SubgridError):
-    """Corner enumeration would require more than 2**20 points."""
-
-
-class InvalidDeltaError(SubgridError):
-    """A difference vector is empty or contains NaN or infinity."""
-
-
-class DimensionMismatchError(SubgridError):
-    """Two vectors that must share a dimension do not."""
-
-
-class DomainError(SubgridError):
-    """An objective was evaluated outside its box."""
-
-
 class GradientUnavailableError(SubgridError):
-    """The objective has no usable gradient (discontinuous or stochastic)."""
-
-
-class NonFiniteGradientError(GradientUnavailableError):
-    """A gradient evaluation produced NaN or infinity; callers should fall
-    back to the best-neighbor labeling rule."""
-
-
-class GridTooLargeError(SubgridError):
-    """A brute-force grid scan would exceed the evaluation cap."""
+    """The objective has no usable gradient (discontinuous or stochastic),
+    or a gradient came out NaN or infinite; callers fall back to the
+    best-neighbour labeling rule."""
 
 
 class ExprError(SubgridError):

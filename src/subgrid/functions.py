@@ -1,7 +1,7 @@
 """Benchmark objective suite: De Jong F1-F5, Goldstein-Price, Easom.
 
 All objectives are minimized over an axis-aligned box.  Out-of-box
-evaluation raises ``DomainError``; the engines discard out-of-box
+evaluation raises a ``SubgridError``; the engines discard out-of-box
 candidates before they evaluate.
 
 ``eval_fn`` takes the point alone and gives its value without noise, which
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import BoxDomain, Vector
-from .errors import DomainError, GradientUnavailableError, SubgridError, clip
+from .errors import GradientUnavailableError, SubgridError, clip
 
 
 @dataclass
@@ -48,7 +48,7 @@ class Objective:
     def noiseless(self, x: Sequence[float]) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""
         if not self.box.contains(x):
-            raise DomainError("%s: point %r outside box" % (self.name, tuple(x)))
+            raise SubgridError("%s: point %r outside box" % (self.name, tuple(x)))
         return float(self.eval_fn(x))
 
     def evaluate(self, x: Sequence[float], rng=None) -> float:

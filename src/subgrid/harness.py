@@ -32,7 +32,7 @@ from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
 from .core import (BoxDomain, Candidate, GridPoint, GridSpec, LabeledVertex, RunReport, StepRecord,
                    position_of)
-from .errors import ConfigError, GridTooLargeError
+from .errors import ConfigError, SubgridError, clip
 from .exprparse import evaluate as expr_evaluate
 from .exprparse import parse as expr_parse
 from .functions import Objective, get_objective
@@ -40,6 +40,9 @@ from .slm import SlmConfig
 from .slmga import GaConfig
 
 MAX_BRUTE_FORCE_POINTS = 10**7
+# The largest expression dimension: its box is two tuples of 8 MB.  F4's 30
+# is the largest dimension of a built-in objective.
+MAX_DIM = 10**6
 
 # Paper-parity SLMGA settings: step tolerances chosen so the halving
 # schedule stops at the published generation counts.
@@ -111,6 +114,8 @@ def resolve_objective(cfg: ExperimentConfig) -> Objective:
         raise ConfigError("--dim is required with an expression objective")
     if cfg.dim < 1:
         raise ConfigError("dim must be >= 1")
+    if cfg.dim > MAX_DIM:
+        raise ConfigError("dim must be <= %d" % MAX_DIM)
     return expression_objective(cfg.expr, cfg.dim, cfg.lower, cfg.upper)
 
 
@@ -148,27 +153,29 @@ def build_config(cls, params: dict, **fixed):
     """An instance of the config dataclass ``cls``: each field named in
     ``params`` parsed by its type, ``fixed`` values taken as they are,
     every other field left at its default.  A key of ``params`` that names
-    no field, or a bad value, is a ``ConfigError``."""
+    no field, or a value that does not parse, is a ``ConfigError``."""
     hints = typing.get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     accepted = set(names).union(*(NESTED_KEYS[n].values() for n in names if n in NESTED_KEYS))
     unknown = sorted(set(params) - accepted)
     if unknown:
-        raise ConfigError("%s has no field %s" % (cls.__name__, ", ".join(map(repr, unknown))))
+        raise ConfigError("%s has no field %s"
+                          % (cls.__name__, ", ".join(repr(clip(k)) for k in unknown)))
     kwargs = {}
-    try:
-        for name in names:
-            if name in fixed:
-                kwargs[name] = fixed[name]
-            elif name in NESTED_KEYS:
-                keys = NESTED_KEYS[name]
-                kwargs[name] = build_config(hints[name], {
-                    sub: params[key] for sub, key in keys.items() if key in params})
-            elif name in params:
+    for name in names:
+        if name in fixed:
+            kwargs[name] = fixed[name]
+        elif name in NESTED_KEYS:
+            keys = NESTED_KEYS[name]
+            kwargs[name] = build_config(hints[name], {
+                sub: params[key] for sub, key in keys.items() if key in params})
+        elif name in params:
+            try:
                 kwargs[name] = _parse(hints[name], params[name])
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("bad value: %s" % exc) from None
+            except ValueError:
+                raise ConfigError("bad value %r for %s.%s"
+                                  % (clip(str(params[name])), cls.__name__, name)) from None
+    return cls(**kwargs)
 
 
 def algorithm_config(name: str, params: dict, seed: int = 0):
@@ -177,7 +184,7 @@ def algorithm_config(name: str, params: dict, seed: int = 0):
         cls = ALGORITHMS[name][0]
     except KeyError:
         raise ConfigError("unknown algorithm %r (have: %s)"
-                          % (name, ", ".join(algorithm_names()))) from None
+                          % (clip(name), ", ".join(algorithm_names()))) from None
     return build_config(cls, params, seed=seed)
 
 
@@ -217,7 +224,7 @@ def brute_force_grid_min(obj: Objective, box: BoxDomain, level: int) -> Candidat
     oracle the engines are verified against."""
     side = 2 ** (level - 1) + 1
     if side ** box.dim > MAX_BRUTE_FORCE_POINTS:
-        raise GridTooLargeError("%d**%d grid points" % (side, box.dim))
+        raise SubgridError("%d**%d grid points" % (side, box.dim))
     grid = GridSpec(box, level)
     best = None
     for k in itertools.product(range(side), repeat=box.dim):
@@ -474,7 +481,7 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
     # a key, not the field: the dataclass defaults hide an unset lower and upper
     if cfg.objective is not None and fields.keys() & {"dim", "lower", "upper"}:
         raise ConfigError("dim, lower and upper apply to an expression, not to %r"
-                          % cfg.objective)
+                          % clip(cfg.objective))
     # an unknown objective or a bad expression keeps its own error (exit 3)
     baselines.start_point(resolve_objective(cfg), getattr(algo_cfg, "initial", None))
     return cfg

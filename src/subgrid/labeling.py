@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import Candidate, Cell, GridPoint
-from .errors import (
-    DimensionMismatchError,
-    InvalidDeltaError,
-    NonFiniteGradientError,
-)
+from .errors import ConfigError, GradientUnavailableError, SubgridError
 
 
 class LabelVariant(enum.Enum):
@@ -35,18 +31,18 @@ class LabelRule:
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError("epsilon must be finite and >= 0")
+            raise ConfigError("epsilon must be finite and >= 0")
 
 
 def label_from_delta(d: Sequence[float], rule: LabelRule | None = None) -> int:
     """Label in {0..n}: 0 if all d_j >= -eps, else max{j : d_j < -eps}."""
     eps = rule.epsilon if rule is not None else 0.0
     if not d:
-        raise InvalidDeltaError("empty delta")
+        raise SubgridError("empty delta")
     label = 0
     for j, dj in enumerate(d, start=1):
         if not math.isfinite(dj):
-            raise InvalidDeltaError("non-finite delta component %r" % (dj,))
+            raise SubgridError("non-finite delta component %r" % (dj,))
         if dj < -eps:
             label = j
     return label
@@ -55,7 +51,7 @@ def label_from_delta(d: Sequence[float], rule: LabelRule | None = None) -> int:
 def delta_of(p: Candidate, best: Candidate) -> tuple[float, ...]:
     """Componentwise ``best.x - p.x``."""
     if len(p.x) != len(best.x):
-        raise DimensionMismatchError("delta_of: %d vs %d" % (len(p.x), len(best.x)))
+        raise SubgridError("delta_of: %d vs %d" % (len(p.x), len(best.x)))
     return tuple(b - a for a, b in zip(p.x, best.x))
 
 
@@ -64,9 +60,9 @@ def gradient_delta(x: Sequence[float], grad: Sequence[float]) -> tuple[float, ..
     just the gradient itself.  Non-finite entries raise, signalling callers
     to fall back to the best-neighbor rule."""
     if len(x) != len(grad):
-        raise DimensionMismatchError("gradient_delta: %d vs %d" % (len(x), len(grad)))
+        raise SubgridError("gradient_delta: %d vs %d" % (len(x), len(grad)))
     if any(not math.isfinite(g) for g in grad):
-        raise NonFiniteGradientError("gradient has non-finite components")
+        raise GradientUnavailableError("gradient has non-finite components")
     return tuple(float(g) for g in grad)
 
 

@@ -34,7 +34,7 @@ from .core import (
     position_of,
     refine,
 )
-from .errors import DimensionTooLargeError
+from .errors import ConfigError, SubgridError
 from .functions import Evaluator, Objective
 from .labeling import LabelRule, LabelVariant, delta_of, find_complete_cells, label_from_delta
 
@@ -61,17 +61,17 @@ class SlmConfig:
 
     def __post_init__(self):
         if not self.h_tol > 0:
-            raise ValueError("h_tol must be positive")
+            raise ConfigError("h_tol must be positive")
         if not 1 <= self.max_levels <= MAX_LEVEL:
-            raise ValueError("max_levels must be in 1..%d" % MAX_LEVEL)
+            raise ConfigError("max_levels must be in 1..%d" % MAX_LEVEL)
         if self.label_rule.variant is not LabelVariant.BEST_NEIGHBOR:
-            raise ValueError("slm labels by the best neighbor only")
+            raise ConfigError("slm labels by the best neighbor only")
 
 
 def initial_corners(box: BoxDomain) -> list[GridPoint]:
     """All 2**n corners as level-1 grid points, lexicographic order."""
     if box.dim > MAX_CORNER_DIM:
-        raise DimensionTooLargeError("corner seeding needs 2**%d points" % box.dim)
+        raise SubgridError("corner seeding needs 2**%d points" % box.dim)
     return [GridPoint(k, 1) for k in itertools.product((0, 1), repeat=box.dim)]
 
 

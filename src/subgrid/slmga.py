@@ -36,7 +36,7 @@ from .core import (
     rank,
     refine,
 )
-from .errors import GradientUnavailableError, InvalidGridPointError
+from .errors import ConfigError, GradientUnavailableError, SubgridError
 from .functions import Evaluator, Objective
 from .labeling import (
     LabelRule,
@@ -62,12 +62,12 @@ class GaConfig:
 
     def __post_init__(self):
         if not self.h_tol > 0:
-            raise ValueError("h_tol must be positive")
+            raise ConfigError("h_tol must be positive")
         # a generation places its offspring one level deeper
         if not 1 <= self.max_generations < MAX_LEVEL:
-            raise ValueError("max_generations must be in 1..%d" % (MAX_LEVEL - 1))
+            raise ConfigError("max_generations must be in 1..%d" % (MAX_LEVEL - 1))
         if not 0.0 < self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in (0, 1]")
+            raise ConfigError("mutation_rate must be in (0, 1]")
 
 
 def mutate(
@@ -90,8 +90,8 @@ def mutate(
     lower, upper = box.lower, box.upper
     if len(parent.point.k) != len(lower) or min(parent.point.k) < 0 \
             or 2 * max(parent.point.k) > top:
-        raise InvalidGridPointError("parent %r is not a point of the %d-d grid at level %d"
-                                    % (parent.point.k, len(lower), level - 1))
+        raise SubgridError("parent %r is not a point of the %d-d grid at level %d"
+                           % (parent.point.k, len(lower), level - 1))
     step = tuple(w / top for w in box.width)
 
     if 3 ** len(lower) <= MAX_ENUMERATED_OFFSPRING:

@@ -9,7 +9,7 @@ import math
 from xml.etree import ElementTree as ET
 
 from .core import Cell, GridSpec, RunReport, cell_vertices, position_of
-from .errors import DimensionMismatchError
+from .errors import SubgridError
 from .functions import Objective
 
 CANVAS = 640
@@ -54,8 +54,7 @@ def _gray(v, lo, hi):
 def emit_trace_svg(report: RunReport, obj: Objective) -> str:
     """Serialized SVG document for a 2-D run; raises on other dimensions."""
     if obj.dim != 2:
-        raise DimensionMismatchError(
-            "trace rendering requires a 2-d objective, got %d-d" % obj.dim)
+        raise SubgridError("trace rendering requires a 2-d objective, got %d-d" % obj.dim)
     box = obj.box
     to_px = _scaler(box)
     span = CANVAS - 2 * MARGIN

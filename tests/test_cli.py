@@ -134,6 +134,9 @@ class TestRun:
         ("--function", "f2", "--lower", "3"),
         ("--function", "f2", "--upper", "10"),
         ("--function", "f2", "--dim", "2"),
+        # no box holds more than 10**6 dimensions
+        ("--expr", "x1", "--dim", "1000001"),
+        ("--expr", "x1", "--dim", "1" + "0" * 21),
     ])
     def test_bad_expression_box_is_config_error(self, capsys, flags):
         code, _, err = run_cli(capsys, "run", "--algo", "rs", "--budget", "5", *flags)
@@ -142,7 +145,7 @@ class TestRun:
 
     @pytest.mark.parametrize("lines", [
         "dim = 0", "dim = 1\nlower = nan", "dim = 1\nupper = inf",
-        "dim = 1\nlower = 5\nupper = 1",
+        "dim = 1\nlower = 5\nupper = 1", "dim = 1000001", "dim = 1" + "0" * 21,
     ])
     def test_bad_expression_box_in_config_is_config_error(self, capsys, tmp_path, lines):
         ini = tmp_path / "e.ini"
@@ -164,6 +167,61 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(ini))
         assert code == 2
         assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (("--expr", "x1", "--dim", "1", "--lower", "2", "--upper", "1", "--algo", "rs"), 2,
+         "config error: need lower < upper and a finite width in every dimension\n"),
+        (("--expr", "x1", "--dim", "21", "--algo", "slm"), 3,
+         "error: corner seeding needs 2**21 points\n"),
+    ])
+    def test_refusal_exit_code_and_message(self, capsys, argv, code, err):
+        assert run_cli(capsys, "run", *argv) == (code, "", err)
+
+    @pytest.mark.parametrize("algo,line,err", [
+        ("slm", "h_tol = 0", "h_tol must be positive"),
+        ("slm", "max_levels = 0", "max_levels must be in 1..1024"),
+        ("slm", "label_rule = gradient-fixed-point", "slm labels by the best neighbor only"),
+        ("slmga", "h_tol = 0", "h_tol must be positive"),
+        ("slmga", "max_generations = 0", "max_generations must be in 1..1023"),
+        ("slmga", "mutation_rate = 0", "mutation_rate must be in (0, 1]"),
+        ("slmga", "epsilon = -1", "epsilon must be finite and >= 0"),
+        ("rs", "budget = 0", "budget must be >= 1"),
+    ])
+    def test_engine_config_refusal_reads_as_a_baseline_one(self, capsys, tmp_path,
+                                                            algo, line, err):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = %s\n%s\n" % (algo, line))
+        assert run_cli(capsys, "run", "--config", str(ini)) == (
+            2, "", "config error: section [a]: %s\n" % err)
+
+    @pytest.mark.parametrize("n", [20, 3000])
+    @pytest.mark.parametrize("case,message", [
+        ("algo", "section [a]: unknown algorithm %s (have: de, rs, rsw, sa, slm, slmga)"),
+        ("h_tol", "section [a]: bad value %s for GaConfig.h_tol"),
+        ("neighbor_scheme", "section [a]: bad value %s for SlmConfig.neighbor_scheme"),
+        ("key", "section [a]: RsConfig has no field %s"),
+        ("function", "dim, lower and upper apply to an expression, not to %s"),
+        ("seed", "SUBGRID_SEED=%s is not an integer"),
+    ])
+    def test_an_outside_value_is_quoted_in_part(self, capsys, tmp_path, monkeypatch,
+                                                case, message, n):
+        value = "a" * n
+        ini = tmp_path / "e.ini"
+        argv = ("run", "--config", str(ini))
+        if case == "function":
+            argv = ("run", "--function", value, "--dim", "2")
+        elif case == "seed":
+            monkeypatch.setenv("SUBGRID_SEED", value)
+            argv = ("run", "--function", "f2")
+        else:
+            ini.write_text("[a]\nobjective = f2\n" + {
+                "algo": "algo = %s\n", "h_tol": "algo = slmga\nh_tol = %s\n",
+                "neighbor_scheme": "algo = slm\nneighbor_scheme = %s\n",
+                "key": "algo = rs\n%s = 1\n"}[case] % value)
+        quoted = repr(value if n <= 20 else value[:20] + "...")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "config error: %s\n" % (message % quoted))
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("algo", ["slm", "slmga"])
     def test_grid_engines_run_on_a_decimal_box(self, capsys, algo):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subgrid.core import BoxDomain
-from subgrid.errors import DomainError, GradientUnavailableError, SubgridError
+from subgrid.errors import GradientUnavailableError, SubgridError
 from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
 from subgrid.harness import expression_objective
 
@@ -79,7 +79,7 @@ class TestValues:
 
     def test_out_of_box_raises_unless_clamped(self):
         gp = get_objective("goldstein-price")
-        with pytest.raises(DomainError):
+        with pytest.raises(SubgridError, match=r"^goldstein-price: point \(3\.0, 0\.0\) outside box$"):
             gp.evaluate((3.0, 0.0))
 
     @pytest.mark.parametrize("value", [np.float64(2.5), 3, np.int64(4)])

@@ -18,7 +18,7 @@ from subgrid.core import (
     coordinate,
     position_of,
 )
-from subgrid.errors import ConfigError, GridTooLargeError
+from subgrid.errors import ConfigError, SubgridError
 from subgrid.functions import Objective, get_objective
 from subgrid.harness import (
     BenchRow,
@@ -167,7 +167,7 @@ class TestBruteForce:
 
     def test_size_guard(self):
         obj = get_objective("f4")
-        with pytest.raises(GridTooLargeError):
+        with pytest.raises(SubgridError, match=r"^5\*\*30 grid points$"):
             brute_force_grid_min(obj, obj.box, 3)
 
 

@@ -24,7 +24,7 @@ from subgrid.core import (
     position_of,
     refine,
 )
-from subgrid.errors import DimensionTooLargeError
+from subgrid.errors import SubgridError
 from subgrid.functions import Evaluator, Objective, get_objective
 from subgrid.harness import emit_table
 from subgrid.labeling import delta_of, find_complete_cells, label_from_delta
@@ -173,7 +173,7 @@ class TestInitialCorners:
         assert len(initial_corners(BoxDomain.cube(0.0, 1.0, 5))) == 32
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLargeError):
+        with pytest.raises(SubgridError, match=r"^corner seeding needs 2\*\*21 points$"):
             initial_corners(BoxDomain.cube(0.0, 1.0, 21))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from subgrid.core import (
     argmin_candidate,
     position_of,
 )
-from subgrid.errors import InvalidGridPointError
+from subgrid.errors import ConfigError, SubgridError
 from subgrid.functions import Objective, get_objective
 from subgrid.slmga import (
     MAX_ENUMERATED_OFFSPRING,
@@ -150,7 +151,8 @@ class TestMutate:
     def test_bad_parent_is_refused(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
         for k in ((0,), (0, 2), (-1, 0)):
-            with pytest.raises(InvalidGridPointError):
+            with pytest.raises(SubgridError, match="^parent %s is not a point of the 2-d grid "
+                               "at level 1$" % re.escape(repr(k))):
                 mutate(_sphere, Candidate((0.0, 0.0), 0.0, point=GridPoint(k, 1)), box)
 
 
@@ -300,13 +302,13 @@ class TestStochasticF4:
 
 class TestConfigValidation:
     def test_bad_h_tol(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^h_tol must be positive$"):
             GaConfig(h_tol=0.0)
 
     def test_bad_mutation_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^mutation_rate must be in \(0, 1\]$"):
             GaConfig(mutation_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^mutation_rate must be in \(0, 1\]$"):
             GaConfig(mutation_rate=1.5)
 
 

@@ -2,7 +2,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from subgrid.errors import DimensionMismatchError
+from subgrid.errors import SubgridError
 from subgrid.functions import get_objective
 from subgrid.slm import SlmConfig, slm_run
 from subgrid.slmga import GaConfig, ga_run
@@ -66,5 +66,5 @@ class TestDimensionGuard:
     def test_three_dim_rejected(self):
         obj = get_objective("f1")
         rep = ga_run(obj, GaConfig(h_tol=1.0, seed=0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SubgridError, match=r"^trace rendering requires a 2-d objective, got 3-d$"):
             emit_trace_svg(rep, obj)
