@@ -97,30 +97,36 @@ class Evaluator:
 
     Counts each evaluation, caches values by position, negates them when
     maximizing, and evaluates stochastic objectives under common random
-    numbers: every point of one generation sees the same noise draw, seeded
-    by ``(seed, generation)``.  ``start_generation`` clears the cache and
-    moves the noise on, so a point evaluated again in a later generation
-    counts again.  SLM stays in generation 0 for its whole run."""
+    numbers: every point of one generation sees the same noise draw, the
+    first draws of ``default_rng([seed, generation])``.  The generator is
+    made once per generation and its state put back before each draw.
+    ``start_generation`` clears the cache and moves the noise on, so a
+    point evaluated again in a later generation counts again.  SLM stays
+    in generation 0 for its whole run."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj
         self.negate = negate
         self.seed = seed
-        self.generation = 0
         self.count = 0
-        self.cache: dict[Vector, float] = {}
+        self.start_generation(0)
 
     def start_generation(self, generation: int) -> None:
         self.generation = generation
-        self.cache = {}
+        self.cache: dict[Vector, float] = {}
+        self.rng = None
+        if self.obj.stochastic:
+            self.rng = np.random.default_rng([self.seed, generation])
+            self.rng_state = self.rng.bit_generator.state
 
     def __call__(self, x: Vector) -> float:
         got = self.cache.get(x)
         if got is not None:
             return got
         self.count += 1
-        rng = np.random.default_rng([self.seed, self.generation]) if self.obj.stochastic else None
-        f = self.obj.evaluate(x, rng=rng)
+        if self.rng is not None:
+            self.rng.bit_generator.state = self.rng_state
+        f = self.obj.evaluate(x, rng=self.rng)
         if self.negate:
             f = -f
         self.cache[x] = f

@@ -43,6 +43,11 @@ MAX_BRUTE_FORCE_POINTS = 10**7
 # The largest expression dimension: its box is two tuples of 8 MB.  F4's 30
 # is the largest dimension of a built-in objective.
 MAX_DIM = 10**6
+# The most floats a DE population may hold, ``pop_size * dim``: the population
+# and its trials are tuples of Python floats, about 320 MB at this bound.
+MAX_POPULATION_FLOATS = 10**7
+# The unknown keys a config error names before it gives the rest as a count.
+MAX_KEYS_QUOTED = 3
 
 # Paper-parity SLMGA settings: step tolerances chosen so the halving
 # schedule stops at the published generation counts.
@@ -159,8 +164,10 @@ def build_config(cls, params: dict, **fixed):
     accepted = set(names).union(*(NESTED_KEYS[n].values() for n in names if n in NESTED_KEYS))
     unknown = sorted(set(params) - accepted)
     if unknown:
-        raise ConfigError("%s has no field %s"
-                          % (cls.__name__, ", ".join(repr(clip(k)) for k in unknown)))
+        named = ", ".join(repr(clip(k)) for k in unknown[:MAX_KEYS_QUOTED])
+        more = len(unknown) - MAX_KEYS_QUOTED
+        raise ConfigError("%s has no field %s%s"
+                          % (cls.__name__, named, " and %d more" % more if more > 0 else ""))
     kwargs = {}
     for name in names:
         if name in fixed:
@@ -483,7 +490,10 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
         raise ConfigError("dim, lower and upper apply to an expression, not to %r"
                           % clip(cfg.objective))
     # an unknown objective or a bad expression keeps its own error (exit 3)
-    baselines.start_point(resolve_objective(cfg), getattr(algo_cfg, "initial", None))
+    obj = resolve_objective(cfg)
+    baselines.start_point(obj, getattr(algo_cfg, "initial", None))
+    if getattr(algo_cfg, "pop_size", 0) * obj.dim > MAX_POPULATION_FLOATS:
+        raise ConfigError("pop_size * dim must be <= %d" % MAX_POPULATION_FLOATS)
     return cfg
 
 
@@ -495,7 +505,9 @@ def load_config_file(path: str, seed: int = 0) -> list[ExperimentConfig]:
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot parse config file %r: %s" % (path, exc)) from None
+        line = getattr(exc, "lineno", None)
+        raise ConfigError("cannot parse config file %r%s: %s" % (
+            path, "" if line is None else " at line %d" % line, clip(str(exc)))) from None
     if not read:
         raise ConfigError("cannot read config file %r" % path)
     out = []

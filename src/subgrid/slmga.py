@@ -6,6 +6,12 @@ best offspring; selection pressure comes from integer labeling plus
 subdivision of a completely labeled cell, whose finer lattice augments the
 next generation.  Crossover is deliberately absent.
 
+A generation is mutated at once: its members' offspring tile one window of
+the finer grid, whose points are evaluated once each and whose values give
+every member's best offspring (``mutate``).  If an evaluation fails there,
+the generation is replayed member by member, so a run ends on the error the
+members meet first in their own order.
+
 Stochastic objectives (F4) are evaluated under common random numbers: every
 candidate inside one generation sees the same seeded noise draw, so
 selection compares noiseless differences while reported values keep the
@@ -14,9 +20,13 @@ noise.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import (
     MAX_LEVEL,
@@ -72,19 +82,109 @@ class GaConfig:
 
 def mutate(
     evaluate: Callable[[Vector], float],
+    parents: Sequence[Candidate],
+    box: BoxDomain,
+) -> list[Candidate]:
+    """The best in-box offspring of each of ``parents`` at the next
+    refinement level, in their order.
+
+    A member's offspring are its {0, +-h}^n moves; the best is the lowest
+    value, and ties keep the parent (fixed points stay put), while after a
+    strict improvement a tie goes to the lexicographically smaller position.
+    A generation's members are one product lattice (a chosen cell's 3^n
+    points, or the 2^n corners), so their offspring tile one window of at
+    most 7 fine indices per axis.  Each point of that window that some
+    member probes is evaluated once, in C order, and each member's best is
+    read off the window's values; NaN is never a best, so a NaN parent
+    stays put.  Members are walked one by one instead (``_offspring``)
+    where 3^n passes ``MAX_ENUMERATED_OFFSPRING``, where the members do not
+    share one level, where the window would hold more points than the
+    members have moves, or where positions on an axis do not rise strictly
+    (deep levels far from 0); the walk also refuses a parent that is not a
+    grid point.  Positions follow ``coordinate``, the rule of
+    ``position_of``, so the top index sits at ``upper`` exactly."""
+    window = _window(parents, box)
+    if window is None:
+        return [_offspring(evaluate, p, box) for p in parents]
+    first, xs = window
+    n = box.dim
+    ks = [p.point.k for p in parents]
+    level = parents[0].point.level + 1
+
+    # the window padded by one index of +inf on each side, where a move
+    # leaves the box; row i gathers member i's 3^n offspring in C order
+    padded = tuple(len(axis) + 2 for axis in xs)
+    strides = [math.prod(padded[d + 1:]) for d in range(n)]
+    moves, move_table = _moves(n)
+    centres = np.array([sum((2 * kd - a + 1) * s for kd, a, s in zip(k, first, strides))
+                        for k in ks])
+    rows = centres[:, None] + move_table @ np.array(strides)
+    probed = np.zeros(math.prod(padded), dtype=bool)
+    probed[rows] = True
+    inner = (slice(1, -1),) * n
+    probed = probed.reshape(padded)[inner]
+    values = [evaluate(x) for x, p in zip(itertools.product(*xs), probed.ravel().tolist()) if p]
+    table = np.full(padded, np.inf)
+    table[inner][probed] = values
+    table = table.ravel()
+    own = table[centres].tolist()
+    table[np.isnan(table)] = np.inf
+    gathered = table[rows]
+    best = gathered.argmin(axis=1)
+    best_f = gathered[np.arange(len(ks)), best].tolist()
+
+    children = []
+    for k, b, f, parent_f in zip(ks, best.tolist(), best_f, own):
+        if f < parent_f:
+            child_k = tuple(2 * kd + m for kd, m in zip(k, moves[b]))
+        else:
+            child_k, f = tuple(2 * kd for kd in k), parent_f
+        x = tuple(axis[c - a] for axis, c, a in zip(xs, child_k, first))
+        children.append(Candidate(x, f, point=GridPoint(child_k, level)))
+    return children
+
+
+def _window(parents: Sequence[Candidate],
+            box: BoxDomain) -> tuple[list[int], list[list[float]]] | None:
+    """The first fine index and the positions, per axis, of the window that
+    ``parents``' offspring tile, or None where ``mutate`` walks them."""
+    n = box.dim
+    ks = [p.point.k for p in parents]
+    if not parents or 3**n > MAX_ENUMERATED_OFFSPRING or any(len(k) != n for k in ks) \
+            or len({p.point.level for p in parents}) > 1:
+        return None
+    top = 2 ** parents[0].point.level
+    first = [2 * min(axis) - 1 for axis in zip(*ks)]
+    last = [2 * max(axis) + 1 for axis in zip(*ks)]
+    if min(first) < -1 or max(last) > top + 1:
+        return None  # not grid points: the walk refuses them
+    first = [max(0, a) for a in first]
+    last = [min(top, b) for b in last]
+    if math.prod(b - a + 1 for a, b in zip(first, last)) > len(ks) * 3**n:
+        return None
+    xs = [[coordinate(lo, hi, c, w / top) for c in range(a, b + 1)]
+          for lo, hi, w, a, b in zip(box.lower, box.upper, box.width, first, last)]
+    if any(u >= v for axis in xs for u, v in zip(axis, axis[1:])):
+        return None
+    return first, xs
+
+
+@functools.cache
+def _moves(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The 3^n moves {-1, 0, 1}^n in C order, as tuples and as an array."""
+    moves = list(itertools.product((-1, 0, 1), repeat=n))
+    return moves, np.array(moves, dtype=np.intp).reshape(len(moves), n)
+
+
+def _offspring(
+    evaluate: Callable[[Vector], float],
     parent: Candidate,
     box: BoxDomain,
 ) -> Candidate:
-    """The best in-box offspring of ``parent`` at the next refinement level.
-
-    Enumerates {0, +-h}^n while that stays affordable, the parent's own
-    point (the all-zero move) first; in high dimension it degenerates to a
-    coordinate-greedy sweep.  Either way every probe is one ``evaluate``
-    call, and the best is chosen over all probes: ties keep the parent
-    (fixed points stay put); after a strict improvement a tie moves to the
-    lexicographically smaller position.  Only the winner becomes a
-    ``GridPoint``; positions follow ``coordinate``, the rule of
-    ``position_of``, so the top index sits at ``upper`` exactly."""
+    """``mutate`` for one member, walking its probes one ``evaluate`` call
+    each: {0, +-h}^n in (0, +1, -1) move order, the parent's own point
+    first, while that stays affordable; in high dimension a
+    coordinate-greedy sweep.  The best is chosen by ``mutate``'s rule."""
     level = parent.point.level + 1
     top = 2 ** (level - 1)
     lower, upper = box.lower, box.upper
@@ -153,15 +253,25 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         members = sorted(pop, key=rank)
         n_mutate = max(1, int(round(cfg.mutation_rate * len(members))))
 
+        try:
+            children = mutate(evaluate, members[:n_mutate], box)
+        except SubgridError:
+            # an expression can be undefined at more than one point, and the
+            # window meets them in another order than the members do: replay
+            # the generation member by member, so the run ends on the error
+            # that the walk and its labels meet first
+            children = None
+
         labels: dict[GridPoint, int] = {}
         recorded: list[LabeledVertex] = []
         survivors: list[Candidate] = []
         for i, parent in enumerate(members):
-            if i < n_mutate:
-                child = mutate(evaluate, parent, box)
+            if i >= n_mutate:
+                child = Candidate(parent.x, parent.f, point=refine(parent.point))
+            elif children is None:
+                child = _offspring(evaluate, parent, box)
             else:
-                rp = refine(parent.point)
-                child = Candidate(parent.x, parent.f, point=rp)
+                child = children[i]
             survivors.append(child)
             delta = _label_delta(obj, rule, parent, child)
             labels[parent.point] = label_from_delta(delta, rule)

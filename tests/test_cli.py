@@ -285,6 +285,48 @@ class TestRun:
         assert err.startswith("config error:")
         assert out == ""
 
+    @pytest.mark.parametrize("data", [
+        "a" * 3000 + "\n",                                    # no section header
+        "[a]\n%s = 1\n%s = 2\n" % ("k" * 3000, "k" * 3000),   # duplicated key
+        "[%s]\n[%s]\n" % ("s" * 3000, "s" * 3000),            # duplicated section
+    ], ids=["header", "key", "section"])
+    def test_configparser_text_is_quoted_in_part(self, capsys, tmp_path, data):
+        ini = tmp_path / "e.ini"
+        ini.write_text(data)
+        code, out, err = run_cli(capsys, "run", "--config", str(ini))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: cannot parse config file %r at line " % str(ini))
+        assert len(err.encode()) - len(str(ini).encode()) < 200
+
+    def test_unknown_keys_are_counted_past_a_few(self, capsys, tmp_path):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = rs\n"
+                       + "".join("key%03d = 1\n" % i for i in range(500)))
+        assert run_cli(capsys, "run", "--config", str(ini)) == (2, "", (
+            "config error: section [a]: RsConfig has no field 'key000', 'key001', 'key002'"
+            " and 497 more\n"))
+
+    @pytest.mark.parametrize("lines", [
+        "expr = x1\ndim = 1\npop_size = 100000000000",
+        "expr = x1\ndim = 10000\npop_size = 1001",
+        "function = f4\npop_size = 333334",
+    ])
+    def test_an_unaffordable_de_population_is_config_error(self, capsys, tmp_path, lines):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nalgo = de\ngenerations = 1\n%s\n" % lines)
+        assert run_cli(capsys, "run", "--config", str(ini)) == (
+            2, "", "config error: section [a]: pop_size * dim must be <= 10000000\n")
+
+    def test_an_unaffordable_de_population_exits_2_without_traceback(self, tmp_path):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nexpr = x1\ndim = 1\nalgo = de\ngenerations = 1\n"
+                       "pop_size = 100000000000\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subgrid.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "subgrid.cli", "run", "--config", str(ini)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+
     def test_percent_in_config_value_is_literal(self, capsys, tmp_path):
         # no interpolation: the value reaches the expression parser as written
         ini = tmp_path / "e.ini"

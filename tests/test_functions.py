@@ -173,6 +173,20 @@ class TestEvaluator:
         assert second == pytest.approx([second[0]] * len(points), abs=1e-12)
         assert second[0] != pytest.approx(first[0], abs=1e-6)
 
+    @pytest.mark.parametrize("seed,generations", [(0, (0,)), (3, (1, 2, 7)), (2**40, (5,))])
+    def test_noise_is_a_fresh_generator_per_call(self, seed, generations):
+        # the generator is made once per generation; every evaluation still
+        # draws what default_rng([seed, generation]) draws first
+        f4 = get_objective("f4")
+        ev = Evaluator(f4, seed=seed)
+        points = [(0.0,) * 30, (0.5,) * 30, (1.0,) + (-0.25,) * 29, (0.5,) * 30]
+        for gen in generations:
+            if gen:
+                ev.start_generation(gen)
+            for x in points:
+                fresh = f4.evaluate(x, rng=np.random.default_rng([seed, gen]))
+                assert ev(x) == fresh
+
 
 class TestStochasticF4:
     def test_requires_rng(self):

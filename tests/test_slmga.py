@@ -14,11 +14,13 @@ from subgrid.core import (
     argmin_candidate,
     position_of,
 )
-from subgrid.errors import ConfigError, SubgridError
-from subgrid.functions import Objective, get_objective
+from subgrid.errors import ConfigError, ExprEvalError, SubgridError
+from subgrid.functions import Evaluator, Objective, get_objective
+from subgrid.harness import expression_objective
 from subgrid.slmga import (
     MAX_ENUMERATED_OFFSPRING,
     GaConfig,
+    _offspring,
     ga_run,
     init_population,
     mutate,
@@ -128,7 +130,7 @@ class TestMutate:
     def test_full_box_offspring(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
         f = _recording(_sphere)
-        child = mutate(f, _lattice_parent(box, (0, 0), 1, _sphere), box)
+        [child] = mutate(f, [_lattice_parent(box, (0, 0), 1, _sphere)], box)
         # corner parent: only the inward quadrant of {0,+-h}^2 stays in box
         assert sorted(f.probes) == sorted([(-2.0, -2.0), (0.0, -2.0), (-2.0, 0.0), (0.0, 0.0)])
         assert child.x == (0.0, 0.0)
@@ -137,13 +139,13 @@ class TestMutate:
     def test_interior_parent_has_nine_offspring(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
         f = _recording(_sphere)
-        mutate(f, _lattice_parent(box, (1, 1), 2, _sphere), box)
+        mutate(f, [_lattice_parent(box, (1, 1), 2, _sphere)], box)
         assert len(set(f.probes)) == len(f.probes) == 9
 
     def test_high_dimension_coordinate_sweep(self):
         box = BoxDomain.cube(-1.28, 1.28, 30)
         f = _recording(_sphere)
-        child = mutate(f, _lattice_parent(box, (0,) * 30, 1, _sphere), box)
+        [child] = mutate(f, [_lattice_parent(box, (0,) * 30, 1, _sphere)], box)
         # far fewer probes than 3^30
         assert len(f.probes) <= 1 + 2 * 30
         assert child.point.level == 2
@@ -153,11 +155,14 @@ class TestMutate:
         for k in ((0,), (0, 2), (-1, 0)):
             with pytest.raises(SubgridError, match="^parent %s is not a point of the 2-d grid "
                                "at level 1$" % re.escape(repr(k))):
-                mutate(_sphere, Candidate((0.0, 0.0), 0.0, point=GridPoint(k, 1)), box)
+                mutate(_sphere, [Candidate((0.0, 0.0), 0.0, point=GridPoint(k, 1))], box)
+
+    def test_no_parents_no_children(self):
+        assert mutate(_sphere, [], BoxDomain.cube(-2.0, 2.0, 2)) == []
 
 
 class TestBestOffspring:
-    """The choice among a 1-d brood: parent at 0.0, then probes at +h, -h."""
+    """The choice among a 1-d brood: probes at -h, the parent at 0.0, +h."""
 
     box = BoxDomain.cube(-2.0, 2.0, 1)
 
@@ -166,8 +171,8 @@ class TestBestOffspring:
             return values[x[0]]
 
         f = _recording(fn)
-        child = mutate(f, _lattice_parent(self.box, (1,), 2, fn), self.box)
-        assert f.probes == [(0.0,), (1.0,), (-1.0,)]
+        [child] = mutate(f, [_lattice_parent(self.box, (1,), 2, fn)], self.box)
+        assert f.probes == [(-1.0,), (0.0,), (1.0,)]
         return child
 
     def test_prefers_strict_improvement(self):
@@ -220,15 +225,84 @@ class TestMutateMatchesReference:
         parent = _lattice_parent(box, k, level, fn)
         new = _recording(fn)
         ref = _recording(fn)
-        child = mutate(new, parent, box)
+        [child] = mutate(new, [parent], box)
         want = reference_best_offspring(parent, reference_mutate(ref, parent, box))
-        assert new.probes == ref.probes
+        # the window probes each distinct point once, in C order; where it
+        # does not apply (coordinate sweep, positions that do not rise
+        # strictly) the member's walk probes as the reference does
+        assert sorted(new.probes) == sorted(set(ref.probes)) or new.probes == ref.probes
         assert child == want
         assert child.point == want.point
 
     def test_both_branches_are_reached(self):
         # dims 1-6 enumerate {0,+-1}^n; dim 7 takes the coordinate sweep
         assert 3**6 <= MAX_ENUMERATED_OFFSPRING < 3**7
+
+
+# Values drawn from a few, so that many offspring tie as on F3's plateaus.
+_values = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, math.nan, math.inf, -math.inf]),
+                   min_size=1, max_size=6)
+
+
+@st.composite
+def _generation_case(draw):
+    """A generation as ``ga_run`` mutates it: the 3^n points of a refined
+    cell or the 2^n corners of a cell, in some order, the first
+    ``mutation_rate`` of them mutated, on a decimal box at a shallow or a
+    deep level, with each fine position's value looked up in a table."""
+    n = draw(st.integers(1, 5))
+    span = draw(st.sampled_from([1, 2]))  # 2^n corners or 3^n lattice points
+    level = draw(st.one_of(st.integers(span, 12), st.integers(40, 70)))
+    lower = [draw(_coord) for _ in range(n)]
+    box = BoxDomain(tuple(lower), tuple(lo + draw(_width) for lo in lower))
+    top = 2 ** (level - 1)
+    anchor = [draw(st.one_of(st.just(0), st.just(top - span), st.integers(0, top - span)))
+              for _ in range(n)]
+    points = [tuple(map(int.__add__, anchor, d))
+              for d in itertools.product(range(span + 1), repeat=n)]
+    points = draw(st.permutations(points))
+    rate = draw(st.floats(0.0, 1.0, exclude_min=True))
+    table = draw(_values)
+    salt = draw(st.integers(0, 10))
+
+    fine = GridSpec(box, level + 1)
+    values = {}
+    for k in itertools.product(*[range(max(0, 2 * a - 1), min(2 * top, 2 * (a + span) + 1) + 1)
+                                 for a in anchor]):
+        i = sum(c * p for c, p in zip(k, (1, 3, 7, 13, 29))) + salt
+        values[position_of(GridPoint(k, level + 1), fine)] = table[i % len(table)]
+    obj = Objective(name="table", box=box, eval_fn=values.__getitem__)
+    members = [_lattice_parent(box, k, level, obj.noiseless) for k in points]
+    return obj, members[:max(1, int(round(rate * len(members))))]
+
+
+def _children(cands):
+    assert all(type(c.f) is float and all(type(v) is int for v in c.point.k) for c in cands)
+    return [(c.x, repr(c.f), c.point) for c in cands]
+
+
+class TestGenerationMatchesWalk:
+    @given(_generation_case())
+    @settings(max_examples=60, deadline=None)
+    def test_same_children_and_evaluations(self, case):
+        obj, members = case
+        window = Evaluator(obj)
+        walk = Evaluator(obj)
+        children = mutate(window, members, obj.box)
+        assert _children(children) == _children([_offspring(walk, m, obj.box) for m in members])
+        assert window.count == walk.count
+
+    def test_run_ends_on_the_error_the_walk_meets_first(self):
+        # the best corner, (2, 2), walks to (2, 0) first, where the division
+        # is undefined; the window meets (-2, 0) first, where the log is
+        obj = expression_objective(
+            "log(x1 + 2 + x2^2) + 1/(x1 + x2 - 2) - 10*x1 - 10*x2", 2, -2.0, 2.0)
+        corners = sorted(init_population(obj.box, obj.noiseless), key=lambda c: c.f)
+        assert corners[0].x == (2.0, 2.0)
+        with pytest.raises(ExprEvalError, match="^log: math domain error$"):
+            mutate(Evaluator(obj), corners, obj.box)
+        with pytest.raises(ExprEvalError, match="^division by zero$"):
+            ga_run(obj, GaConfig(h_tol=0.1))
 
 
 class TestRuns:
