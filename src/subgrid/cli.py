@@ -51,6 +51,24 @@ def _seed(args) -> int:
     return seed
 
 
+def _typed(flag: str, convert, have: str = ""):
+    """An argparse ``type`` for ``flag``: ``convert``, refusing a value it
+    cannot take as a ``ConfigError`` that quotes the value through ``clip``,
+    as every other message quotes one."""
+    def parse(text):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ConfigError("bad value %r for %s%s" % (clip(text), flag, have)) from None
+    return parse
+
+
+def _one_of(flag: str, names) -> dict:
+    """The ``choices`` of ``flag``, and the ``type`` that refuses any other value."""
+    return {"choices": names, "type": _typed(flag, {n: n for n in names}.__getitem__,
+                                             " (have: %s)" % ", ".join(names))}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="subgrid",
@@ -64,42 +82,43 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--function", help="built-in objective name")
     run.add_argument("--expr", help="objective expression in x1..xn "
                      "(note: -x1^2 means -(x1^2))")
-    run.add_argument("--dim", type=int, help="dimension for --expr")
-    run.add_argument("--lower", type=float, help="box lower bound for --expr "
+    run.add_argument("--dim", type=_typed("--dim", int), help="dimension for --expr")
+    run.add_argument("--lower", type=_typed("--lower", float), help="box lower bound for --expr "
                      "(default %g)" % ExperimentConfig.lower)
-    run.add_argument("--upper", type=float, help="box upper bound for --expr "
+    run.add_argument("--upper", type=_typed("--upper", float), help="box upper bound for --expr "
                      "(default %g)" % ExperimentConfig.upper)
-    run.add_argument("--algo", choices=sorted(harness.ALGORITHMS),
+    run.add_argument("--algo", **_one_of("--algo", sorted(harness.ALGORITHMS)),
                      help="default %s" % ExperimentConfig.algo)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--trials", type=int, help="default %d" % ExperimentConfig.trials)
-    run.add_argument("--h-tol", type=float)
-    run.add_argument("--max-gens", type=int)
-    run.add_argument("--budget", type=int)
-    run.add_argument("--format", choices=("csv", "markdown", "json"),
+    run.add_argument("--seed", type=_typed("--seed", int))
+    run.add_argument("--trials", type=_typed("--trials", int),
+                     help="default %d" % ExperimentConfig.trials)
+    run.add_argument("--h-tol", type=_typed("--h-tol", float))
+    run.add_argument("--max-gens", type=_typed("--max-gens", int))
+    run.add_argument("--budget", type=_typed("--budget", int))
+    run.add_argument("--format", **_one_of("--format", ("csv", "markdown", "json")),
                      help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
     run.add_argument("--config", help="INI config file; runs every section as "
                      "written, so no other flag but --out may be given with it")
 
     bench = sub.add_parser("bench", help="five-function comparison suite")
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--seed", type=_typed("--seed", int), default=None)
     bench.add_argument("--format", default="markdown",
-                       choices=("csv", "markdown", "json"))
+                       **_one_of("--format", ("csv", "markdown", "json")))
     bench.add_argument("--out")
 
     trace = sub.add_parser("trace", help="render a 2-d run as SVG")
     trace.add_argument("--function", required=True)
-    trace.add_argument("--algo", default="slm", choices=("slm", "slmga"))
-    trace.add_argument("--seed", type=int)
-    trace.add_argument("--h-tol", type=float)
-    trace.add_argument("--max-gens", type=int)
-    trace.add_argument("--sense", choices=("min", "max"), help="slm only")
+    trace.add_argument("--algo", default="slm", **_one_of("--algo", ("slm", "slmga")))
+    trace.add_argument("--seed", type=_typed("--seed", int))
+    trace.add_argument("--h-tol", type=_typed("--h-tol", float))
+    trace.add_argument("--max-gens", type=_typed("--max-gens", int))
+    trace.add_argument("--sense", **_one_of("--sense", ("min", "max")), help="slm only")
     trace.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate an expression at a point")
     ev.add_argument("--expr", required=True)
-    ev.add_argument("--dim", type=int, default=None)
+    ev.add_argument("--dim", type=_typed("--dim", int), default=None)
     ev.add_argument("--at", required=True,
                     help="comma-separated coordinates, e.g. 1.0,2.5")
     return top
@@ -228,18 +247,17 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
+    handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
         "bench": _cmd_bench,
         "trace": _cmd_trace,
         "eval": _cmd_eval,
-    }[args.command]
+    }
     try:
+        args = build_parser().parse_args(argv)
         _check_out(getattr(args, "out", None))
-        return handler(args)
+        return handlers[args.command](args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -93,9 +93,9 @@ def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list
 
 @functools.cache
 def _moves(n: int, scheme: NeighborScheme) -> list[tuple[int, ...]]:
-    """The moves of ``scheme`` in the ``product((0, 1, -1))`` order of
-    ``slmga``'s member-by-member walk: all 3**n for full-box; for
-    sign-uniform the nonzero moves whose nonzero entries share one sign."""
+    """The moves of ``scheme`` in ``product((0, 1, -1))`` order: all 3**n
+    for full-box; for sign-uniform the nonzero moves whose nonzero entries
+    share one sign."""
     return [m for m in itertools.product((0, 1, -1), repeat=n)
             if scheme is NeighborScheme.FULL_BOX or (1 in m) != (-1 in m)]
 

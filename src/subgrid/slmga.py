@@ -8,9 +8,8 @@ next generation.  Crossover is deliberately absent.
 
 A generation is mutated at once: its members' offspring tile one window of
 the finer grid, whose points are evaluated once each and whose values give
-every member's best offspring (``mutate``).  If an evaluation fails there,
-the generation is replayed member by member, so a run ends on the error the
-members meet first in their own order.
+every member's best offspring (``mutate``).  A run that meets an undefined
+value ends on the first one in the window's C order.
 
 Stochastic objectives (F4) are evaluated under common random numbers: every
 candidate inside one generation sees the same seeded noise draw, so
@@ -58,7 +57,7 @@ from .labeling import (
 )
 from .slm import _choose_cell, _region_cells, init_population
 
-# beyond this many offspring per member, fall back to coordinate-greedy probing
+# beyond this many offspring per member, each member takes a coordinate-greedy sweep
 MAX_ENUMERATED_OFFSPRING = 768
 
 
@@ -91,34 +90,43 @@ def mutate(
     A member's offspring are its {0, +-h}^n moves; the best is the lowest
     value, and ties keep the parent (fixed points stay put), while after a
     strict improvement a tie goes to the lexicographically smaller position.
-    A generation's members are one product lattice (a chosen cell's 3^n
-    points, or the 2^n corners), so their offspring tile one window of at
-    most 7 fine indices per axis.  Each point of that window that some
-    member probes is evaluated once, in C order, and each member's best is
-    read off the window's values; NaN is never a best, so a NaN parent
-    stays put.  Members are walked one by one instead (``_offspring``)
-    where 3^n passes ``MAX_ENUMERATED_OFFSPRING``, where the members do not
-    share one level, where the window would hold more points than the
-    members have moves, or where positions on an axis do not rise strictly
-    (deep levels far from 0); the walk also refuses a parent that is not a
-    grid point.  Positions follow ``coordinate``, the rule of
-    ``position_of``, so the top index sits at ``upper`` exactly."""
-    window = _window(parents, box)
-    if window is None:
-        return [_offspring(evaluate, p, box) for p in parents]
-    first, xs = window
+    Where fine indices share a position (deep levels far from 0), a child
+    keeps the parent's index on each axis where its position is the
+    parent's, as a walk of the moves in ``product((0, 1, -1))`` order
+    would.  The members, one product lattice or a part of one, tile one
+    window of at most 7 fine indices per axis.  Each distinct point of it
+    that some member probes is evaluated once, in C order, and each
+    member's best is read off the values; NaN is never a best, so a NaN
+    parent stays put.  ``SubgridError`` refuses a parent that is not a grid
+    point, parents of mixed levels and parents spread over more than 3
+    indices on an axis.  Where 3^n passes ``MAX_ENUMERATED_OFFSPRING``, each
+    member takes a coordinate-greedy sweep instead.  Positions follow
+    ``coordinate``, the rule of ``position_of``, so the top index sits at
+    ``upper`` exactly."""
+    if 3**box.dim > MAX_ENUMERATED_OFFSPRING:
+        return [_sweep(evaluate, p, box) for p in parents]
+    if not parents:
+        return []
+    first, xs = _window(parents, box)
     n = box.dim
     ks = [p.point.k for p in parents]
     level = parents[0].point.level + 1
 
     # the window padded by one index of +inf on each side, where a move
-    # leaves the box; row i gathers member i's 3^n offspring in C order
+    # leaves the box; row i gathers member i's 3^n offspring in C order,
+    # each fine index mapped onto the first index of its position
     padded = tuple(len(axis) + 2 for axis in xs)
     strides = [math.prod(padded[d + 1:]) for d in range(n)]
     moves, move_table = _moves(n)
+    # k passes 2^63 at deep levels: offsets from the window are Python ints
     centres = np.array([sum((2 * kd - a + 1) * s for kd, a, s in zip(k, first, strides))
                         for k in ks])
     rows = centres[:, None] + move_table @ np.array(strides)
+    if any(u == v for axis in xs for u, v in zip(axis, axis[1:])):
+        shift = functools.reduce(np.add.outer, [
+            np.array([0] + [axis.index(x) - i for i, x in enumerate(axis)] + [0]) * s
+            for axis, s in zip(xs, strides)])
+        rows += shift.ravel()[rows]
     probed = np.zeros(math.prod(padded), dtype=bool)
     probed[rows] = True
     inner = (slice(1, -1),) * n
@@ -127,7 +135,7 @@ def mutate(
     table = np.full(padded, np.inf)
     table[inner][probed] = values
     table = table.ravel()
-    own = table[centres].tolist()
+    own = table[rows[:, len(moves) // 2]].tolist()  # the zero move
     table[np.isnan(table)] = np.inf
     gathered = table[rows]
     best = gathered.argmin(axis=1)
@@ -136,7 +144,8 @@ def mutate(
     children = []
     for k, b, f, parent_f in zip(ks, best.tolist(), best_f, own):
         if f < parent_f:
-            child_k = tuple(2 * kd + m for kd, m in zip(k, moves[b]))
+            child_k = tuple(2 * kd + m if axis[2 * kd + m - a] != axis[2 * kd - a] else 2 * kd
+                            for kd, m, axis, a in zip(k, moves[b], xs, first))
         else:
             child_k, f = tuple(2 * kd for kd in k), parent_f
         x = tuple(axis[c - a] for axis, c, a in zip(xs, child_k, first))
@@ -145,28 +154,38 @@ def mutate(
 
 
 def _window(parents: Sequence[Candidate],
-            box: BoxDomain) -> tuple[list[int], list[list[float]]] | None:
+            box: BoxDomain) -> tuple[list[int], list[list[float]]]:
     """The first fine index and the positions, per axis, of the window that
-    ``parents``' offspring tile, or None where ``mutate`` walks them."""
+    ``parents``' offspring tile; refuses parents that are not one lattice."""
     n = box.dim
     ks = [p.point.k for p in parents]
-    if not parents or 3**n > MAX_ENUMERATED_OFFSPRING or any(len(k) != n for k in ks) \
-            or len({p.point.level for p in parents}) > 1:
-        return None
+    if any(len(k) != n for k in ks):
+        _refuse_off_grid(parents, n)
+    if len({p.point.level for p in parents}) > 1:
+        raise SubgridError("parents of mixed levels are not one lattice")
     top = 2 ** parents[0].point.level
-    first = [2 * min(axis) - 1 for axis in zip(*ks)]
-    last = [2 * max(axis) + 1 for axis in zip(*ks)]
-    if min(first) < -1 or max(last) > top + 1:
-        return None  # not grid points: the walk refuses them
-    first = [max(0, a) for a in first]
-    last = [min(top, b) for b in last]
-    if math.prod(b - a + 1 for a, b in zip(first, last)) > len(ks) * 3**n:
-        return None
+    lows = [min(axis) for axis in zip(*ks)]
+    highs = [max(axis) for axis in zip(*ks)]
+    if min(lows) < 0 or 2 * max(highs) > top:
+        _refuse_off_grid(parents, n)
+    if any(b - a > 2 for a, b in zip(lows, highs)):
+        raise SubgridError("parents spread over more than 3 indices on an axis "
+                           "are not one lattice")
+    first = [max(0, 2 * a - 1) for a in lows]
+    last = [min(top, 2 * b + 1) for b in highs]
     xs = [[coordinate(lo, hi, c, w / top) for c in range(a, b + 1)]
           for lo, hi, w, a, b in zip(box.lower, box.upper, box.width, first, last)]
-    if any(u >= v for axis in xs for u, v in zip(axis, axis[1:])):
-        return None
     return first, xs
+
+
+def _refuse_off_grid(parents: Sequence[Candidate], n: int) -> None:
+    """Raise ``SubgridError`` for the first of ``parents`` that is not a
+    point of the n-d grid at its level."""
+    for p in parents:
+        k, level = p.point.k, p.point.level
+        if len(k) != n or min(k) < 0 or 2 * max(k) > 2 ** level:
+            raise SubgridError("parent %r is not a point of the %d-d grid at level %d"
+                               % (k, n, level))
 
 
 @functools.cache
@@ -176,46 +195,20 @@ def _moves(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return moves, np.array(moves, dtype=np.intp).reshape(len(moves), n)
 
 
-def _offspring(
+def _sweep(
     evaluate: Callable[[Vector], float],
     parent: Candidate,
     box: BoxDomain,
 ) -> Candidate:
-    """``mutate`` for one member, walking its probes one ``evaluate`` call
-    each: {0, +-h}^n in (0, +1, -1) move order, the parent's own point
-    first, while that stays affordable; in high dimension a
-    coordinate-greedy sweep.  The best is chosen by ``mutate``'s rule."""
+    """``mutate`` for one member in high dimension: a coordinate-greedy
+    sweep that accepts strict single-axis improvements (by rank) in order.
+    The walker ends at the lowest-ranked probe, which is ``mutate``'s rule
+    once its value is below the parent's."""
+    _refuse_off_grid([parent], box.dim)
     level = parent.point.level + 1
     top = 2 ** (level - 1)
     lower, upper = box.lower, box.upper
-    if len(parent.point.k) != len(lower) or min(parent.point.k) < 0 \
-            or 2 * max(parent.point.k) > top:
-        raise SubgridError("parent %r is not a point of the %d-d grid at level %d"
-                           % (parent.point.k, len(lower), level - 1))
     step = tuple(w / top for w in box.width)
-
-    if 3 ** len(lower) <= MAX_ENUMERATED_OFFSPRING:
-        # per axis, the in-box child indices in (0, +1, -1) move order and
-        # their positions, computed once per axis value; the product of the
-        # lists is the filtered product of the moves, in the same order
-        ks = []
-        xs = []
-        for lo, hi, sd, kd in zip(lower, upper, step, parent.point.k):
-            axis = [c for c in (2 * kd, 2 * kd + 1, 2 * kd - 1) if 0 <= c <= top]
-            ks.append(axis)
-            xs.append([coordinate(lo, hi, c, sd) for c in axis])
-        probes = zip(itertools.product(*ks), itertools.product(*xs))
-        best_k, best_x = next(probes)
-        best_f = parent_f = evaluate(best_x)
-        for k, x in probes:
-            f = evaluate(x)
-            if f < best_f or (f == best_f < parent_f and x < best_x):
-                best_k, best_x, best_f = k, x, f
-        return Candidate(best_x, best_f, point=GridPoint(best_k, level))
-
-    # coordinate-greedy: accept strict single-axis improvements (by rank) in
-    # order; the walker ends at the lowest-ranked probe, which is the rule
-    # above once its value is below the parent's
     parent_k = cur_k = tuple(2 * kd for kd in parent.point.k)
     parent_x = cur_x = tuple(map(coordinate, lower, upper, cur_k, step))
     parent_f = cur_f = evaluate(cur_x)
@@ -253,26 +246,13 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         members = sorted(pop, key=rank)
         n_mutate = max(1, int(round(cfg.mutation_rate * len(members))))
 
-        try:
-            children = mutate(evaluate, members[:n_mutate], box)
-        except SubgridError:
-            # an expression can be undefined at more than one point, and the
-            # window meets them in another order than the members do: replay
-            # the generation member by member, so the run ends on the error
-            # that the walk and its labels meet first
-            children = None
+        # the members past the mutation rate survive unchanged
+        survivors = mutate(evaluate, members[:n_mutate], box) + [
+            Candidate(p.x, p.f, point=refine(p.point)) for p in members[n_mutate:]]
 
         labels: dict[GridPoint, int] = {}
         recorded: list[LabeledVertex] = []
-        survivors: list[Candidate] = []
-        for i, parent in enumerate(members):
-            if i >= n_mutate:
-                child = Candidate(parent.x, parent.f, point=refine(parent.point))
-            elif children is None:
-                child = _offspring(evaluate, parent, box)
-            else:
-                child = children[i]
-            survivors.append(child)
+        for parent, child in zip(members, survivors):
             delta = _label_delta(obj, rule, parent, child)
             labels[parent.point] = label_from_delta(delta, rule)
             recorded.append(LabeledVertex(parent, labels[parent.point], delta))

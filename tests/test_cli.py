@@ -1,16 +1,24 @@
 import argparse
+import configparser
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subgrid
+from subgrid import harness
 from subgrid.cli import ALGORITHM_FLAGS, build_parser, main
-from subgrid.harness import INI_KEYS, ExperimentConfig
+from subgrid.harness import ALGORITHMS, INI_KEYS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -101,10 +109,14 @@ class TestRun:
             "# bv=461.7603900415999 median_bv=461.7603900415999 generations=0 "
             "sd=1.4820958133670037\n")
 
-    @pytest.mark.parametrize("algo,key,cap", [("slm", "max_levels", 1024),
-                                              ("slmga", "max_generations", 1023)])
+    @pytest.mark.parametrize("algo,key,cap,digest", [
+        ("slm", "max_levels", 1024,
+         "6a34951096615c591f444f6672090f559de15044e2b2a6a12f83f06b80943217"),
+        ("slmga", "max_generations", 1023,
+         "59c23f4ae276c4c2a0a735815809167ab579c09051a4870d6d4f2a8da56a0b0f"),
+    ], ids=["slm-max_levels-1024", "slmga-max_generations-1023"])
     def test_level_cap_beyond_float_steps_is_config_error(self, capsys, tmp_path,
-                                                          algo, key, cap):
+                                                          algo, key, cap, digest):
         # the top index of a level-L lattice, 2**(L-1), is a float only up to
         # L = 1024; SLMGA places its offspring one level below its generation
         code, _, err = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
@@ -117,10 +129,19 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(ini))
         assert code == 2
         assert err.startswith("config error:")
-        # the deepest cap runs to its end without converging
-        code, _, _ = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
-                             "--h-tol", "1e-320", "--max-gens", str(cap), "--format", "csv")
+        # the deepest cap runs to its end without converging; far from 0,
+        # neighbouring fine indices share one position there
+        code, out, _ = run_cli(capsys, "run", "--function", "f2", "--algo", algo,
+                               "--h-tol", "1e-320", "--max-gens", str(cap), "--format", "csv")
         assert code == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_deepest_slmga_run_json_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--function", "f2", "--algo", "slmga",
+                               "--h-tol", "1e-320", "--max-gens", "1023", "--format", "json")
+        assert code == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8ac4c056847d07c91075244bd89ef5781bf4472bc03c59be066cef01cbfe6d5c")
 
     @pytest.mark.parametrize("flags", [
         ("--expr", "x1", "--dim", "0"),
@@ -679,3 +700,149 @@ class TestEval:
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "x1", "--at", "a,b")
         assert code == 2
+
+
+# Every way in, fuzzed: INI sections, `run` flags and SUBGRID_SEED.
+# Any character a file or an argv can hold; a section name holds no newline or "]".
+_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+_WORDS = st.text(_CHARS, max_size=40)
+_LONG = st.text(_CHARS, min_size=500, max_size=3000)
+_HEADERS = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00\n\r]"), min_size=1, max_size=3000)
+# A value as text: any int, floats and their edge spellings, or words and
+# long text.
+_VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e999", "1e-320",
+                     "0", "-0", "-1", "1,2", "nan,nan", "1e308,-1e308", ""]),
+    # values that some key takes
+    st.sampled_from(["0.5", "1", "2", "10", "0.5,0.5", "csv", "json", "max",
+                     "full-box", "gradient-fixed-point"]),
+    _WORDS,
+    _LONG,
+)
+_OBJECTIVES = ["f1", "f2", "f3", "f4", "f5", "easom", "goldstein-price"]
+_EXPRS = ["x1", "x1^2 + x2^2", "log(x1)", "1/(x1 - 0.5)", "sqrt(x1)", "exp(x1*1000)",
+          "x1 +* 2", "x9"]
+# Keys that cost run time alone, and the small values they are drawn from:
+# each names a number of levels, generations, probes or trials.  Every other
+# key takes any value of _VALUES.
+_RUN_TIME = {"trials": st.integers(1, 2), "budget": st.integers(1, 30),
+             "generations": st.integers(1, 3), "max_generations": st.integers(1, 3),
+             "max_levels": st.integers(1, 3)}
+_CAP_OF = {"slm": "max_levels", "slmga": "max_generations", "rs": "budget",
+           "rsw": "budget", "sa": "budget", "de": "generations"}
+_KNOWN_KEYS = sorted(
+    ({"function", "format", "label_rule", "epsilon"}
+     | {f.name for f in dataclasses.fields(ExperimentConfig)}
+     | {f.name for cls, _, _ in ALGORITHMS.values() for f in dataclasses.fields(cls)})
+    - {"algo", "algo_params", "fmt", *_RUN_TIME})
+
+
+def _mostly(valid, *others):
+    """``valid`` three draws in four, else one of ``others``, so that a run
+    with several drawn parts still reaches the engines often."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else st.one_of(*others))
+
+
+_SEEDS = _mostly(st.one_of(st.none(), st.integers(0).map(str)), st.integers().map(str), _VALUES)
+
+
+def _misspelt(key):
+    return st.integers(0, len(key) - 1).flatmap(
+        lambda i: st.sampled_from([key[:i] + key[i + 1:], key[:i] + "x" + key[i:],
+                                   key[:i] + key[i].upper() + key[i + 1:]]))
+
+
+@st.composite
+def _experiment(draw):
+    """One experiment's keys: an objective, an algorithm with its run-time
+    cap drawn small, and a few other keys, known, misspelt or long."""
+    algo = draw(_mostly(st.sampled_from(sorted(_CAP_OF)), _WORDS, _LONG))
+    keys = {"algo": algo, "trials": str(draw(_RUN_TIME["trials"]))}
+    if algo in _CAP_OF:
+        keys[_CAP_OF[algo]] = str(draw(_RUN_TIME[_CAP_OF[algo]]))
+    if draw(st.booleans()):
+        keys[draw(st.sampled_from(["objective", "function"]))] = draw(
+            _mostly(st.sampled_from(_OBJECTIVES), _WORDS, _LONG))
+    else:
+        keys["expr"] = draw(_mostly(st.sampled_from(_EXPRS), _WORDS, _LONG))
+        keys["dim"] = str(draw(_mostly(st.integers(1, 3), st.integers())))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.one_of(st.sampled_from(_KNOWN_KEYS),
+                             st.sampled_from(_KNOWN_KEYS).flatmap(_misspelt), _LONG))
+        keys[key] = draw(_VALUES)
+    return keys
+
+
+_FLAGS = {"objective": "--function", "function": "--function", "expr": "--expr",
+          "dim": "--dim", "lower": "--lower", "upper": "--upper", "algo": "--algo",
+          "seed": "--seed", "trials": "--trials", "h_tol": "--h-tol",
+          "max_levels": "--max-gens", "max_generations": "--max-gens", "budget": "--budget",
+          "generations": "--budget", "format": "--format"}
+
+
+def _ini_text(sections):
+    return "".join("[%s]\n%s" % (name, "".join("%s = %s\n" % kv for kv in keys.items()))
+                   for name, keys in sections)
+
+
+class TestEveryWayIn:
+    """``main`` on fuzzed INI files, ``run`` flags and ``SUBGRID_SEED`` ends
+    in a documented exit code, lets no exception escape (argparse's refusal
+    is its ``SystemExit(2)``), and writes bounded stderr once the section
+    names and the file path, which a message quotes whole, are taken out.
+
+    Values are any int, any float, edge spellings and text up to 3,000
+    characters, ``dim`` and ``pop_size`` included; only the keys that cost
+    run time alone (``_RUN_TIME``) are drawn small.  ``harness.MAX_DIM`` and
+    ``harness.MAX_POPULATION_FLOATS`` are lowered for the test, so that every
+    draw they let through runs in milliseconds; the checks that apply them
+    are the program's own."""
+
+    # argparse's usage of `run` and one line of refusal come to about 500
+    # bytes; a value of _LONG quoted whole passes the bound
+    MAX_STDERR = 800
+
+    def _main(self, argv, seed, quoted_whole=()):
+        env = {} if seed is None else {"SUBGRID_SEED": seed}
+        err = io.StringIO()
+        with mock.patch.object(harness, "MAX_DIM", 3), \
+                mock.patch.object(harness, "MAX_POPULATION_FLOATS", 3000), \
+                mock.patch.dict(os.environ, env), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            if seed is None:
+                os.environ.pop("SUBGRID_SEED", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        text = err.getvalue()
+        for whole in sorted(quoted_whole, key=len, reverse=True):
+            text = text.replace(whole, "")
+        assert len(text.encode()) <= self.MAX_STDERR, text[:300]
+
+    @given(sections=st.lists(st.tuples(st.one_of(st.sampled_from(["a", "b"]), _HEADERS),
+                                       _experiment()), max_size=3),
+           seed=_SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_ini_files(self, sections, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "e.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_ini_text(sections))
+            # the sections as configparser reads them: a key can open one
+            read = configparser.ConfigParser(interpolation=None)
+            try:
+                read.read(path, encoding="utf-8")
+            except configparser.Error:
+                pass
+            self._main(["run", "--config", path], seed, quoted_whole=[path, *read.sections()])
+
+    @given(keys=_experiment(), seed=_SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_run_flags(self, keys, seed):
+        argv = ["run"] + ["%s=%s" % (_FLAGS[k], v) for k, v in keys.items() if k in _FLAGS]
+        self._main(argv, seed)

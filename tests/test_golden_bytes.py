@@ -9,7 +9,8 @@ and says so.
 Settings are coarse so the whole file stays fast: every deterministic
 objective under both engines (SLM rejects the 30-d F4), one maximizing SLM
 run, a 2-d expression on the default box as the benchmark's small runs
-use them, a 3-d expression on a decimal box under both engines, and the
+use them, a 3-d expression on a decimal box under both engines, SLMGA
+mutating a fraction of each generation on F2 and on the 5-d F3, and the
 four baselines on F4, whose noise shares the run's random stream with the
 baselines' own draws.  The baselines also run on F2 (a
 non-dyadic box) and on a 3-d expression; DE with ``f_weight = 2`` resamples
@@ -53,6 +54,13 @@ GOLDEN = [
     ("slmga", "goldstein-price", {"h_tol": 0.01},
      "77ce74704058ebe1b501c1fa7da83cf8dfd5ccd732aaa9d9ba34779b0e9fe7c5",
      "c60facb8caa11d8d07a3c92fd82576e4a0f72a344826385a32d2ab3c55767df8"),
+    # a fraction of each generation mutated: the window is sparse
+    ("slmga", "f2", {"h_tol": 0.02, "mutation_rate": 0.3},
+     "fc6e1dcfdb0cac8cc5a7fe3c20dbc3a94975433455f4ce4f4b52b8bf1e5db827",
+     "79170b41d35c87014ff5fd733d73ff95e946cf7b6d38734ec472bfe236771af7"),
+    ("slmga", "f3", {"h_tol": 1.0, "mutation_rate": 0.1},
+     "6d5f081b0c206808615c4b72ac42d61ffb62eb78bd0bd37c26d9fe6b516dad7d",
+     "ecaa6b4749d4e9ab7615021c083cf57bd95da2cade0a5acc3439998ee1b43165"),
     ("slm", "easom", {"h_tol": 0.1},
      "df6882ee847e2045e1274689d310813db3e6c25d9f2cc7f5ed61e4bc60e467f3",
      "b79300209195efafbc5f3efdc2ad89f9ba5a823df0511e84f86a31b375f25642"),

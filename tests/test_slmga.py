@@ -20,7 +20,6 @@ from subgrid.harness import expression_objective
 from subgrid.slmga import (
     MAX_ENUMERATED_OFFSPRING,
     GaConfig,
-    _offspring,
     ga_run,
     init_population,
     mutate,
@@ -157,6 +156,23 @@ class TestMutate:
                                "at level 1$" % re.escape(repr(k))):
                 mutate(_sphere, [Candidate((0.0, 0.0), 0.0, point=GridPoint(k, 1))], box)
 
+    def test_parents_of_mixed_levels_are_refused(self):
+        box = BoxDomain.cube(-2.0, 2.0, 2)
+        parents = [_lattice_parent(box, (1, 1), 2, _sphere),
+                   _lattice_parent(box, (1, 1), 3, _sphere)]
+        with pytest.raises(SubgridError, match="^parents of mixed levels are not one lattice$"):
+            mutate(_sphere, parents, box)
+
+    def test_parents_spread_over_more_than_three_indices_are_refused(self):
+        box = BoxDomain.cube(-2.0, 2.0, 2)
+        parents = [_lattice_parent(box, k, 3, _sphere) for k in ((0, 1), (3, 1))]
+        with pytest.raises(SubgridError, match="^parents spread over more than 3 indices on an "
+                           "axis are not one lattice$"):
+            mutate(_sphere, parents, box)
+        # three indices on each axis are one lattice: a chosen cell's 3^n points
+        parents = [_lattice_parent(box, k, 3, _sphere) for k in ((0, 1), (2, 3))]
+        assert len(mutate(_sphere, parents, box)) == 2
+
     def test_no_parents_no_children(self):
         assert mutate(_sphere, [], BoxDomain.cube(-2.0, 2.0, 2)) == []
 
@@ -227,16 +243,24 @@ class TestMutateMatchesReference:
         ref = _recording(fn)
         [child] = mutate(new, [parent], box)
         want = reference_best_offspring(parent, reference_mutate(ref, parent, box))
-        # the window probes each distinct point once, in C order; where it
-        # does not apply (coordinate sweep, positions that do not rise
-        # strictly) the member's walk probes as the reference does
-        assert sorted(new.probes) == sorted(set(ref.probes)) or new.probes == ref.probes
+        # the window probes each distinct point once, in C order; the
+        # coordinate sweep probes as the reference does
+        if 3**len(k) <= MAX_ENUMERATED_OFFSPRING:
+            assert sorted(new.probes) == sorted(set(ref.probes))
+        else:
+            assert new.probes == ref.probes
         assert child == want
         assert child.point == want.point
 
-    def test_both_branches_are_reached(self):
-        # dims 1-6 enumerate {0,+-1}^n; dim 7 takes the coordinate sweep
-        assert 3**6 <= MAX_ENUMERATED_OFFSPRING < 3**7
+    def test_six_dimensions_enumerate_and_seven_sweep(self):
+        box = BoxDomain.cube(-2.0, 2.0, 6)
+        f = _recording(_sphere)
+        mutate(f, [_lattice_parent(box, (1,) * 6, 2, _sphere)], box)
+        assert len(set(f.probes)) == len(f.probes) == 3**6
+        box = BoxDomain.cube(-2.0, 2.0, 7)
+        f = _recording(_sphere)
+        mutate(f, [_lattice_parent(box, (1,) * 7, 2, _sphere)], box)
+        assert len(f.probes) <= 1 + 2 * 7
 
 
 # Values drawn from a few, so that many offspring tie as on F3's plateaus.
@@ -281,27 +305,26 @@ def _children(cands):
     return [(c.x, repr(c.f), c.point) for c in cands]
 
 
-class TestGenerationMatchesWalk:
+class TestGenerationMatchesReference:
     @given(_generation_case())
     @settings(max_examples=60, deadline=None)
     def test_same_children_and_evaluations(self, case):
         obj, members = case
         window = Evaluator(obj)
-        walk = Evaluator(obj)
+        ref = Evaluator(obj)
         children = mutate(window, members, obj.box)
-        assert _children(children) == _children([_offspring(walk, m, obj.box) for m in members])
-        assert window.count == walk.count
+        assert _children(children) == _children(
+            [reference_best_offspring(m, reference_mutate(ref, m, obj.box)) for m in members])
+        assert window.count == ref.count
 
-    def test_run_ends_on_the_error_the_walk_meets_first(self):
-        # the best corner, (2, 2), walks to (2, 0) first, where the division
+    def test_run_ends_on_the_first_undefined_point_in_c_order(self):
+        # the best corner, (2, 2), moves to (2, 0) first, where the division
         # is undefined; the window meets (-2, 0) first, where the log is
         obj = expression_objective(
             "log(x1 + 2 + x2^2) + 1/(x1 + x2 - 2) - 10*x1 - 10*x2", 2, -2.0, 2.0)
         corners = sorted(init_population(obj.box, obj.noiseless), key=lambda c: c.f)
         assert corners[0].x == (2.0, 2.0)
         with pytest.raises(ExprEvalError, match="^log: math domain error$"):
-            mutate(Evaluator(obj), corners, obj.box)
-        with pytest.raises(ExprEvalError, match="^division by zero$"):
             ga_run(obj, GaConfig(h_tol=0.1))
 
 

@@ -48,6 +48,10 @@ GOLDEN_PINS = {
         9, "9161c345fc24bb0fff545b8c3c0a43262d18dd5f23ad551a88845a924e020615"),
     "slmga-f5-h_tol=0.3": (
         9, "8ce12c8cbaf9db8efc73ecc4beb4efa0f09db066af6ec1cf5ada56f833398990"),
+    "slmga-f2-h_tol=0.02-mutation_rate=0.3": (
+        8, "33a52c068f2c06fc0b253c74106847c821aa98b16acfd41dffc623e0a1dde276"),
+    "slmga-f3-h_tol=1.0-mutation_rate=0.1": (
+        4, "a4eee7cb3045dbf868a0a07b3fb2aca3c1e19a38d2a7bc3424ca86a71bacc58a"),
     "slmga-goldstein-price-h_tol=0.01": (
         9, "61e887ea48d5561f9c65487b5cd9e6f119a3ea5ae62857aa399ee9b065e4c941"),
     "slm-easom-h_tol=0.1": (
