@@ -51,26 +51,36 @@ def _seed(args) -> int:
     return seed
 
 
-def _typed(flag: str, convert, have: str = ""):
+def _typed(flag: str, convert):
     """An argparse ``type`` for ``flag``: ``convert``, refusing a value it
     cannot take as a ``ConfigError`` that quotes the value through ``clip``,
     as every other message quotes one."""
     def parse(text):
         try:
             return convert(text)
-        except (KeyError, ValueError):
-            raise ConfigError("bad value %r for %s%s" % (clip(text), flag, have)) from None
+        except ValueError:
+            raise ConfigError("bad value %r for %s" % (clip(text), flag)) from None
     return parse
 
 
-def _one_of(flag: str, names) -> dict:
-    """The ``choices`` of ``flag``, and the ``type`` that refuses any other value."""
-    return {"choices": names, "type": _typed(flag, {n: n for n in names}.__getitem__,
-                                             " (have: %s)" % ", ".join(names))}
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line as a ``ConfigError``, without argparse's usage
+    text.  A command or flag value outside its choices is quoted through
+    ``clip``; argparse's other messages are cut after 100 characters, as one
+    can hold an argument whole (``--help=x``, or an ambiguous ``--f=x``)."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError("bad value %r for %s (have: %s)" % (
+                clip(value), "/".join(action.option_strings) or action.dest,
+                ", ".join(action.choices)))
+
+    def error(self, message):
+        raise ConfigError(clip(message, 100))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="subgrid",
         description="Grid subdivision-labeling optimizers and baselines.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default %g)" % ExperimentConfig.lower)
     run.add_argument("--upper", type=_typed("--upper", float), help="box upper bound for --expr "
                      "(default %g)" % ExperimentConfig.upper)
-    run.add_argument("--algo", **_one_of("--algo", sorted(harness.ALGORITHMS)),
+    run.add_argument("--algo", choices=sorted(harness.ALGORITHMS),
                      help="default %s" % ExperimentConfig.algo)
     run.add_argument("--seed", type=_typed("--seed", int))
     run.add_argument("--trials", type=_typed("--trials", int),
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--h-tol", type=_typed("--h-tol", float))
     run.add_argument("--max-gens", type=_typed("--max-gens", int))
     run.add_argument("--budget", type=_typed("--budget", int))
-    run.add_argument("--format", **_one_of("--format", ("csv", "markdown", "json")),
+    run.add_argument("--format", choices=("csv", "markdown", "json"),
                      help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
     run.add_argument("--config", help="INI config file; runs every section as "
@@ -103,17 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="five-function comparison suite")
     bench.add_argument("--seed", type=_typed("--seed", int), default=None)
-    bench.add_argument("--format", default="markdown",
-                       **_one_of("--format", ("csv", "markdown", "json")))
+    bench.add_argument("--format", default="markdown", choices=("csv", "markdown", "json"))
     bench.add_argument("--out")
 
     trace = sub.add_parser("trace", help="render a 2-d run as SVG")
     trace.add_argument("--function", required=True)
-    trace.add_argument("--algo", default="slm", **_one_of("--algo", ("slm", "slmga")))
+    trace.add_argument("--algo", default="slm", choices=("slm", "slmga"))
     trace.add_argument("--seed", type=_typed("--seed", int))
     trace.add_argument("--h-tol", type=_typed("--h-tol", float))
     trace.add_argument("--max-gens", type=_typed("--max-gens", int))
-    trace.add_argument("--sense", **_one_of("--sense", ("min", "max")), help="slm only")
+    trace.add_argument("--sense", choices=("min", "max"), help="slm only")
     trace.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate an expression at a point")
@@ -255,7 +264,9 @@ def main(argv=None) -> int:
         "eval": _cmd_eval,
     }
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ConfigError("unrecognized argument %r" % clip(unknown[0]))
         _check_out(getattr(args, "out", None))
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -9,9 +9,9 @@ exit codes: ``ConfigError`` exits 2, and every other ``SubgridError``
 """
 
 
-def clip(text: str) -> str:
-    """``text`` as a message quotes it: cut to 20 characters and ``...`` if longer."""
-    return text if len(text) <= 20 else text[:20] + "..."
+def clip(text: str, width: int = 20) -> str:
+    """``text`` as a message quotes it: cut to ``width`` characters and ``...``."""
+    return text if len(text) <= width else text[:width] + "..."
 
 
 class SubgridError(Exception):

@@ -1,9 +1,15 @@
-"""Serial subdivision-labeling search.
+"""Subdivision-labeling search: the loop both grid engines run, and SLM.
 
-Start from the 2**n box corners, probe each grid point's surroundings at
-the next (halved) step, label points by the direction of their best
-neighbor, then bisect a completely labeled cell and repeat on its finer
-lattice until the step drops below tolerance.
+``subdivide`` starts from the evaluated box corners.  Each step labels
+every member of its lattice by the direction to an offspring at the next
+(halved) step, chooses a cell, preferring a completely labeled one, and
+places the cell's finer lattice for the next step, until the step drops
+below tolerance.  The engines differ only in what they pass to the loop.
+
+SLM's offspring of a member is its best neighbour among the probes
+``x + move * h/2``, and the chosen cell's vertices carry their labels into
+the next level, where they probe nothing.  A level's lattice is evaluated
+before its probes, so a run ends on the first undefined value in that order.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ from .core import (
     lattice_points,
     levels,
     position_of,
+    rank,
     refine,
 )
-from .errors import ConfigError, SubgridError
+from .errors import ConfigError, GradientUnavailableError, SubgridError
 from .functions import Evaluator, Objective
-from .labeling import LabelRule, LabelVariant, delta_of, find_complete_cells, label_from_delta
+from .labeling import (LabelRule, LabelVariant, delta_of, find_complete_cells, gradient_delta,
+                       label_from_delta)
 
 MAX_CORNER_DIM = 20
 
@@ -76,19 +84,17 @@ def initial_corners(box: BoxDomain) -> list[GridPoint]:
 
 
 def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list[Candidate]:
-    """The evaluated level-1 lattice both engines start from: all 2**n
-    corners, or the two diagonal corners when 2**n is unaffordable (which
-    SLM refuses)."""
-    if box.dim <= MAX_CORNER_DIM:
-        points = initial_corners(box)
-    else:
-        points = [GridPoint((0,) * box.dim, 1), GridPoint((1,) * box.dim, 1)]
-    grid = GridSpec(box, 1)
-    members = []
-    for p in points:
-        x = position_of(p, grid)
-        members.append(Candidate(x, evaluate(x), point=p))
-    return members
+    """SLMGA's evaluated level-1 lattice: all 2**n corners, or the two
+    diagonal corners when 2**n is unaffordable (which SLM refuses)."""
+    points = initial_corners(box) if box.dim <= MAX_CORNER_DIM else [
+        GridPoint((0,) * box.dim, 1), GridPoint((1,) * box.dim, 1)]
+    return _place(points, GridSpec(box, 1), evaluate)
+
+
+def _place(points: Sequence[GridPoint], grid: GridSpec,
+           evaluate: Callable[[Vector], float]) -> list[Candidate]:
+    """``points`` placed on ``grid`` and evaluated, in their order."""
+    return [Candidate(x, evaluate(x), point=p) for p in points for x in [position_of(p, grid)]]
 
 
 @functools.cache
@@ -195,58 +201,90 @@ def _choose_cell(
     return Cell(GridPoint(chosen, grid.level))
 
 
+def subdivide(
+    obj: Objective, evaluate: Callable[[Vector], float], pop: list[Candidate], n_levels: int,
+    rule: LabelRule, offspring: Callable, carry: bool, choose: bool = True,
+) -> tuple[list[StepRecord], Candidate, list[Candidate]]:
+    """Run ``n_levels`` steps from the evaluated level-1 lattice ``pop``.
+
+    ``offspring(grid, lattice, carried)`` gives a step's members, in the
+    order the step records them, and each one's offspring.  With ``carry``
+    the chosen cell's vertices keep their labels into the next step, where
+    ``carried`` holds them by refined point.  Without ``choose`` no cell is
+    chosen, and the distinct offspring, the best copy of each point, re-seed
+    the next step.  Returns the steps, the lowest member or offspring by
+    ``rank``, and the last lattice, or the last re-seeded offspring."""
+    best = argmin_candidate(pop)
+    carried: dict[GridPoint, LabeledVertex] = {}
+    steps: list[StepRecord] = []
+    for level in range(1, n_levels + 1):
+        grid = GridSpec(obj.box, level)
+        if steps and steps[-1].chosen_cell is not None:
+            pop = _place(lattice_points(steps[-1].chosen_cell), grid, evaluate)
+        members, children = offspring(grid, pop, carried)
+
+        labels: list[LabeledVertex] = []
+        for parent, child in zip(members, children):
+            old = carried.get(parent.point)
+            if old is None:
+                delta = _label_delta(obj, rule, parent, child)
+                labels.append(LabeledVertex(parent, label_from_delta(delta, rule), delta))
+            else:
+                labels.append(LabeledVertex(parent, old.label, old.delta))
+            best = argmin_candidate((best, parent, child))
+
+        chosen = None
+        if choose:
+            labelled = {lv.candidate.point: lv for lv in labels}
+            complete = find_complete_cells({p: lv.label for p, lv in labelled.items()})
+            # the members' values (SLMGA's re-evaluated), in the lattice's order
+            values = dict.fromkeys(c.point.k for c in pop)
+            values.update((c.point.k, c.f) for c in members)
+            chosen = _choose_cell(complete, grid, _region_cells(level, values), best)
+            if carry:
+                carried = {refine(v): labelled[v] for v in cell_vertices(chosen)}
+        else:
+            first: dict[tuple[int, ...], Candidate] = {}
+            for c in sorted(children, key=rank):
+                first.setdefault(c.point.k, c)
+            pop = list(first.values())
+
+        steps.append(StepRecord(level=level, h=grid.step, population=members, labels=labels,
+                                chosen_cell=chosen, best=best))
+    return steps, best, pop
+
+
+def _label_delta(obj: Objective, rule: LabelRule, parent: Candidate, child: Candidate) -> Vector:
+    """The direction ``parent`` is labelled by: its gradient step under the
+    gradient rule where it has a usable gradient, else the step to ``child``."""
+    if rule.variant is LabelVariant.GRADIENT_FIXED_POINT:
+        try:
+            return gradient_delta(parent.x, obj.gradient(parent.x))
+        except GradientUnavailableError:
+            pass
+    return delta_of(parent, child)
+
+
 def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     """Run the serial algorithm until every step component is below
     ``cfg.h_tol`` or ``cfg.max_levels`` is exhausted."""
     box = obj.box
     negate = cfg.sense is Sense.MAXIMIZE
     ev = Evaluator(obj, negate=negate)
-    rule = cfg.label_rule
     n_levels = levels(box, cfg.h_tol)
 
-    active: list[GridPoint] = initial_corners(box)
-    # the corners first, as in ga_run; level 1 reads them back from the cache
-    best = argmin_candidate(init_population(box, ev))
-    # the labelled vertices of the last chosen cell, keyed by their refined
-    # point: every other point of its lattice has an odd coordinate, so no
-    # earlier level labelled it
-    carried: dict[GridPoint, LabeledVertex] = {}
-    steps: list[StepRecord] = []
+    def offspring(grid, lattice, carried):
+        # a carried vertex keeps its label and probes nothing
+        h_next = tuple(hd / 2.0 for hd in grid.step)
+        return lattice, [
+            p if p.point in carried
+            else best_neighbor(ev, p, slm_neighbors(p.x, h_next, cfg.neighbor_scheme, box))
+            for p in lattice]
 
-    for level in range(1, min(n_levels, cfg.max_levels) + 1):
-        grid = GridSpec(box, level)
-        h = grid.step
-        h_next = tuple(hd / 2.0 for hd in h)
-
-        population: list[Candidate] = []
-        labels: list[LabeledVertex] = []
-        for p in active:
-            x = position_of(p, grid)
-            cand = Candidate(x, ev(x), point=p)
-            population.append(cand)
-            best = argmin_candidate((best, cand))
-            old = carried.get(p)
-            if old is not None:
-                labels.append(LabeledVertex(cand, old.label, old.delta))
-                continue
-            neighbors = slm_neighbors(x, h_next, cfg.neighbor_scheme, box)
-            winner = best_neighbor(ev, cand, neighbors)
-            best = argmin_candidate((best, winner))
-            delta = delta_of(cand, winner)
-            labels.append(LabeledVertex(cand, label_from_delta(delta, rule), delta))
-
-        labelled = {lv.candidate.point: lv for lv in labels}
-        complete = find_complete_cells({p: lv.label for p, lv in labelled.items()})
-        cells = _region_cells(level, {c.point.k: c.f for c in population})
-        chosen = _choose_cell(complete, grid, cells, best)
-
-        steps.append(StepRecord(
-            level=level, h=h, population=population, labels=labels,
-            chosen_cell=chosen, best=best))
-
-        carried = {refine(v): labelled[v] for v in cell_vertices(chosen)}
-        active = lattice_points(chosen)
-
+    # initial_corners refuses a box that init_population seeds with two corners
+    corners = _place(initial_corners(box), GridSpec(box, 1), ev)
+    steps, best, _ = subdivide(obj, ev, corners, min(n_levels, cfg.max_levels),
+                               cfg.label_rule, offspring, carry=True)
     report = RunReport(
         steps=steps,
         best=best,

@@ -1,20 +1,20 @@
 """Genetic-algorithm formulation of the subdivision-labeling search.
 
-The population is the set of grid crossing points; mutation probes the
+``ga_run`` is ``slm.subdivide`` with mutation as the offspring function:
+the population is the set of grid crossing points, mutation probes the
 {0, +-h}^n neighborhood at the next (halved) step and keeps each member's
-best offspring; selection pressure comes from integer labeling plus
-subdivision of a completely labeled cell, whose finer lattice augments the
-next generation.  Crossover is deliberately absent.
+best offspring, and selection pressure comes from the labels and the
+subdivided cell, whose finer lattice is the next generation.  Crossover is
+deliberately absent.
 
 A generation is mutated at once: its members' offspring tile one window of
 the finer grid, whose points are evaluated once each and whose values give
 every member's best offspring (``mutate``).  A run that meets an undefined
 value ends on the first one in the window's C order.
 
-Stochastic objectives (F4) are evaluated under common random numbers: every
-candidate inside one generation sees the same seeded noise draw, so
-selection compares noiseless differences while reported values keep the
-noise.
+Stochastic objectives (F4) are evaluated under common random numbers: a
+generation's candidates share one seeded noise draw, so selection compares
+noiseless differences while reported values keep the noise.
 """
 
 from __future__ import annotations
@@ -33,29 +33,24 @@ from .core import (
     Candidate,
     GridPoint,
     GridSpec,
-    LabeledVertex,
     RunReport,
-    StepRecord,
     Vector,
     argmin_candidate,
     coordinate,
     lattice_points,
     levels,
-    position_of,
     rank,
     refine,
 )
-from .errors import ConfigError, GradientUnavailableError, SubgridError
+from .errors import ConfigError, SubgridError
 from .functions import Evaluator, Objective
-from .labeling import (
-    LabelRule,
-    LabelVariant,
-    delta_of,
-    find_complete_cells,
-    gradient_delta,
-    label_from_delta,
-)
-from .slm import _choose_cell, _region_cells, init_population
+from .labeling import LabelRule
+from .slm import _place, init_population, subdivide
+
+# unused here, but perfbench/tracer.py rebinds each of these names in this module
+from .core import position_of  # noqa: F401
+from .labeling import find_complete_cells, label_from_delta  # noqa: F401
+from .slm import _choose_cell, _region_cells  # noqa: F401
 
 # beyond this many offspring per member, each member takes a coordinate-greedy sweep
 MAX_ENUMERATED_OFFSPRING = 768
@@ -229,66 +224,30 @@ def _sweep(
 
 def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     box = obj.box
-    n = box.dim
-    rule = cfg.label_rule
-    steps: list[StepRecord] = []
     evaluate = Evaluator(obj, seed=cfg.seed)
-    pop = init_population(box, evaluate)
-    best = argmin_candidate(pop)
     n_levels = levels(box, cfg.h_tol)
 
-    for gen in range(1, min(n_levels, cfg.max_generations) + 1):
-        grid = GridSpec(box, gen)
-        evaluate.start_generation(gen)
+    def offspring(grid, pop, carried):
+        evaluate.start_generation(grid.level)
         # re-evaluate under this generation's noise so comparisons are fair
         if obj.stochastic:
             pop = [Candidate(c.x, evaluate(c.x), point=c.point) for c in pop]
         members = sorted(pop, key=rank)
         n_mutate = max(1, int(round(cfg.mutation_rate * len(members))))
-
         # the members past the mutation rate survive unchanged
-        survivors = mutate(evaluate, members[:n_mutate], box) + [
+        return members, mutate(evaluate, members[:n_mutate], box) + [
             Candidate(p.x, p.f, point=refine(p.point)) for p in members[n_mutate:]]
 
-        labels: dict[GridPoint, int] = {}
-        recorded: list[LabeledVertex] = []
-        for parent, child in zip(members, survivors):
-            delta = _label_delta(obj, rule, parent, child)
-            labels[parent.point] = label_from_delta(delta, rule)
-            recorded.append(LabeledVertex(parent, labels[parent.point], delta))
-            best = argmin_candidate((best, parent, child))
-
-        if 3**n <= MAX_ENUMERATED_OFFSPRING:
-            # pop is the lattice of the last chosen cell (the corners at
-            # generation 1), in the order it was made
-            cells = _region_cells(gen, {c.point.k: c.f for c in pop})
-            chosen = _choose_cell(find_complete_cells(labels), grid, cells, best)
-        else:
-            # cell enumeration is unaffordable here; mutation alone refines
-            chosen = None
-
-        steps.append(StepRecord(
-            level=gen, h=grid.step, population=list(members), labels=recorded,
-            chosen_cell=chosen, best=best))
-
-        # the next generation's crossing points are the finer lattice of the
-        # subdivided cell; without a cell (high dimension) the mutated
-        # survivors carry the search instead, the best copy of each point
-        # where two parents share a child
-        if chosen is not None:
-            fine = GridSpec(box, gen + 1)
-            pop = []
-            for p in lattice_points(chosen):
-                x = position_of(p, fine)
-                pop.append(Candidate(x, evaluate(x), point=p))
-        else:
-            first: dict[tuple[int, ...], Candidate] = {}
-            for c in sorted(survivors, key=rank):
-                first.setdefault(c.point.k, c)
-            pop = list(first.values())
-
-    # the answer is the best member of the converged population; probes may
-    # have seen a lower value elsewhere, which best_value keeps
+    # where cell enumeration is unaffordable, the mutated survivors re-seed
+    steps, best, pop = subdivide(obj, evaluate, init_population(box, evaluate),
+                                 min(n_levels, cfg.max_generations), cfg.label_rule,
+                                 offspring, carry=False,
+                                 choose=3**box.dim <= MAX_ENUMERATED_OFFSPRING)
+    # the answer is the best of the population the next generation would
+    # start from; best_value keeps any lower value a probe saw
+    if steps and steps[-1].chosen_cell is not None:
+        chosen = steps[-1].chosen_cell
+        pop = _place(lattice_points(chosen), GridSpec(box, chosen.level + 1), evaluate)
     solution = argmin_candidate(pop)
     return RunReport(
         steps=steps,
@@ -308,12 +267,3 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
             "mutation_schedule_ratio": 0.5,
         },
     )
-
-
-def _label_delta(obj: Objective, rule: LabelRule, parent: Candidate, child: Candidate) -> Vector:
-    if rule.variant is LabelVariant.GRADIENT_FIXED_POINT:
-        try:
-            return gradient_delta(parent.x, obj.gradient(parent.x))
-        except GradientUnavailableError:
-            pass
-    return delta_of(parent, child)

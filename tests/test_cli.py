@@ -198,6 +198,17 @@ class TestRun:
     def test_refusal_exit_code_and_message(self, capsys, argv, code, err):
         assert run_cli(capsys, "run", *argv) == (code, "", err)
 
+    @pytest.mark.parametrize("argv,err", [
+        (("run", "--" + "a" * 3000), "unrecognized argument '--aaaaaaaaaaaaaaaaaa...'"),
+        (("a" * 3000,), "bad value 'aaaaaaaaaaaaaaaaaaaa...' for command "
+                        "(have: list, run, bench, trace, eval)"),
+        (("run", "--f=" + "a" * 3000), "ambiguous option: --f=" + "a" * 78 + "..."),
+        (("trace",), "the following arguments are required: --function, --out"),
+    ])
+    def test_command_line_refusal_is_config_error(self, capsys, argv, err):
+        # argparse's own message would quote the argument whole, after its usage
+        assert run_cli(capsys, *argv) == (2, "", "config error: %s\n" % err)
+
     @pytest.mark.parametrize("algo,line,err", [
         ("slm", "h_tol = 0", "h_tol must be positive"),
         ("slm", "max_levels = 0", "max_levels must be in 1..1024"),
@@ -783,16 +794,31 @@ _FLAGS = {"objective": "--function", "function": "--function", "expr": "--expr",
           "generations": "--budget", "format": "--format"}
 
 
+_COMMANDS = ["list", "run", "bench", "trace", "eval"]
+# Every flag of every command, and their prefixes: argparse takes a unique
+# prefix for its flag and refuses an ambiguous one.
+_KNOWN_FLAGS = sorted({f for parser in next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices.values() for a in parser._actions for f in a.option_strings})
+_FLAG_NAMES = st.one_of(
+    st.sampled_from(sorted({f[:i] for f in _KNOWN_FLAGS for i in range(1, len(f) + 1)})),
+    st.sampled_from(_KNOWN_FLAGS).flatmap(_misspelt),
+    _WORDS.map("--".__add__), _LONG.map("--".__add__), _WORDS, _LONG)
+# a flag alone, or with a value after "="
+_FLAG_ARGS = st.one_of(_FLAG_NAMES, st.tuples(_FLAG_NAMES, _VALUES).map("=".join))
+
+
 def _ini_text(sections):
     return "".join("[%s]\n%s" % (name, "".join("%s = %s\n" % kv for kv in keys.items()))
                    for name, keys in sections)
 
 
 class TestEveryWayIn:
-    """``main`` on fuzzed INI files, ``run`` flags and ``SUBGRID_SEED`` ends
-    in a documented exit code, lets no exception escape (argparse's refusal
-    is its ``SystemExit(2)``), and writes bounded stderr once the section
-    names and the file path, which a message quotes whole, are taken out.
+    """``main`` on fuzzed INI files, ``run`` flags, unknown flags and
+    commands, and ``SUBGRID_SEED`` ends in a documented exit code, lets no
+    exception escape (``--help`` is argparse's ``SystemExit(0)``), and
+    writes bounded stderr once the section names and the file path, which a
+    message quotes whole, are taken out.
 
     Values are any int, any float, edge spellings and text up to 3,000
     characters, ``dim`` and ``pop_size`` included; only the keys that cost
@@ -801,8 +827,7 @@ class TestEveryWayIn:
     draw they let through runs in milliseconds; the checks that apply them
     are the program's own."""
 
-    # argparse's usage of `run` and one line of refusal come to about 500
-    # bytes; a value of _LONG quoted whole passes the bound
+    # a refusal is one line; a value of _LONG quoted whole passes the bound
     MAX_STDERR = 800
 
     def _main(self, argv, seed, quoted_whole=()):
@@ -816,13 +841,14 @@ class TestEveryWayIn:
                 os.environ.pop("SUBGRID_SEED", None)
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse refusing the command line
+            except SystemExit as exc:  # argparse printing --help
                 code = exc.code
         assert code in (0, 2, 3, 4)
         text = err.getvalue()
         for whole in sorted(quoted_whole, key=len, reverse=True):
             text = text.replace(whole, "")
         assert len(text.encode()) <= self.MAX_STDERR, text[:300]
+        return code
 
     @given(sections=st.lists(st.tuples(st.one_of(st.sampled_from(["a", "b"]), _HEADERS),
                                        _experiment()), max_size=3),
@@ -846,3 +872,14 @@ class TestEveryWayIn:
     def test_run_flags(self, keys, seed):
         argv = ["run"] + ["%s=%s" % (_FLAGS[k], v) for k, v in keys.items() if k in _FLAGS]
         self._main(argv, seed)
+
+    @given(command=st.one_of(st.sampled_from(_COMMANDS), st.sampled_from(_COMMANDS).flatmap(
+               _misspelt), _WORDS, _LONG),
+           flags=st.lists(_FLAG_ARGS, max_size=3), unknown=_FLAG_ARGS.map("--x".__add__),
+           at=st.integers(0, 4), seed=_SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_flags_and_commands(self, command, flags, unknown, at, seed):
+        # no parser knows a flag that starts with --x, so no drawn command runs
+        argv = [command, *flags]
+        argv.insert(at, unknown)
+        assert self._main(argv, seed) in (0, 2)

@@ -176,6 +176,16 @@ class TestInitialCorners:
         with pytest.raises(SubgridError, match=r"^corner seeding needs 2\*\*21 points$"):
             initial_corners(BoxDomain.cube(0.0, 1.0, 21))
 
+    def test_slm_run_refuses_before_any_evaluation(self):
+        # slmga seeds such a box with two diagonal corners; slm takes all
+        # 2**n or refuses
+        def eval_fn(x):
+            raise AssertionError("evaluated a point of the 21-d box")
+
+        obj = Objective("raises", BoxDomain.cube(0.0, 1.0, 21), eval_fn)
+        with pytest.raises(SubgridError, match=r"^corner seeding needs 2\*\*21 points$"):
+            slm_run(obj, SlmConfig(h_tol=0.5, max_levels=1))
+
 
 class TestNeighbors:
     def test_sign_uniform_count_interior(self):
@@ -458,8 +468,8 @@ class TestRegionCells:
             seen.append((level, dict(values_by_k), cells))
             return cells
 
-        with mock.patch.object(slm, "_region_cells", recording), \
-                mock.patch.object(slmga, "_region_cells", recording):
+        # both engines run slm.subdivide, which reads slm._region_cells
+        with mock.patch.object(slm, "_region_cells", recording):
             slm_run(obj, cfg)
             slmga.ga_run(obj, slmga.GaConfig(h_tol=cfg.h_tol, max_generations=cfg.max_levels,
                                              mutation_rate=rate))
@@ -472,6 +482,20 @@ class TestRegionCells:
                 fs = [values[v.k] for v in cell_vertices(c)]
                 want[c.anchor.k] = (min(fs), sum(fs))
             assert cells == want
+
+
+class TestEnginesChooseTheSameCells:
+    # SLMGA is SLM recast as a GA: at mutation rate 1 it chooses the cell
+    # that SLM chooses with full-box probes, at every step (f3, 5-d, agrees
+    # too but takes seconds under full-box SLM)
+    @pytest.mark.parametrize("name", ["easom", "goldstein-price", "f1", "f2", "f5"])
+    def test_same_chosen_cell_at_every_step(self, name):
+        obj = get_objective(name)
+        h_tol = min(obj.box.width) / 2**8
+        serial = slm_run(obj, SlmConfig(h_tol=h_tol, neighbor_scheme=NeighborScheme.FULL_BOX))
+        ga = slmga.ga_run(obj, slmga.GaConfig(h_tol=h_tol, mutation_rate=1.0))
+        assert len(serial.steps) == 9
+        assert [s.chosen_cell for s in serial.steps] == [s.chosen_cell for s in ga.steps]
 
 
 class TestMatchesReference:

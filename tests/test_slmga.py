@@ -17,13 +17,8 @@ from subgrid.core import (
 from subgrid.errors import ConfigError, ExprEvalError, SubgridError
 from subgrid.functions import Evaluator, Objective, get_objective
 from subgrid.harness import expression_objective
-from subgrid.slmga import (
-    MAX_ENUMERATED_OFFSPRING,
-    GaConfig,
-    ga_run,
-    init_population,
-    mutate,
-)
+from subgrid.slm import init_population
+from subgrid.slmga import MAX_ENUMERATED_OFFSPRING, GaConfig, ga_run, mutate
 
 
 # The brood-building mutation that ``slmga.mutate`` replaced, kept as the
