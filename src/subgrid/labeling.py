@@ -3,7 +3,9 @@
 A point gets label 0 when every component of its improvement vector is
 (tolerantly) nonnegative, otherwise the 1-based index of the last negative
 component.  A hypercube cell whose vertex labels cover {0..n} is "complete"
-and is the subdivision target of both engines.
+and is the subdivision target of both engines (``slm._region_cells``).
+``find_complete_cells`` is the standalone form, which the tests compare
+against; it is not on the engines' path.
 """
 
 from __future__ import annotations

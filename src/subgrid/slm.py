@@ -2,9 +2,10 @@
 
 ``subdivide`` starts from the evaluated box corners.  Each step labels
 every member of its lattice by the direction to an offspring at the next
-(halved) step, chooses a cell, preferring a completely labeled one, and
-places the cell's finer lattice for the next step, until the step drops
-below tolerance.  The engines differ only in what they pass to the loop.
+(halved) step, reads the lattice's cells in one pass, chooses one,
+preferring a completely labeled cell, and places its finer lattice for the
+next step, until the step drops below tolerance.  The engines differ only
+in what they pass to the loop.
 
 SLM's offspring of a member is its best neighbour among the probes
 ``x + move * h/2``, and the chosen cell's vertices carry their labels into
@@ -43,8 +44,10 @@ from .core import (
 )
 from .errors import ConfigError, GradientUnavailableError, SubgridError
 from .functions import Evaluator, Objective
-from .labeling import (LabelRule, LabelVariant, delta_of, find_complete_cells, gradient_delta,
+from .labeling import (LabelRule, LabelVariant, delta_of, gradient_delta, is_complete,
                        label_from_delta)
+# unused here, but perfbench/tracer.py rebinds this name in this module
+from .labeling import find_complete_cells  # noqa: F401
 
 MAX_CORNER_DIM = 20
 
@@ -146,51 +149,45 @@ def best_neighbor(
     return best
 
 
-def _region_cells(
-    level: int, values_by_k: dict[tuple[int, ...], float],
-) -> dict[tuple[int, ...], tuple[float, float]]:
-    """The region cells of a step: each anchor ``k`` mapped to the (min,
-    sum) of the cell's vertex values, in ``cell_vertices`` order.
+def _region_cells(base: tuple[int, ...], vertices: dict[tuple[int, ...], LabeledVertex],
+                  grid: GridSpec, best: Candidate) -> dict[tuple[int, ...], tuple]:
+    """The region cells of a step, in one pass: each anchor ``k`` mapped to
+    the (min, sum) of the cell's vertex values, in ``cell_vertices`` order,
+    whether its vertex labels are complete, and whether it holds ``best``.
 
     A step's lattice is the box's 2**n corners at level 1, one cell, and
     after that the last chosen cell refined, 3**n points holding its 2**n
-    subcells.  ``values_by_k`` maps the lattice's ``k`` to its values in
-    the order the lattice is made, ascending ``k``, so every cell is read
-    off the first, lowest point without a search."""
-    base = next(iter(values_by_k))
-    unit = list(itertools.product((0, 1), repeat=len(base)))
+    subcells.  ``vertices`` maps the lattice's ``k`` to its members, so
+    every cell is read off the lowest, ``base``, without a search.  A
+    cell's bounds are the ``coordinate`` of its anchor index and the next."""
+    box, step, n = grid.box, grid.step, len(base)
+    unit = list(itertools.product((0, 1), repeat=n))
     cells = {}
-    for off in unit[:1] if level == 1 else unit:
+    for off in unit[:1] if grid.level == 1 else unit:
         anchor = tuple(map(operator.add, base, off))
-        fs = [values_by_k[tuple(map(operator.add, anchor, v))] for v in unit]
-        cells[anchor] = (min(fs), sum(fs))
+        vs = [vertices[tuple(map(operator.add, anchor, v))] for v in unit]
+        fs = [lv.candidate.f for lv in vs]
+        holds = all(
+            coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
+            for lo, hi, kd, sd, v in zip(box.lower, box.upper, anchor, step, best.x))
+        cells[anchor] = (min(fs), sum(fs), is_complete((lv.label for lv in vs), n), holds)
     return cells
 
 
-def _choose_cell(
-    complete: list[Cell],
-    grid: GridSpec,
-    cells: dict[tuple[int, ...], tuple[float, float]],
-    best: Candidate,
-) -> Cell:
+def _choose_cell(cells: dict[tuple[int, ...], tuple], level: int) -> Cell:
     """Complete cell with the fittest vertex; without a complete cell (or
     when the cell holding the overall best point has a strictly fitter
     vertex, as on plateaus where completeness only marks discontinuities),
     the region cell containing the overall best point.
 
-    ``cells`` maps each region cell's anchor ``k`` to the (min, sum) of its
-    vertex values, as ``_region_cells`` gives them; every complete cell is
-    a region cell.  A cell's bounds are the ``coordinate`` of its anchor
-    index and of the index one above."""
-    box, step = grid.box, grid.step
-    containing = [k for k in cells if all(
-        coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
-        for lo, hi, kd, sd, v in zip(box.lower, box.upper, k, step, best.x))]
+    ``cells`` are the step's region cells as ``_region_cells`` gives them."""
+    complete = [k for k, (_, _, full, _) in cells.items() if full]
+    containing = [k for k, (*_, holds) in cells.items() if holds]
     if complete:
-        chosen = min((c.anchor.k for c in complete), key=lambda k: (cells[k][0], k))
+        chosen = min(complete, key=lambda k: (cells[k][0], k))
         if containing:
-            cont = min(containing, key=lambda k: (*cells[k], tuple(-kd for kd in k)))
-            if cells[cont] < cells[chosen]:
+            cont = min(containing, key=lambda k: (*cells[k][:2], tuple(-kd for kd in k)))
+            if cells[cont][:2] < cells[chosen][:2]:
                 chosen = cont
     elif containing:
         # prefer the cell whose anchor sits at the best point, i.e. the one
@@ -198,7 +195,7 @@ def _choose_cell(
         chosen = max(containing)
     else:
         chosen = min(cells, key=lambda k: (cells[k][0], k))
-    return Cell(GridPoint(chosen, grid.level))
+    return Cell(GridPoint(chosen, level))
 
 
 def subdivide(
@@ -235,14 +232,11 @@ def subdivide(
 
         chosen = None
         if choose:
-            labelled = {lv.candidate.point: lv for lv in labels}
-            complete = find_complete_cells({p: lv.label for p, lv in labelled.items()})
-            # the members' values (SLMGA's re-evaluated), in the lattice's order
-            values = dict.fromkeys(c.point.k for c in pop)
-            values.update((c.point.k, c.f) for c in members)
-            chosen = _choose_cell(complete, grid, _region_cells(level, values), best)
+            # the members with their labels and values (SLMGA's re-evaluated)
+            by_k = {lv.candidate.point.k: lv for lv in labels}
+            chosen = _choose_cell(_region_cells(pop[0].point.k, by_k, grid, best), level)
             if carry:
-                carried = {refine(v): labelled[v] for v in cell_vertices(chosen)}
+                carried = {refine(v): by_k[v.k] for v in cell_vertices(chosen)}
         else:
             first: dict[tuple[int, ...], Candidate] = {}
             for c in sorted(children, key=rank):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from subgrid.core import (
     StepRecord,
     argmin_candidate,
     cell_vertices,
+    coordinate,
     lattice_points,
     position_of,
     refine,
@@ -159,6 +161,55 @@ def reference_slm_run(obj, cfg):
     if negate:
         _negate_report(report)
     return report
+
+
+# The three passes that ``slm._region_cells`` and ``slm._choose_cell``
+# replaced, kept as the reference the one pass plus the policy must agree
+# with: ``find_complete_cells`` sorted the labelled lattice and rebuilt
+# every cell's vertices, ``chain_region_cells`` read (min, sum) off the
+# lattice's lowest point, and the policy tested every cell's bounds
+# against the best point.  ``chain_choose_cell`` also names its branch.
+def chain_region_cells(level, values_by_k):
+    base = next(iter(values_by_k))
+    unit = list(itertools.product((0, 1), repeat=len(base)))
+    cells = {}
+    for off in unit[:1] if level == 1 else unit:
+        anchor = tuple(map(operator.add, base, off))
+        fs = [values_by_k[tuple(map(operator.add, anchor, v))] for v in unit]
+        cells[anchor] = (min(fs), sum(fs))
+    return cells
+
+
+def chain_holds(k, grid, best):
+    box, step = grid.box, grid.step
+    return all(
+        coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
+        for lo, hi, kd, sd, v in zip(box.lower, box.upper, k, step, best.x))
+
+
+def chain_choose_cell(complete, grid, cells, best):
+    containing = [k for k in cells if chain_holds(k, grid, best)]
+    branch = "complete"
+    if complete:
+        chosen = min((c.anchor.k for c in complete), key=lambda k: (cells[k][0], k))
+        if containing:
+            cont = min(containing, key=lambda k: (*cells[k], tuple(-kd for kd in k)))
+            if cells[cont] < cells[chosen]:
+                chosen, branch = cont, "override-by-best-cell"
+    elif containing:
+        chosen, branch = max(containing), "containing-best"
+    else:
+        chosen, branch = min(cells, key=lambda k: (cells[k][0], k)), "lowest-vertex"
+    return Cell(GridPoint(chosen, grid.level)), branch
+
+
+def chain(vertices, grid, best):
+    """The chosen cell and the branch that chose it, by the three passes,
+    from the arguments of the one pass."""
+    complete = find_complete_cells(
+        {GridPoint(k, grid.level): lv.label for k, lv in vertices.items()})
+    values = {k: vertices[k].candidate.f for k in sorted(vertices)}
+    return chain_choose_cell(complete, grid, chain_region_cells(grid.level, values), best)
 
 
 class TestInitialCorners:
@@ -463,9 +514,9 @@ class TestRegionCells:
         seen = []
         real = slm._region_cells
 
-        def recording(level, values_by_k):
-            cells = real(level, values_by_k)
-            seen.append((level, dict(values_by_k), cells))
+        def recording(base, vertices, grid, best):
+            cells = real(base, vertices, grid, best)
+            seen.append((base, dict(vertices), grid, best, cells))
             return cells
 
         # both engines run slm.subdivide, which reads slm._region_cells
@@ -474,14 +525,108 @@ class TestRegionCells:
             slmga.ga_run(obj, slmga.GaConfig(h_tol=cfg.h_tol, max_generations=cfg.max_levels,
                                              mutation_rate=rate))
         assert len(seen) == 2 * cfg.max_levels
-        for level, values, cells in seen:
-            # the lattice is born sorted by k
-            assert list(values) == sorted(values)
+        for base, vertices, grid, best, cells in seen:
+            assert base == min(vertices)
+            level = grid.level
+            complete = {c.anchor.k for c in find_complete_cells(
+                {GridPoint(k, level): lv.label for k, lv in vertices.items()})}
             want = {}
-            for c in reference_region_cells([GridPoint(k, level) for k in values]):
-                fs = [values[v.k] for v in cell_vertices(c)]
-                want[c.anchor.k] = (min(fs), sum(fs))
+            for c in reference_region_cells([GridPoint(k, level) for k in vertices]):
+                k = c.anchor.k
+                fs = [vertices[v.k].candidate.f for v in cell_vertices(c)]
+                want[k] = (min(fs), sum(fs), k in complete, chain_holds(k, grid, best))
             assert cells == want
+
+
+# Strategies made once: a strategy built inside a draw costs more than the
+# cell pass it feeds.
+_n = st.integers(1, 4)
+_level = st.sampled_from([1, 2]) | st.integers(3, 40)
+_at_top = st.booleans()
+_values = st.sampled_from([3, 3, 256])
+_short = st.booleans()
+_index = st.sampled_from([0, 1, 1, 2])
+_where = st.sampled_from(["face", "face", "near", "near", "mid", "box"])
+_off = st.sampled_from([-5e-13, 5e-13, -2e-12, 2e-12])
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _cell_pass_case(draw):
+    n = draw(_n)
+    lower = [draw(_coord) for _ in range(n)]
+    box = BoxDomain(tuple(lower), tuple(lo + draw(_width) for lo in lower))
+    level = draw(_level)
+    grid = GridSpec(box, level)
+    if level == 1:
+        points = initial_corners(box)
+    else:
+        # a lattice anywhere in the box, often at its top indices
+        top = 2 ** (level - 2) - 1
+        points = lattice_points(Cell(GridPoint(tuple(
+            top if draw(_at_top) else min(top, int(draw(_unit) * (top + 1)))
+            for _ in range(n)), level - 1)))
+    # a byte per vertex for its value and one for its label; three values
+    # make ties between cells common, and labels short of n leave no cell
+    # complete
+    m = len(points)
+    raw = draw(st.binary(min_size=2 * m, max_size=2 * m))
+    spread = draw(_values)
+    labels = n if draw(_short) else n + 1
+    vertices = {p.k: LabeledVertex(Candidate(position_of(p, grid),
+                                             float(raw[i] % spread - spread // 2), p),
+                                   raw[m + i] % labels, ())
+                for i, p in enumerate(points)}
+    # the best point, axis by axis: on a lattice face (shared by two cells,
+    # or the top index), just off one, inside a cell, or anywhere in the box
+    base = points[0].k
+    x = []
+    for lo, hi, kd, sd in zip(box.lower, box.upper, base, grid.step):
+        where = draw(_where)
+        face = coordinate(lo, hi, kd + min(draw(_index), level), sd)
+        if where == "face":
+            x.append(face)
+        elif where == "near":
+            x.append(face + draw(_off))
+        elif where == "mid":
+            x.append((coordinate(lo, hi, kd, sd) + coordinate(lo, hi, kd + 1, sd)) / 2)
+        else:
+            x.append(lo + draw(_unit) * (hi - lo))
+    return base, vertices, grid, Candidate(tuple(x), 0.0)
+
+
+class TestOnePassChoosesAsTheChain:
+    @given(_cell_pass_case())
+    @settings(max_examples=300, deadline=None)
+    def test_same_cell_as_the_three_passes(self, case):
+        base, vertices, grid, best = case
+        got = slm._choose_cell(slm._region_cells(base, vertices, grid, best), grid.level)
+        assert got == chain(vertices, grid, best)[0]
+
+
+class TestPolicyBranches:
+    # which policy branch chose each step's cell, as the three passes
+    # classify it; between them the two runs reach all four branches
+    @pytest.mark.parametrize("name,branches", [
+        ("easom", ["containing-best"] * 2 + ["complete"] * 3 + ["override-by-best-cell",
+                                                               "complete"]
+         + ["containing-best"] * 2),
+        ("f2", ["complete"] * 4 + ["override-by-best-cell"] + ["complete"] * 3
+         + ["lowest-vertex"]),
+    ])
+    def test_branch_of_every_step(self, name, branches):
+        obj = get_objective(name)
+        seen = []
+        real = slm._region_cells
+
+        def recording(base, vertices, grid, best):
+            seen.append(chain(vertices, grid, best))
+            return real(base, vertices, grid, best)
+
+        with mock.patch.object(slm, "_region_cells", recording):
+            rep = slm_run(obj, SlmConfig(h_tol=min(obj.box.width) / 2**8))
+        assert [cell for cell, _ in seen] == [s.chosen_cell for s in rep.steps]
+        assert [branch for _, branch in seen] == branches
 
 
 class TestEnginesChooseTheSameCells:
