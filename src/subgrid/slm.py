@@ -182,7 +182,7 @@ def _choose_cell(cells: dict[tuple[int, ...], tuple], level: int) -> Cell:
 
     ``cells`` are the step's region cells as ``_region_cells`` gives them."""
     complete = [k for k, (_, _, full, _) in cells.items() if full]
-    containing = [k for k, (*_, holds) in cells.items() if holds]
+    containing = [k for k, (_, _, _, holds) in cells.items() if holds]
     if complete:
         chosen = min(complete, key=lambda k: (cells[k][0], k))
         if containing:

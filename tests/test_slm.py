@@ -4,7 +4,7 @@ import operator
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_harness import _decimal_box
 
@@ -543,7 +543,7 @@ class TestRegionCells:
 _n = st.integers(1, 4)
 _level = st.sampled_from([1, 2]) | st.integers(3, 40)
 _at_top = st.booleans()
-_values = st.sampled_from([3, 3, 256])
+_spread = st.sampled_from([3, 3, 256])
 _short = st.booleans()
 _index = st.sampled_from([0, 1, 1, 2])
 _where = st.sampled_from(["face", "face", "near", "near", "mid", "box"])
@@ -571,7 +571,7 @@ def _cell_pass_case(draw):
     # complete
     m = len(points)
     raw = draw(st.binary(min_size=2 * m, max_size=2 * m))
-    spread = draw(_values)
+    spread = draw(_spread)
     labels = n if draw(_short) else n + 1
     vertices = {p.k: LabeledVertex(Candidate(position_of(p, grid),
                                              float(raw[i] % spread - spread // 2), p),
@@ -579,11 +579,11 @@ def _cell_pass_case(draw):
                 for i, p in enumerate(points)}
     # the best point, axis by axis: on a lattice face (shared by two cells,
     # or the top index), just off one, inside a cell, or anywhere in the box
-    base = points[0].k
+    base, span = points[0].k, 1 if level == 1 else 2
     x = []
     for lo, hi, kd, sd in zip(box.lower, box.upper, base, grid.step):
         where = draw(_where)
-        face = coordinate(lo, hi, kd + min(draw(_index), level), sd)
+        face = coordinate(lo, hi, kd + min(draw(_index), span), sd)
         if where == "face":
             x.append(face)
         elif where == "near":
@@ -595,8 +595,21 @@ def _cell_pass_case(draw):
     return base, vertices, grid, Candidate(tuple(x), 0.0)
 
 
+def _tied_override_case():
+    # every region cell holds the best point, the one complete cell (0, 0)
+    # has the worst (min, sum) and the other three tie: only the tie key
+    # among cells holding the best point decides
+    grid = GridSpec(BoxDomain.cube(0.0, 4.0, 2), 2)
+    values, labels = {(0, 0): 3.0, (1, 1): -1.0}, {(1, 0): 1, (0, 1): 2}
+    vertices = {p.k: LabeledVertex(Candidate(position_of(p, grid), values.get(p.k, 0.0), p),
+                                   labels.get(p.k, 0), ())
+                for p in lattice_points(Cell(GridPoint((0, 0), 1)))}
+    return (0, 0), vertices, grid, Candidate((2.0, 2.0), -1.0)
+
+
 class TestOnePassChoosesAsTheChain:
     @given(_cell_pass_case())
+    @example(_tied_override_case())
     @settings(max_examples=300, deadline=None)
     def test_same_cell_as_the_three_passes(self, case):
         base, vertices, grid, best = case
@@ -608,11 +621,10 @@ class TestPolicyBranches:
     # which policy branch chose each step's cell, as the three passes
     # classify it; between them the two runs reach all four branches
     @pytest.mark.parametrize("name,branches", [
-        ("easom", ["containing-best"] * 2 + ["complete"] * 3 + ["override-by-best-cell",
-                                                               "complete"]
-         + ["containing-best"] * 2),
-        ("f2", ["complete"] * 4 + ["override-by-best-cell"] + ["complete"] * 3
-         + ["lowest-vertex"]),
+        ("easom", ["containing-best", "containing-best", "complete", "complete", "complete",
+                   "override-by-best-cell", "complete", "containing-best", "containing-best"]),
+        ("f2", ["complete", "complete", "complete", "complete", "override-by-best-cell",
+                "complete", "complete", "complete", "lowest-vertex"]),
     ])
     def test_branch_of_every_step(self, name, branches):
         obj = get_objective(name)
