@@ -25,8 +25,7 @@ import sys
 
 from . import BACKEND, harness, svgtrace
 from .errors import ConfigError, ExprError, ExprEvalError, SubgridError, clip
-from .exprparse import evaluate as expr_evaluate
-from .exprparse import parse as expr_parse
+from .exprparse import compile as expr_compile, evaluate as expr_evaluate, parse as expr_parse
 from .functions import get_objective, objective_names
 from .harness import ExperimentConfig
 
@@ -250,8 +249,7 @@ def _cmd_eval(args) -> int:
     dim = args.dim if args.dim is not None else len(x)
     if len(x) != dim:
         raise ConfigError("--at has %d coordinates, --dim is %d" % (len(x), dim))
-    ast = expr_parse(args.expr, dim)
-    print(repr(expr_evaluate(ast, x)))
+    print(repr(expr_evaluate(expr_compile(expr_parse(args.expr, dim)), x)))
     return EXIT_OK
 
 

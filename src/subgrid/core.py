@@ -29,6 +29,7 @@ pass, unconverted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -66,7 +67,7 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
+    @functools.cached_property
     def width(self) -> Vector:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
 
@@ -96,7 +97,7 @@ class GridSpec:
         if self.level < 1:
             raise SubgridError("level must be >= 1")
 
-    @property
+    @functools.cached_property
     def step(self) -> Vector:
         scale = 2 ** (self.level - 1)
         return tuple(w / scale for w in self.box.width)

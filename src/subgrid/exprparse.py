@@ -1,4 +1,4 @@
-"""Tiny arithmetic expression language for user-supplied objectives.
+"""Tiny expression language for user objectives: compiled once, evaluated many times.
 
 Grammar (no implicit multiplication; '^' is right-associative and binds
 tighter than unary minus, so "-x1^2" means -(x1^2)):
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import ExprError, ExprEvalError, clip
 
@@ -71,6 +71,7 @@ class Call:
 
 
 Expr = Union[Constant, Variable, Unary, Binary, Call]
+Compiled = Callable[[Sequence[float]], float]
 
 
 class _Parser:
@@ -190,36 +191,64 @@ def parse(src: str, n: int) -> Expr:
         raise ExprError("expression nested too deeply", parser.pos) from None
 
 
-def evaluate(ast: Expr, x: Sequence[float]) -> float:
-    """The value of ``ast`` at ``x``; an undefined value, or an AST nested
-    deeper than Python's recursion limit allows, is an ``ExprEvalError``."""
+def compile(ast: Expr) -> Compiled:
+    """``parse``'s AST made once into nested closures, for ``evaluate`` to call
+    at each point: they do its float operations, and raise its errors, in a
+    tree walk's order.  An AST nested too deeply is an ``ExprEvalError``."""
     try:
-        return _evaluate(ast, x)
+        return _compile(ast)
     except RecursionError:
         raise ExprEvalError("expression nested too deeply") from None
 
 
-def _evaluate(ast: Expr, x: Sequence[float]) -> float:
+def evaluate(compiled: Compiled, x: Sequence[float]) -> float:
+    """The value at ``x`` of ``compile``'s closures, or an ``ExprEvalError``."""
+    try:
+        return compiled(x)
+    except RecursionError:
+        raise ExprEvalError("expression nested too deeply") from None
+
+
+def _compile(ast: Expr) -> Compiled:
     if isinstance(ast, Constant):
-        return ast.value
+        value = ast.value
+        return lambda x: value
     if isinstance(ast, Variable):
-        return float(x[ast.index - 1])
+        i = ast.index - 1
+        return lambda x: float(x[i])
     if isinstance(ast, Unary):
-        return -_evaluate(ast.child, x)
-    if isinstance(ast, Binary):
-        a = _evaluate(ast.left, x)
-        b = _evaluate(ast.right, x)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
+        child = _compile(ast.child)
+        return lambda x: -child(x)
+    if isinstance(ast, Call):
+        (arg,) = ast.args  # each function takes one argument
+        name, fn, arg = ast.fn, FUNCTIONS[ast.fn], _compile(arg)
+
+        def call(x):
+            a = arg(x)
+            try:
+                return float(fn(a))
+            except (OverflowError, ValueError) as exc:
+                raise ExprEvalError("%s: %s" % (name, exc)) from None
+        return call
+    if not isinstance(ast, Binary):
+        raise ExprEvalError("unknown node %r" % (ast,))
+    op, left, right = ast.op, _compile(ast.left), _compile(ast.right)
+    if op == "+":
+        return lambda x: left(x) + right(x)
+    if op == "-":
+        return lambda x: left(x) - right(x)
+    if op == "*":
+        return lambda x: left(x) * right(x)
+    if op == "/":
+        def divide(x):
+            a, b = left(x), right(x)
             if b == 0.0:
                 raise ExprEvalError("division by zero")
             return a / b
-        if ast.op == "^":
+        return divide
+    if op == "^":
+        def power(x):
+            a, b = left(x), right(x)
             try:
                 r = a**b
             except (OverflowError, ValueError, ZeroDivisionError) as exc:
@@ -227,14 +256,8 @@ def _evaluate(ast: Expr, x: Sequence[float]) -> float:
             if isinstance(r, complex):
                 raise ExprEvalError("power of negative base with fractional exponent")
             return float(r)
-        raise ExprEvalError("unknown operator %r" % ast.op)
-    if isinstance(ast, Call):
-        args = [_evaluate(a, x) for a in ast.args]
-        try:
-            return float(FUNCTIONS[ast.fn](*args))
-        except (OverflowError, ValueError) as exc:
-            raise ExprEvalError("%s: %s" % (ast.fn, exc)) from None
-    raise ExprEvalError("unknown node %r" % (ast,))
+        return power
+    raise ExprEvalError("unknown operator %r" % op)
 
 
 def to_string(ast: Expr) -> str:

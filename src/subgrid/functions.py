@@ -1,8 +1,8 @@
 """Benchmark objective suite: De Jong F1-F5, Goldstein-Price, Easom.
 
 All objectives are minimized over an axis-aligned box.  Out-of-box
-evaluation raises a ``SubgridError``; the engines discard out-of-box
-candidates before they evaluate.
+evaluation raises a ``SubgridError``, unless the caller passes ``in_box``:
+the ``Evaluator`` path does, as it trusts where its points were placed.
 
 ``eval_fn`` takes the point alone and gives its value without noise, which
 ``noiseless`` returns inside the box.  ``evaluate`` adds ``noise_fn(rng, n)``
@@ -45,14 +45,14 @@ class Objective:
     def stochastic(self) -> bool:
         return self.noise_fn is not None
 
-    def noiseless(self, x: Sequence[float]) -> float:
+    def noiseless(self, x: Sequence[float], *, in_box: bool = False) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""
-        if not self.box.contains(x):
+        if not in_box and not self.box.contains(x):
             raise SubgridError("%s: point %r outside box" % (self.name, tuple(x)))
         return float(self.eval_fn(x))
 
-    def evaluate(self, x: Sequence[float], rng=None) -> float:
-        f = self.noiseless(x)
+    def evaluate(self, x: Sequence[float], rng=None, *, in_box: bool = False) -> float:
+        f = self.noiseless(x, in_box=in_box)
         if self.noise_fn is None:
             return f
         if rng is None:
@@ -102,7 +102,9 @@ class Evaluator:
     made once per generation and its state put back before each draw.
     ``start_generation`` clears the cache and moves the noise on, so a
     point evaluated again in a later generation counts again.  SLM stays
-    in generation 0 for its whole run."""
+    in generation 0 for its whole run.  The box is not checked: each point
+    was placed by ``core.coordinate`` (``slm._place``, ``slmga.mutate``'s
+    window, ``slmga._sweep``) or kept by ``slm.slm_neighbors``' filter."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj
@@ -126,7 +128,7 @@ class Evaluator:
         self.count += 1
         if self.rng is not None:
             self.rng.bit_generator.state = self.rng_state
-        f = self.obj.evaluate(x, rng=self.rng)
+        f = self.obj.evaluate(x, rng=self.rng, in_box=True)
         if self.negate:
             f = -f
         self.cache[x] = f

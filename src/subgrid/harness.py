@@ -33,8 +33,7 @@ from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
 from .core import (BoxDomain, Candidate, GridPoint, GridSpec, LabeledVertex, RunReport, StepRecord,
                    position_of)
 from .errors import ConfigError, SubgridError, clip
-from .exprparse import evaluate as expr_evaluate
-from .exprparse import parse as expr_parse
+from .exprparse import compile as expr_compile, evaluate as expr_evaluate, parse as expr_parse
 from .functions import Objective, get_objective
 from .slm import SlmConfig
 from .slmga import GaConfig
@@ -104,12 +103,9 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
     """Wrap an expression string as a minimizable objective with
     finite-difference gradients."""
     box = BoxDomain.cube(lower, upper, dim)
-    ast = expr_parse(src, dim)
-
-    def eval_fn(x):
-        return expr_evaluate(ast, x)
-
-    return Objective(name="expr:%s" % src, box=box, eval_fn=eval_fn)
+    compiled = expr_compile(expr_parse(src, dim))
+    return Objective(name="expr:%s" % src, box=box,
+                     eval_fn=lambda x: expr_evaluate(compiled, x))
 
 
 def resolve_objective(cfg: ExperimentConfig) -> Objective:

@@ -117,7 +117,7 @@ def slm_neighbors(
 ) -> list[Vector]:
     """The in-box probes ``x + move * h_next``, one per move of ``scheme``
     (``_moves``); a coordinate that does not move is ``x``'s own, ``-0.0``
-    included.
+    included.  This filter is the box check of SLM's floating-point probes.
 
     The displacement is added in floating point, so on a box of non-dyadic
     width a probe can differ in its last bits from the next level's lattice

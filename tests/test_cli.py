@@ -661,6 +661,17 @@ class TestEval:
         assert code == 3
         assert err.startswith("expression error: expression nested too deeply")
 
+    @pytest.mark.parametrize("way", ["eval", "run"])
+    def test_a_3000_term_sum_is_too_deep(self, capsys, way):
+        # the sum parses in a loop but compiles and evaluates recursively
+        expr = "+".join(["x1"] * 3000)
+        argv = {"eval": ("eval", "--expr", expr, "--at", "1"),
+                "run": ("run", "--expr", expr, "--dim", "1")}[way]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == "expression error: expression nested too deeply\n"
+        assert out == ""
+
     @pytest.mark.parametrize("way", ["eval", "run", "ini"])
     def test_a_long_variable_index_is_expression_error(self, capsys, tmp_path, way):
         # more digits than int() converts (4,300): checked as text first

@@ -94,6 +94,15 @@ class TestGridSpec:
             g = GridSpec(box, lvl)
             assert g.step[0] == 10.24 / 2 ** (lvl - 1)
 
+    def test_width_and_step_are_made_once_and_not_compared(self):
+        box, fresh_box = BoxDomain.cube(-1.3, 2.9, 2), BoxDomain.cube(-1.3, 2.9, 2)
+        grid, fresh_grid = GridSpec(box, 3), GridSpec(fresh_box, 3)
+        assert grid.step is grid.step and box.width is box.width
+        assert grid.step == fresh_grid.step == (1.05, 1.05)
+        # a cached value is no field: equality, hash and repr are as before
+        assert (grid, hash(grid), repr(grid)) == (fresh_grid, hash(fresh_grid), repr(fresh_grid))
+        assert (box, hash(box), repr(box)) == (fresh_box, hash(fresh_box), repr(fresh_box))
+
     def test_max_index(self):
         box = BoxDomain.cube(0.0, 1.0, 1)
         assert GridSpec(box, 1).max_index == 1

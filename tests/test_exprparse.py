@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from subgrid.exprparse import (
     parse,
     to_string,
 )
+from subgrid.exprparse import compile as compile_expr
 from subgrid.functions import get_objective
 
 _DIGITS = frozenset("0123456789")
@@ -178,6 +181,60 @@ def outcome(parse_fn, src, n):
         return str(exc), exc.offset
 
 
+def reference_evaluate(ast: Expr, x) -> float:
+    """The tree walker that ``compile`` replaced, kept as the reference for
+    the compiled closures: the value of ``ast`` at ``x``."""
+    if isinstance(ast, Constant):
+        return ast.value
+    if isinstance(ast, Variable):
+        return float(x[ast.index - 1])
+    if isinstance(ast, Unary):
+        return -reference_evaluate(ast.child, x)
+    if isinstance(ast, Binary):
+        a = reference_evaluate(ast.left, x)
+        b = reference_evaluate(ast.right, x)
+        if ast.op == "+":
+            return a + b
+        if ast.op == "-":
+            return a - b
+        if ast.op == "*":
+            return a * b
+        if ast.op == "/":
+            if b == 0.0:
+                raise ExprEvalError("division by zero")
+            return a / b
+        if ast.op == "^":
+            try:
+                r = a**b
+            except (OverflowError, ValueError, ZeroDivisionError) as exc:
+                raise ExprEvalError("power failed: %s" % exc) from None
+            if isinstance(r, complex):
+                raise ExprEvalError("power of negative base with fractional exponent")
+            return float(r)
+        raise ExprEvalError("unknown operator %r" % ast.op)
+    if isinstance(ast, Call):
+        args = [reference_evaluate(a, x) for a in ast.args]
+        try:
+            return float(FUNCTIONS[ast.fn](*args))
+        except (OverflowError, ValueError) as exc:
+            raise ExprEvalError("%s: %s" % (ast.fn, exc)) from None
+    raise ExprEvalError("unknown node %r" % (ast,))
+
+
+def value_of(src: str, n: int, x) -> float:
+    """``src`` parsed, compiled and evaluated at ``x``."""
+    return evaluate(compile_expr(parse(src, n)), x)
+
+
+def result(fn):
+    """The value ``fn()`` gives, as its bits, or the class and message of
+    what it raises."""
+    try:
+        return struct.pack("<d", fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 # the grammar's characters, Unicode whitespace (no-break, em and ideographic
 # spaces, a file separator, next-line), and Unicode digits, numerals and
 # letters that str.isalnum or str.isalpha accept
@@ -190,26 +247,25 @@ TOKENS = sorted(FUNCTIONS) + ["x1", "x2", "x01", "x10", "X3", "x0", "x", "1e5", 
 
 class TestParsing:
     def test_sum_of_squares(self):
-        ast = parse("x1^2 + x2^2", 2)
-        assert evaluate(ast, (3.0, 4.0)) == 25.0
+        assert value_of("x1^2 + x2^2", 2, (3.0, 4.0)) == 25.0
 
     def test_power_right_associative(self):
-        assert evaluate(parse("2^3^2", 1), (0.0,)) == 512.0
+        assert value_of("2^3^2", 1, (0.0,)) == 512.0
 
     def test_unary_minus_binds_looser_than_power(self):
-        assert evaluate(parse("-x1^2", 1), (3.0,)) == -9.0
-        assert evaluate(parse("(-x1)^2", 1), (3.0,)) == 9.0
+        assert value_of("-x1^2", 1, (3.0,)) == -9.0
+        assert value_of("(-x1)^2", 1, (3.0,)) == 9.0
 
     def test_precedence(self):
-        assert evaluate(parse("2+3*4", 1), (0.0,)) == 14.0
-        assert evaluate(parse("2*3^2", 1), (0.0,)) == 18.0
-        assert evaluate(parse("10-4-3", 1), (0.0,)) == 3.0
+        assert value_of("2+3*4", 1, (0.0,)) == 14.0
+        assert value_of("2*3^2", 1, (0.0,)) == 18.0
+        assert value_of("10-4-3", 1, (0.0,)) == 3.0
 
     def test_floor(self):
-        assert evaluate(parse("floor(-5.12)", 1), (0.0,)) == -6.0
+        assert value_of("floor(-5.12)", 1, (0.0,)) == -6.0
 
     def test_scientific_notation(self):
-        assert evaluate(parse("1.5e2 + 2e-1", 1), (0.0,)) == 150.2
+        assert value_of("1.5e2 + 2e-1", 1, (0.0,)) == 150.2
 
     def test_variable_out_of_range(self):
         with pytest.raises(ExprError):
@@ -303,25 +359,36 @@ class TestTokenPattern:
 class TestEvaluation:
     def test_division_by_zero(self):
         with pytest.raises(ExprEvalError):
-            evaluate(parse("1/x1", 1), (0.0,))
+            value_of("1/x1", 1, (0.0,))
 
     def test_log_of_nonpositive(self):
         with pytest.raises(ExprEvalError):
-            evaluate(parse("log(x1)", 1), (-1.0,))
+            value_of("log(x1)", 1, (-1.0,))
 
     def test_fractional_power_of_negative(self):
         with pytest.raises(ExprEvalError):
-            evaluate(parse("x1^0.5", 1), (-4.0,))
+            value_of("x1^0.5", 1, (-4.0,))
 
     def test_nesting_past_the_recursion_limit_is_eval_error(self):
-        # a left-leaning sum: it parses in a loop but evaluates recursively
+        # a left-leaning sum: it parses in a loop but compiles recursively
         ast = parse("+".join(["x1"] * 3000), 1)
-        with pytest.raises(ExprEvalError, match="nested too deeply"):
-            evaluate(ast, (1.0,))
+        with pytest.raises(ExprEvalError, match="^expression nested too deeply$"):
+            evaluate(compile_expr(ast), (1.0,))
+
+    def test_nesting_past_the_callers_stack_is_eval_error(self):
+        # compiled near the top of the stack, evaluated from deep in it
+        depth = sys.getrecursionlimit() // 2
+        compiled = compile_expr(parse("+".join(["x1"] * depth), 1))
+        assert evaluate(compiled, (1.0,)) == depth
+
+        def nested(levels):
+            return nested(levels - 1) if levels else evaluate(compiled, (1.0,))
+
+        with pytest.raises(ExprEvalError, match="^expression nested too deeply$"):
+            nested(depth)
 
     def test_rosenbrock_minimum(self):
-        ast = parse("100*(x1^2-x2)^2+(1-x1)^2", 2)
-        assert evaluate(ast, (1.0, 1.0)) == 0.0
+        assert value_of("100*(x1^2-x2)^2+(1-x1)^2", 2, (1.0, 1.0)) == 0.0
 
 
 class TestRoundTrip:
@@ -359,7 +426,7 @@ class TestRoundTrip:
             ast = gen(3)
             back = parse(to_string(ast), 2)
             x = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            assert evaluate(back, x) == evaluate(ast, x)
+            assert evaluate(compile_expr(back), x) == evaluate(compile_expr(ast), x)
 
 
 class TestBuiltinEquivalence:
@@ -380,7 +447,7 @@ class TestBuiltinEquivalence:
     def test_matches_native(self, name):
         src, tol = self.STRINGS[name]
         obj = get_objective(name)
-        ast = parse(src, obj.dim)
+        compiled = compile_expr(parse(src, obj.dim))
         rng = np.random.default_rng(7)
         lo = np.asarray(obj.box.lower)
         hi = np.asarray(obj.box.upper)
@@ -388,4 +455,53 @@ class TestBuiltinEquivalence:
             x = tuple(rng.uniform(lo, hi))
             native = obj.evaluate(x)
             scale = max(1.0, abs(native))
-            assert abs(evaluate(ast, x) - native) / scale < tol, (name, x)
+            assert abs(evaluate(compiled, x) - native) / scale < tol, (name, x)
+
+
+def asts(n: int):
+    """ASTs over x1..xn that use every operator and every function, with
+    constants that make powers overflow or divide by zero."""
+    constants = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 400.0, 1e308]),
+                          st.floats(allow_nan=False, allow_infinity=False)).map(Constant)
+    leaves = st.one_of(constants, st.integers(1, n).map(Variable))
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda c: Unary("-", c)),
+            st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+            st.builds(lambda fn, c: Call(fn, (c,)), st.sampled_from(sorted(FUNCTIONS)), children))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+# coordinates where division, powers, log and sqrt fail or overflow
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -4.0, 0.5, -0.5, 2.0, 710.0, 1e308, -1e308]),
+    st.floats())
+
+
+class TestCompiledMatchesTheWalker:
+    """The compiled closures give the reference walker's value, bit for bit,
+    or raise its error class with its message."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ast=asts(2), x=st.tuples(COORDINATES, COORDINATES))
+    def test_printed_asts(self, ast, x):
+        back = parse(to_string(ast), 2)
+        assert result(lambda: evaluate(compile_expr(back), x)) == result(
+            lambda: reference_evaluate(back, x))
+
+    @pytest.mark.parametrize("src, x", [
+        ("1/x1", (0.0,)), ("1/x1", (-0.0,)), ("x1/x1", (0.0,)),
+        ("x1^0.5", (-4.0,)), ("x1^x1", (0.0,)), ("0^(0-x1)", (1.0,)), ("10^x1", (400.0,)),
+        ("log(x1)", (0.0,)), ("log(x1)", (-1.0,)), ("sqrt(x1)", (-1.0,)),
+        ("exp(x1)", (710.0,)), ("floor(x1*1e308*10)", (1.0,)), ("cos(x1*1e308*10)", (1.0,)),
+        ("sin(x1)+abs(x1)-floor(x1)*exp(x1)/sqrt(x1)^log(x1)", (0.5,)),
+        # both operands fail: the left one's error is raised
+        *(("log(x1)%s(1/(x1-x1))" % op, (-1.0,)) for op in "+-*/^"),
+        ("(1/(x1-x1))+log(x1)", (-1.0,)),
+    ])
+    def test_points_where_operations_fail(self, src, x):
+        ast = parse(src, 1)
+        assert result(lambda: evaluate(compile_expr(ast), x)) == result(
+            lambda: reference_evaluate(ast, x))

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from subgrid.core import (
     coordinate,
     position_of,
 )
+from subgrid import slmga
 from subgrid.errors import ConfigError, SubgridError
 from subgrid.functions import Objective, get_objective
 from subgrid.harness import (
@@ -549,3 +551,47 @@ class TestDecimalBoxes:
             assert xs[0] == lo
             assert xs[-1] == hi
             assert xs == sorted(xs)
+
+
+def _evaluated_points(algo, params, box, fn):
+    """Every point a run of ``algo`` hands its objective, in order."""
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return fn(x)
+
+    run_algorithm(algo, Objective(name="record", box=box, eval_fn=record), params, seed=0)
+    return seen
+
+
+class TestEvaluatedPointsLieInTheBox:
+    """No grid engine hands its ``Evaluator`` a point outside the box: the
+    evidence on which ``Evaluator`` skips ``BoxDomain.contains``."""
+
+    ENGINES = GRID_ENGINES + [("slmga", {"mutation_rate": 0.5})]
+
+    @given(_decimal_box(), st.sampled_from(["sphere", "lower-corner", "upper-corner"]),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_engines(self, box, kind, at):
+        centre = tuple(lo + at * w for lo, w in zip(box.lower, box.width))
+        fn = {"sphere": lambda x: sum((v - c) ** 2 for v, c in zip(x, centre)),
+              "lower-corner": sum, "upper-corner": lambda x: -sum(x)}[kind]
+        for algo, params in self.ENGINES:
+            seen = _evaluated_points(algo, dict(params, h_tol=min(box.width) / 2**4), box, fn)
+            assert seen
+            assert [x for x in seen if not box.contains(x)] == []
+
+    @pytest.mark.parametrize("rate", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["upper-corner", "lower-corner"])
+    def test_the_7d_sweep(self, kind, rate):
+        box = BoxDomain((-1.3, -0.7, 0.1, -2.9, -0.03, -5.5, 1.2),
+                        (2.9, 0.3, 0.4, 1.1, 0.07, -1.2, 1.9))
+        fn = sum if kind == "lower-corner" else (lambda x: -sum(x))
+        params = {"h_tol": min(box.width) / 2**3, "mutation_rate": rate}
+        with mock.patch.object(slmga, "_sweep", wraps=slmga._sweep) as sweep:
+            seen = _evaluated_points("slmga", params, box, fn)
+        assert sweep.call_count > 0
+        assert box.upper in seen and box.lower in seen
+        assert [x for x in seen if not box.contains(x)] == []
