@@ -5,10 +5,13 @@ A grid point's position is derived from its integer relative coordinates
 the top index at ``upper`` exactly.  ``lower + width`` can round to either
 side of ``upper`` (on [-1.3, 2.9] it gives 2.9000000000000004), so the top
 index is placed at ``upper`` rather than computed; no other index can pass
-it.  Every caller that places a lattice point, ``position_of``, the
-offspring windows of ``slmga.mutate`` and the cell bounds of
-``slm._region_cells``, goes through ``coordinate``; only SLM's neighbour
-probes are placed in floating point (``slm.slm_neighbors``).
+it.  Every caller that places a lattice point goes through ``coordinate``:
+``position_of`` (the level-1 corners, the brute-force oracle and the SVG
+trace's cells), the refined cell lattices of ``slm._place_cell``, the
+offspring windows of ``slmga.mutate`` and ``slmga._sweep``, and the cell
+bounds of ``slm._region_cells``.  The lattice callers compute each axis's
+few positions once and take their product.  Only SLM's neighbour probes
+are placed in floating point (``slm.slm_neighbors``).
 
 Refinement doubles ``k`` and halves the step, so ``k * step`` is the same
 double at every level and a point keeps the same position through any

@@ -103,8 +103,9 @@ class Evaluator:
     ``start_generation`` clears the cache and moves the noise on, so a
     point evaluated again in a later generation counts again.  SLM stays
     in generation 0 for its whole run.  The box is not checked: each point
-    was placed by ``core.coordinate`` (``slm._place``, ``slmga.mutate``'s
-    window, ``slmga._sweep``) or kept by ``slm.slm_neighbors``' filter."""
+    was placed by ``core.coordinate`` (``slm._place``, ``slm._place_cell``,
+    ``slmga.mutate``'s window, ``slmga._sweep``) or kept by
+    ``slm.slm_neighbors``' filter."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj
@@ -223,14 +224,27 @@ _FOXHOLE = (-32.0, -16.0, 0.0, 16.0, 32.0)
 
 
 def _f5(x):
+    # hole i (1-25) sits at (_FOXHOLE[(i - 1) % 5], _FOXHOLE[(i - 1) // 5]);
+    # each axis's five sixth powers, each the square of a cube, are made once
     x1, x2 = x
-    s = 0.002
-    for i in range(25):
-        u = x1 - _FOXHOLE[i % 5]
-        v = x2 - _FOXHOLE[i // 5]
+    u6 = []
+    for a in _FOXHOLE:
+        u = x1 - a
         u3 = u * u * u
+        u6.append(u3 * u3)
+    p1, p2, p3, p4, p5 = u6
+    s = 0.002
+    i = 0
+    for b in _FOXHOLE:
+        v = x2 - b
         v3 = v * v * v
-        s += 1.0 / ((i + 1) + u3 * u3 + v3 * v3)
+        v6 = v3 * v3
+        s += 1.0 / (i + 1 + p1 + v6)
+        s += 1.0 / (i + 2 + p2 + v6)
+        s += 1.0 / (i + 3 + p3 + v6)
+        s += 1.0 / (i + 4 + p4 + v6)
+        s += 1.0 / (i + 5 + p5 + v6)
+        i += 5
     return 1.0 / s
 
 

@@ -9,7 +9,12 @@ stored DE reference counts.
 is written directly in the layout ``json.dumps(..., indent=2)`` gives: an
 indent of 2, the keys of each report, step, candidate, label and cell in a
 fixed order, each float as its ``repr`` and NaN and the infinities as
-``json`` writes them (``NaN``, ``Infinity``, ``-Infinity``).  A report's
+``json`` writes them (``NaN``, ``Infinity``, ``-Infinity``).  Each object
+is filled into a pattern made once per indent.  A finite float's text is
+made once per ``emit_table`` call and looked up after that, since a grid
+run repeats each axis's few positions in every step.  Only exact floats are
+looked up, as 1 == 1.0 == True, and never a zero, as 0.0 == -0.0 while
+their texts differ; every other number is written afresh.  A report's
 ``meta`` is written by ``json`` itself.  ``tests/test_golden_bytes.py`` pins
 the bytes by sha256 digests.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -26,7 +32,7 @@ import statistics
 import types
 import typing
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
@@ -103,9 +109,17 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
     """Wrap an expression string as a minimizable objective with
     finite-difference gradients."""
     box = BoxDomain.cube(lower, upper, dim)
-    compiled = expr_compile(expr_parse(src, dim))
+    compiled = _compiled_expression(src, dim)
     return Objective(name="expr:%s" % src, box=box,
                      eval_fn=lambda x: expr_evaluate(compiled, x))
+
+
+@functools.cache
+def _compiled_expression(src: str, dim: int):
+    """``src`` parsed for ``dim`` variables and compiled, once per process:
+    checking a config and running it resolve the same expression.  An error
+    is raised each time, as nothing is cached for it."""
+    return expr_compile(expr_parse(src, dim))
 
 
 def resolve_objective(cfg: ExperimentConfig) -> Objective:
@@ -266,7 +280,7 @@ def emit_table(reports: Sequence[RunReport], fmt: str) -> str:
     if fmt == "markdown":
         return _emit_markdown(reports)
     if fmt == "json":
-        return _json_array([_json_report(r, "  ") for r in reports], "") + "\n"
+        return _emit_json(reports)
     raise ConfigError("unknown format %r" % fmt)
 
 
@@ -307,9 +321,9 @@ def _emit_markdown(reports) -> str:
     return out.getvalue()
 
 
-# The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it: each
-# writer is passed the indent of the line its value starts on, keys come in a
-# fixed order, and every number is written as ``json`` writes it.
+# The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it.  An
+# object's or an array's text starts on a line at some indent, its members
+# sit two spaces deeper, and its closing bracket at that indent again.
 
 def _json_number(v) -> str:
     """A JSON scalar as ``json`` writes it: a finite float or a plain int
@@ -322,81 +336,101 @@ def _json_number(v) -> str:
     return json.dumps(v)
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    """An array of values already written at indent ``pad + "  "``."""
-    if not items:
-        return "[]"
+def _json_pattern(pad: str, keys: Sequence[str], arrays: Sequence[str] = ()) -> str:
+    """A ``%`` pattern of an object whose text starts on a line at indent
+    ``pad``, with ``keys`` in order and one ``%s`` per value; the value of a
+    key in ``arrays`` is what goes inside its brackets (``_json_items``)."""
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    return "{" + inner + ("," + inner).join(
+        '"%s": [%%s]' % k if k in arrays else '"%s": %%s' % k for k in keys) + "\n" + pad + "}"
 
 
-def _json_numbers(values, pad: str) -> str:
-    return _json_array(list(map(_json_number, values)), pad)
-
-
-def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
-    """An object of ``(key, written value)`` pairs; no key needs escaping."""
+def _json_items(pad: str) -> Callable[[list[str]], str]:
+    """The writer of what goes inside the brackets of an array whose text
+    starts on a line at indent ``pad``: each written item on a line of its
+    own, two spaces deeper, and nothing for no items."""
     inner = "\n" + pad + "  "
-    return ("{" + inner + ("," + inner).join(['"' + k + '": ' + v for k, v in fields])
-            + "\n" + pad + "}")
+    sep, tail = "," + inner, "\n" + pad
+    return lambda items: inner + sep.join(items) + tail if items else ""
 
 
-def _json_candidate(c: Candidate, pad: str) -> str:
-    inner = pad + "  "
-    fields = [("x", _json_numbers(c.x, inner)), ("f", _json_number(c.f))]
-    if c.point is not None:
-        fields += [("k", _json_numbers(c.point.k, inner)),
-                   ("level", _json_number(c.point.level))]
-    return _json_object(fields, pad)
+def _emit_json(reports: Sequence[RunReport]) -> str:
+    """``reports`` as one JSON array; see the module docstring."""
+    memo: dict[float, str] = {}
+    memo_get = memo.get
 
+    def number(v) -> str:
+        # an exact float only, since 1 == 1.0 == True, and never a zero,
+        # since 0.0 == -0.0; NaN and the infinities are not kept either
+        if type(v) is float:
+            text = memo_get(v)
+            if text is None:
+                text = _json_number(v)
+                if v and math.isfinite(v):
+                    memo[v] = text
+            return text
+        return _json_number(v)
 
-def _json_label(lv: LabeledVertex, candidate: Optional[str], pad: str) -> str:
-    """A labeled vertex; ``candidate`` is its candidate's text already
-    written one level up, or None to write it here."""
-    inner = pad + "  "
-    return _json_object([
-        ("candidate", _json_candidate(lv.candidate, inner) if candidate is None
-         else candidate.replace("\n", "\n  ")),
-        ("label", _json_number(lv.label)),
-        ("delta", _json_numbers(lv.delta, inner)),
-    ], pad)
+    def candidate_of(pad: str):
+        """A writer of a candidate whose text starts on a line at indent ``pad``."""
+        on_grid = _json_pattern(pad, ("x", "f", "k", "level"), ("x", "k"))
+        off_grid = _json_pattern(pad, ("x", "f"), ("x",))
+        items = _json_items(pad + "  ")
 
+        def candidate(c: Candidate) -> str:
+            x, f, p = items(list(map(number, c.x))), number(c.f), c.point
+            if p is None:
+                return off_grid % (x, f)
+            return on_grid % (x, f, items(list(map(_json_number, p.k))), _json_number(p.level))
+        return candidate
 
-def _json_step(s: StepRecord, pad: str) -> str:
-    inner = pad + "  "
-    item = inner + "  "
-    population = [_json_candidate(c, item) for c in s.population]
-    # A label's candidate is as a rule one of the population's, so its text
-    # is reused rather than written twice: on the benchmark's small runs,
-    # whose steps label their population's vertices, this cuts the writer's
-    # time by about a third.
-    written = dict(zip(map(id, s.population), population))
-    labels = [_json_label(lv, written.get(id(lv.candidate)), item) for lv in s.labels]
-    cell = s.chosen_cell
-    return _json_object([
-        ("level", _json_number(s.level)),
-        ("h", _json_numbers(s.h, inner)),
-        ("best", _json_candidate(s.best, inner)),
-        ("population", _json_array(population, inner)),
-        ("labels", _json_array(labels, inner)),
-        ("chosen_cell", "null" if cell is None else _json_object([
-            ("anchor", _json_numbers(cell.anchor.k, inner + "  ")),
-            ("level", _json_number(cell.level))], inner)),
-    ], pad)
+    # the indents of a report's fields, a step's fields and a step's members
+    field_pad = "    "
+    step_pad = field_pad + "    "
+    item_pad = step_pad + "  "
+    report_pattern = _json_pattern("  ", ("meta", "evaluations", "converged", "best",
+                                          "best_value", "steps"), ("steps",))
+    step_pattern = _json_pattern(field_pad + "  ", ("level", "h", "best", "population",
+                                                    "labels", "chosen_cell"),
+                                 ("h", "population", "labels"))
+    label_pattern = _json_pattern(item_pad, ("candidate", "label", "delta"), ("delta",))
+    cell_pattern = _json_pattern(step_pad, ("anchor", "level"), ("anchor",))
+    report_candidate = candidate_of(field_pad)
+    step_candidate = candidate_of(step_pad)
+    member_candidate = candidate_of(item_pad)
+    label_candidate = candidate_of(item_pad + "  ")
+    report_items = _json_items("")
+    steps_items = _json_items(field_pad)
+    step_items = _json_items(step_pad)
+    label_items = _json_items(item_pad + "  ")
+    cell_items = _json_items(step_pad + "  ")
+    meta_indent = "\n" + field_pad
 
+    def step(s: StepRecord) -> str:
+        population = list(map(member_candidate, s.population))
+        # A label's candidate is as a rule one of the population's, so its
+        # text is reused, two spaces deeper, rather than written again.
+        written = dict(zip(map(id, s.population), population))
+        labels = [label_pattern % (
+            label_candidate(lv.candidate) if text is None else text.replace("\n", "\n  "),
+            _json_number(lv.label), label_items(list(map(number, lv.delta))))
+            for lv in s.labels for text in [written.get(id(lv.candidate))]]
+        cell = s.chosen_cell
+        return step_pattern % (
+            _json_number(s.level), step_items(list(map(number, s.h))), step_candidate(s.best),
+            step_items(population), step_items(labels),
+            "null" if cell is None else cell_pattern % (
+                cell_items(list(map(_json_number, cell.anchor.k))), _json_number(cell.level)))
 
-def _json_report(rep: RunReport, pad: str) -> str:
-    inner = pad + "  "
-    # meta is small and may hold any JSON value, so ``json`` writes it
-    meta = json.dumps(rep.meta, indent=2).replace("\n", "\n" + inner)
-    return _json_object([
-        ("meta", meta),
-        ("evaluations", _json_number(rep.evaluations)),
-        ("converged", _json_number(rep.converged)),
-        ("best", _json_candidate(rep.best, inner)),
-        ("best_value", _json_number(rep.best_value)),
-        ("steps", _json_array([_json_step(s, inner + "  ") for s in rep.steps], inner)),
-    ], pad)
+    def report(rep: RunReport) -> str:
+        # meta is small and may hold any JSON value, so ``json`` writes it
+        return report_pattern % (
+            json.dumps(rep.meta, indent=2).replace("\n", meta_indent),
+            _json_number(rep.evaluations), _json_number(rep.converged),
+            report_candidate(rep.best), number(rep.best_value),
+            steps_items(list(map(step, rep.steps))))
+
+    return "[" + report_items(list(map(report, reports))) + "]\n"
 
 
 @dataclass

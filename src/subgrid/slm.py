@@ -36,7 +36,6 @@ from .core import (
     argmin_candidate,
     cell_vertices,
     coordinate,
-    lattice_points,
     levels,
     position_of,
     rank,
@@ -46,7 +45,8 @@ from .errors import ConfigError, GradientUnavailableError, SubgridError
 from .functions import Evaluator, Objective
 from .labeling import (LabelRule, LabelVariant, delta_of, gradient_delta, is_complete,
                        label_from_delta)
-# unused here, but perfbench/tracer.py rebinds this name in this module
+# unused here, but perfbench/tracer.py rebinds these names in this module
+from .core import lattice_points  # noqa: F401
 from .labeling import find_complete_cells  # noqa: F401
 
 MAX_CORNER_DIM = 20
@@ -98,6 +98,19 @@ def _place(points: Sequence[GridPoint], grid: GridSpec,
            evaluate: Callable[[Vector], float]) -> list[Candidate]:
     """``points`` placed on ``grid`` and evaluated, in their order."""
     return [Candidate(x, evaluate(x), point=p) for p in points for x in [position_of(p, grid)]]
+
+
+def _place_cell(cell: Cell, grid: GridSpec,
+                evaluate: Callable[[Vector], float]) -> list[Candidate]:
+    """The 3**n points of ``cell`` refined onto ``grid``, one level deeper,
+    placed and evaluated in ``lattice_points`` order.  Each axis holds three
+    indices, so each axis's three ``coordinate`` values are computed once."""
+    box, level = grid.box, grid.level
+    ks = [(2 * kd, 2 * kd + 1, 2 * kd + 2) for kd in cell.anchor.k]
+    xs = [[coordinate(lo, hi, c, sd) for c in axis]
+          for lo, hi, axis, sd in zip(box.lower, box.upper, ks, grid.step)]
+    return [Candidate(x, evaluate(x), point=GridPoint(k, level))
+            for k, x in zip(itertools.product(*ks), itertools.product(*xs))]
 
 
 @functools.cache
@@ -159,17 +172,20 @@ def _region_cells(base: tuple[int, ...], vertices: dict[tuple[int, ...], Labeled
     after that the last chosen cell refined, 3**n points holding its 2**n
     subcells.  ``vertices`` maps the lattice's ``k`` to its members, so
     every cell is read off the lowest, ``base``, without a search.  A
-    cell's bounds are the ``coordinate`` of its anchor index and the next."""
-    box, step, n = grid.box, grid.step, len(base)
+    cell's bounds are the ``coordinate`` of its anchor index and the next,
+    computed once per axis for the lattice's two or three indices."""
+    box, n = grid.box, len(base)
     unit = list(itertools.product((0, 1), repeat=n))
+    offsets, span = (unit[:1], 2) if grid.level == 1 else (unit, 3)
+    xs = [[coordinate(lo, hi, kd + c, sd) for c in range(span)]
+          for lo, hi, kd, sd in zip(box.lower, box.upper, base, grid.step)]
     cells = {}
-    for off in unit[:1] if grid.level == 1 else unit:
+    for off in offsets:
         anchor = tuple(map(operator.add, base, off))
         vs = [vertices[tuple(map(operator.add, anchor, v))] for v in unit]
         fs = [lv.candidate.f for lv in vs]
-        holds = all(
-            coordinate(lo, hi, kd, sd) - 1e-12 <= v <= coordinate(lo, hi, kd + 1, sd) + 1e-12
-            for lo, hi, kd, sd, v in zip(box.lower, box.upper, anchor, step, best.x))
+        holds = all(axis[o] - 1e-12 <= v <= axis[o + 1] + 1e-12
+                    for axis, o, v in zip(xs, off, best.x))
         cells[anchor] = (min(fs), sum(fs), is_complete((lv.label for lv in vs), n), holds)
     return cells
 
@@ -217,7 +233,7 @@ def subdivide(
     for level in range(1, n_levels + 1):
         grid = GridSpec(obj.box, level)
         if steps and steps[-1].chosen_cell is not None:
-            pop = _place(lattice_points(steps[-1].chosen_cell), grid, evaluate)
+            pop = _place_cell(steps[-1].chosen_cell, grid, evaluate)
         members, children = offspring(grid, pop, carried)
 
         labels: list[LabeledVertex] = []

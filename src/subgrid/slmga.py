@@ -37,7 +37,6 @@ from .core import (
     Vector,
     argmin_candidate,
     coordinate,
-    lattice_points,
     levels,
     rank,
     refine,
@@ -45,10 +44,10 @@ from .core import (
 from .errors import ConfigError, SubgridError
 from .functions import Evaluator, Objective
 from .labeling import LabelRule
-from .slm import _place, init_population, subdivide
+from .slm import _place_cell, init_population, subdivide
 
 # unused here, but perfbench/tracer.py rebinds each of these names in this module
-from .core import position_of  # noqa: F401
+from .core import lattice_points, position_of  # noqa: F401
 from .labeling import find_complete_cells, label_from_delta  # noqa: F401
 from .slm import _choose_cell, _region_cells  # noqa: F401
 
@@ -126,7 +125,8 @@ def mutate(
     probed[rows] = True
     inner = (slice(1, -1),) * n
     probed = probed.reshape(padded)[inner]
-    values = [evaluate(x) for x, p in zip(itertools.product(*xs), probed.ravel().tolist()) if p]
+    values = list(map(evaluate, itertools.compress(itertools.product(*xs),
+                                                   probed.ravel().tolist())))
     table = np.full(padded, np.inf)
     table[inner][probed] = values
     table = table.ravel()
@@ -247,7 +247,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     # start from; best_value keeps any lower value a probe saw
     if steps and steps[-1].chosen_cell is not None:
         chosen = steps[-1].chosen_cell
-        pop = _place(lattice_points(chosen), GridSpec(box, chosen.level + 1), evaluate)
+        pop = _place_cell(chosen, GridSpec(box, chosen.level + 1), evaluate)
     solution = argmin_candidate(pop)
     return RunReport(
         steps=steps,

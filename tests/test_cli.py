@@ -80,6 +80,26 @@ class TestRun:
         assert code == 3
         assert "expression error" in err
 
+    def test_an_expression_is_parsed_and_compiled_once(self, capsys):
+        # checking the flags and running them resolve the same expression
+        harness._compiled_expression.cache_clear()
+        with mock.patch.object(harness, "expr_parse", wraps=harness.expr_parse) as parse, \
+                mock.patch.object(harness, "expr_compile", wraps=harness.expr_compile) as comp:
+            code, _, _ = run_cli(capsys, "run", "--expr", "x1^2+x2^2", "--dim", "2",
+                                 "--algo", "rs", "--budget", "3")
+        assert code == 0
+        assert (parse.call_count, comp.call_count) == (1, 1)
+
+    def test_a_bad_expression_fails_every_time(self, capsys):
+        # an error is not cached: the second run parses again and fails alike
+        harness._compiled_expression.cache_clear()
+        with mock.patch.object(harness, "expr_parse", wraps=harness.expr_parse) as parse:
+            for _ in range(2):
+                code, _, err = run_cli(capsys, "run", "--expr", "x1 +* 2", "--dim", "1")
+                assert code == 3
+                assert err.startswith("expression error:")
+        assert parse.call_count == 2
+
     def test_overflow_is_objective_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--expr", "exp(x1*1000)", "--dim", "1",
                                "--algo", "slm")

@@ -150,6 +150,35 @@ class TestFormulas:
             assert abs(v - 1.0 / (0.002 + 1.0 / (i + 1))) < 1e-3, (i, a, b)
 
 
+def reference_f5(x):
+    """Shekel's foxholes as one loop over the 25 holes, each computing its
+    own sixth powers: the kernel ``functions._f5`` must match bit for bit."""
+    fox = (-32.0, -16.0, 0.0, 16.0, 32.0)
+    x1, x2 = x
+    s = 0.002
+    for i in range(25):
+        u = x1 - fox[i % 5]
+        v = x2 - fox[i // 5]
+        u3 = u * u * u
+        v3 = v * v * v
+        s += 1.0 / ((i + 1) + u3 * u3 + v3 * v3)
+    return 1.0 / s
+
+
+class TestF5MatchesTheReference:
+    def test_same_bits_in_the_box_at_the_holes_and_corners(self):
+        f5 = get_objective("f5")
+        lo, hi = f5.box.lower[0], f5.box.upper[0]
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.uniform(lo, hi, size=(10_000, 2)).tolist()]
+        fox = (-32.0, -16.0, 0.0, 16.0, 32.0)
+        points += [(a, b) for b in fox for a in fox]
+        points += [(a, b) for a in (lo, hi) for b in (lo, hi)]
+        assert len(points) == 10_029
+        for x in points:
+            assert f5.evaluate(x).hex() == reference_f5(x).hex(), x
+
+
 class TestEvaluator:
     def test_counts_cache_misses_only(self):
         ev = Evaluator(get_objective("f1"))

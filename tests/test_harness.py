@@ -355,6 +355,21 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, reports):
         assert emit_table(reports, "json") == _reference_json(reports)
 
+    def test_memo_keeps_each_number_its_own_text(self):
+        # equal keys of other texts: 0.0 == -0.0 and 1.0 == 1 == True == np.float64(1.0)
+        values = (0.0, -0.0, 1.0, 1, True, 5e-324, np.float64(1.0), math.nan, math.inf,
+                  -math.inf)
+        orders = [values, values[::-1], values[1:] + values[:1]]
+        point = GridPoint((0, 1), 2)
+        population = [Candidate(x, f, point) for x in orders for f in values]
+        labels = [LabeledVertex(c, 1, d) for c, d in zip(population, orders * 10)]
+        labels.append(LabeledVertex(Candidate(values[::-1], -0.0), 0, values))
+        step = StepRecord(level=2, h=values, population=population, labels=labels,
+                          chosen_cell=None, best=population[1])
+        reports = [RunReport(steps=[step], best=Candidate(values, 0.0), evaluations=1,
+                             converged=True, best_value=-0.0)]
+        assert emit_table(reports, "json") == _reference_json(reports)
+
     @pytest.mark.parametrize("objective", ["f2", "expr3", "expr3-decimal"])
     @pytest.mark.parametrize("algo,params", [
         ("slm", {"h_tol": 0.05}),

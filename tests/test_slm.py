@@ -667,3 +667,45 @@ class TestMatchesReference:
         obj = get_objective(name)
         cfg = SlmConfig(h_tol=min(obj.box.width) / 2**8)
         assert _json(slm_run(obj, cfg)) == _json(reference_slm_run(obj, cfg))
+
+
+def _placed(cands):
+    return [(tuple(map(float.hex, c.x)), c.f.hex(), c.point) for c in cands]
+
+
+class TestPlaceCell:
+    """``slm._place_cell`` places a cell's refined lattice as ``_place``
+    places its ``lattice_points``: the same candidates, bit for bit and in
+    the same order, from the same evaluations."""
+
+    @staticmethod
+    def check(cell, box):
+        obj = Objective(name="ripple", box=box,
+                        eval_fn=lambda x: sum(math.sin(3.0 * v) for v in x))
+        grid = GridSpec(box, cell.level + 1)
+        ev, ev_reference = Evaluator(obj), Evaluator(obj)
+        got = slm._place_cell(cell, grid, ev)
+        assert len(got) == 3**box.dim
+        assert _placed(got) == _placed(slm._place(lattice_points(cell), grid, ev_reference))
+        assert ev.count == ev_reference.count
+
+    @given(_decimal_box(), st.integers(1, 70), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_candidates_on_decimal_boxes(self, box, level, data):
+        top = 2 ** (level - 1) - 1  # the highest anchor index of an axis
+        k = tuple(data.draw(st.sampled_from([0, top]) | st.integers(0, top))
+                  for _ in range(box.dim))
+        self.check(Cell(GridPoint(k, level)), box)
+
+    def test_a_cell_on_the_top_face(self):
+        # on [-1.3, 2.9] lower + width rounds past upper; the top index is upper
+        box = BoxDomain((-1.3, 0.1, -2.0), (2.9, 0.7, 3.0))
+        self.check(Cell(GridPoint((15, 3, 15), 5)), box)
+        assert slm._place_cell(Cell(GridPoint((15, 3, 15), 5)), GridSpec(box, 6),
+                               lambda x: 0.0)[-1].x[0] == 2.9
+
+    def test_a_level_70_cell_past_2_to_the_63(self):
+        box = BoxDomain((-1.3, 0.1, -20.0), (2.9, 0.7, 19.99))
+        k = (2**69 - 1, 2**68 + 12345, 2**64 + 1)
+        assert max(2 * kd + 2 for kd in k) > 2**63
+        self.check(Cell(GridPoint(k, 70)), box)
