@@ -9,15 +9,14 @@ report is still written).  SUBGRID_SEED overrides the default seed, also
 for a config-file section that sets no seed; a seed below 0 is a
 configuration error.
 
-``run`` checks its flags as one experiment section: each flag's dest is the
-section key it sets, and ``harness.experiment_config`` parses the flags and
-every section of a ``--config`` file alike.
+The command line keeps no rules of its own about keys and values: each
+flag's dest is the key it sets, and ``harness`` checks ``run``'s flags as one
+``--config`` section and ``trace``'s as ``run_algorithm``'s parameters.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import os
 import stat
@@ -50,23 +49,19 @@ def _seed(args) -> int:
     return seed
 
 
-def _typed(flag: str, convert):
-    """An argparse ``type`` for ``flag``: ``convert``, refusing a value it
-    cannot take as a ``ConfigError`` that quotes the value through ``clip``,
-    as every other message quotes one."""
-    def parse(text):
-        try:
-            return convert(text)
-        except ValueError:
-            raise ConfigError("bad value %r for %s" % (clip(text), flag)) from None
-    return parse
-
-
 class _Parser(argparse.ArgumentParser):
     """Refuses a command line as a ``ConfigError``, without argparse's usage
-    text.  A command or flag value outside its choices is quoted through
-    ``clip``; argparse's other messages are cut after 100 characters, as one
-    can hold an argument whole (``--help=x``, or an ambiguous ``--f=x``)."""
+    text.  A command or flag value that is not of its flag's type or is
+    outside its choices is quoted through ``clip``; argparse's other
+    messages are cut after 100 characters, as one can hold an argument whole
+    (``--help=x``, or an ambiguous ``--f=x``)."""
+
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError:
+            raise ConfigError("bad value %r for %s" % (
+                clip(arg_string), "/".join(action.option_strings) or action.dest)) from None
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -91,42 +86,42 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--function", help="built-in objective name")
     run.add_argument("--expr", help="objective expression in x1..xn "
                      "(note: -x1^2 means -(x1^2))")
-    run.add_argument("--dim", type=_typed("--dim", int), help="dimension for --expr")
-    run.add_argument("--lower", type=_typed("--lower", float), help="box lower bound for --expr "
+    run.add_argument("--dim", type=int, help="dimension for --expr")
+    run.add_argument("--lower", type=float, help="box lower bound for --expr "
                      "(default %g)" % ExperimentConfig.lower)
-    run.add_argument("--upper", type=_typed("--upper", float), help="box upper bound for --expr "
+    run.add_argument("--upper", type=float, help="box upper bound for --expr "
                      "(default %g)" % ExperimentConfig.upper)
     run.add_argument("--algo", choices=sorted(harness.ALGORITHMS),
                      help="default %s" % ExperimentConfig.algo)
-    run.add_argument("--seed", type=_typed("--seed", int))
-    run.add_argument("--trials", type=_typed("--trials", int),
+    run.add_argument("--seed", type=int)
+    run.add_argument("--trials", type=int,
                      help="default %d" % ExperimentConfig.trials)
-    run.add_argument("--h-tol", type=_typed("--h-tol", float))
-    run.add_argument("--max-gens", type=_typed("--max-gens", int))
-    run.add_argument("--budget", type=_typed("--budget", int))
-    run.add_argument("--format", choices=("csv", "markdown", "json"),
+    run.add_argument("--h-tol", type=float)
+    run.add_argument("--max-gens", type=int)
+    run.add_argument("--budget", type=int)
+    run.add_argument("--format", choices=harness.FORMATS,
                      help="default %s" % ExperimentConfig.fmt)
     run.add_argument("--out", help="write the table here instead of stdout")
     run.add_argument("--config", help="INI config file; runs every section as "
                      "written, so no other flag but --out may be given with it")
 
     bench = sub.add_parser("bench", help="five-function comparison suite")
-    bench.add_argument("--seed", type=_typed("--seed", int), default=None)
-    bench.add_argument("--format", default="markdown", choices=("csv", "markdown", "json"))
+    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--format", default="markdown", choices=harness.FORMATS)
     bench.add_argument("--out")
 
     trace = sub.add_parser("trace", help="render a 2-d run as SVG")
     trace.add_argument("--function", required=True)
     trace.add_argument("--algo", default="slm", choices=("slm", "slmga"))
-    trace.add_argument("--seed", type=_typed("--seed", int))
-    trace.add_argument("--h-tol", type=_typed("--h-tol", float))
-    trace.add_argument("--max-gens", type=_typed("--max-gens", int))
+    trace.add_argument("--seed", type=int)
+    trace.add_argument("--h-tol", type=float)
+    trace.add_argument("--max-gens", type=int)
     trace.add_argument("--sense", choices=("min", "max"), help="slm only")
     trace.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate an expression at a point")
     ev.add_argument("--expr", required=True)
-    ev.add_argument("--dim", type=_typed("--dim", int), default=None)
+    ev.add_argument("--dim", type=int, default=None)
     ev.add_argument("--at", required=True,
                     help="comma-separated coordinates, e.g. 1.0,2.5")
     return top
@@ -177,37 +172,21 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-# Each flag that sets an algorithm parameter, and the fields it may set: the
-# one that the chosen algorithm's config has.
-ALGORITHM_FLAGS = {"h_tol": ("h_tol",), "max_gens": ("max_generations", "max_levels"),
-                   "budget": ("budget", "generations"), "sense": ("sense",)}
-
-
-def _algorithm_params(args, algo: str) -> dict:
-    fields = {f.name for f in dataclasses.fields(harness.ALGORITHMS[algo][0])}
-    params = {}
-    for flag, names in ALGORITHM_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            field = fields.intersection(names)
-            if not field:
-                raise ConfigError("--%s does not apply to %s" % (flag.replace("_", "-"), algo))
-            params[field.pop()] = value
-    return params
+def _given(args, *routed) -> dict:
+    """The flags given, by dest, but for those the command itself uses."""
+    return {dest: value for dest, value in vars(args).items()
+            if value is not None and dest != "command" and dest not in routed}
 
 
 def _cmd_run(args) -> int:
-    given = {dest: value for dest, value in vars(args).items()
-             if value is not None and dest not in ("command", "config", "out")}
+    given = _given(args, "config", "out")
     if args.config:
         if given:
             raise ConfigError("--config runs the file as written; %s cannot be given with it"
                               % ", ".join("--" + dest.replace("_", "-") for dest in given))
         configs = harness.load_config_file(args.config, _seed(args))
     else:
-        keys = {dest: value for dest, value in given.items() if dest not in ALGORITHM_FLAGS}
-        keys.update(_algorithm_params(args, args.algo or ExperimentConfig.algo))
-        configs = [harness.experiment_config(keys, _seed(args))]
+        configs = [harness.experiment_config(given, _seed(args))]
     code = EXIT_OK
     chunks = []
     for cfg in configs:
@@ -235,8 +214,8 @@ def _cmd_trace(args) -> int:
     obj = get_objective(args.function)
     if obj.dim != 2:
         raise ConfigError("trace renders a 2-d objective; %s is %d-d" % (obj.name, obj.dim))
-    report = harness.run_algorithm(args.algo, obj, _algorithm_params(args, args.algo),
-                                   _seed(args))
+    params = _given(args, "function", "algo", "seed", "out")
+    report = harness.run_algorithm(args.algo, obj, params, _seed(args))
     _write(svgtrace.emit_trace_svg(report, obj), args.out)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

@@ -5,8 +5,7 @@ tighter than unary minus, so "-x1^2" means -(x1^2)):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := unary ('^' factor)?
-    unary  := '-'? atom
+    factor := '-' factor | atom ('^' factor)?
     atom   := number | 'x' digits | name '(' expr ')' | '(' expr ')'
 
 Variables are x1..xn, with an index of any length (leading zeros allowed).
@@ -128,19 +127,13 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        e = self.unary()
+        if self.accept("-"):
+            # '^' binds tighter: -x1^2 parses as -(x1^2)
+            return Unary("-", self.factor())
+        e = self.atom()
         if self.accept("^"):
             return Binary("^", e, self.factor())  # right-associative
         return e
-
-    def unary(self) -> Expr:
-        if self.accept("-"):
-            # '^' binds tighter: -x1^2 parses as -(x1^2)
-            child = self.unary()
-            if self.accept("^"):
-                child = Binary("^", child, self.factor())
-            return Unary("-", child)
-        return self.atom()
 
     def atom(self) -> Expr:
         c = self.tok[:1]

@@ -115,7 +115,6 @@ class Evaluator:
         self.start_generation(0)
 
     def start_generation(self, generation: int) -> None:
-        self.generation = generation
         self.cache: dict[Vector, float] = {}
         self.rng = None
         if self.obj.stochastic:

@@ -5,6 +5,10 @@ trials and aggregates best values; ``bench_suite`` reruns the five-function
 comparison table including the generation-ratio (PNG) row against the
 stored DE reference counts.
 
+``experiment_config`` and ``algorithm_config`` hold every rule about an
+experiment's keys and values, for flags and INI sections alike, and
+``ALIASES`` is the one table of other spellings of their fields.
+
 ``emit_table`` writes a list of reports as CSV, markdown or JSON.  The JSON
 is written directly in the layout ``json.dumps(..., indent=2)`` gives: an
 indent of 2, the keys of each report, step, candidate, label and cell in a
@@ -66,6 +70,8 @@ SLMGA_BENCH_SETTINGS = {
 
 BENCH_FUNCTIONS = ("f1", "f2", "f3", "f4", "f5")
 
+FORMATS = ("csv", "markdown", "json")  # of emit_table and bench_table
+
 
 @dataclass
 class Metrics:
@@ -94,8 +100,8 @@ class ExperimentConfig:
             raise ConfigError("give exactly one of an objective name and an expression")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.fmt not in ("csv", "markdown", "json"):
-            raise ConfigError("format must be csv, markdown or json")
+        if self.fmt not in FORMATS:
+            raise ConfigError("format must be one of %s" % ", ".join(FORMATS))
 
 
 @dataclass
@@ -114,11 +120,11 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
                      eval_fn=lambda x: expr_evaluate(compiled, x))
 
 
-@functools.cache
+@functools.lru_cache()
 def _compiled_expression(src: str, dim: int):
-    """``src`` parsed for ``dim`` variables and compiled, once per process:
-    checking a config and running it resolve the same expression.  An error
-    is raised each time, as nothing is cached for it."""
+    """``src`` parsed for ``dim`` variables and compiled, once while it is
+    among the 128 latest: checking a config and running it resolve the same
+    expression.  An error is raised each time, as nothing is cached for it."""
     return expr_compile(expr_parse(src, dim))
 
 
@@ -148,6 +154,21 @@ ALGORITHMS: dict[str, tuple[type, types.ModuleType, str]] = {
 
 # The keys that set the one nested config (`LabelRule`), by its field names.
 NESTED_KEYS = {"label_rule": {"variant": "label_rule", "epsilon": "epsilon"}}
+
+# Other spellings of config fields, as INI keys and flag dests alike: each sets
+# the first of its fields that the config has, and is left as it is otherwise.
+ALIASES = {"function": ("objective",), "format": ("fmt",),
+           "max_gens": ("max_levels", "max_generations"), "budget": ("generations",)}
+
+
+def _respell(cls, keys: dict) -> dict:
+    """``keys`` with each alias replaced by the field of ``cls`` it sets; a
+    field set under two spellings is a ``ConfigError``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = {next((f for f in ALIASES.get(k, ()) if f in names), k): v for k, v in keys.items()}
+    if len(fields) < len(keys):
+        raise ConfigError("a field is set by two spellings")
+    return fields
 
 
 def _parse(tp, value):
@@ -196,13 +217,13 @@ def build_config(cls, params: dict, **fixed):
 
 
 def algorithm_config(name: str, params: dict, seed: int = 0):
-    """The config of algorithm ``name`` built from ``params``."""
+    """The config of algorithm ``name`` from ``params``, keyed by field or alias."""
     try:
         cls = ALGORITHMS[name][0]
     except KeyError:
         raise ConfigError("unknown algorithm %r (have: %s)"
                           % (clip(name), ", ".join(algorithm_names()))) from None
-    return build_config(cls, params, seed=seed)
+    return build_config(cls, _respell(cls, params), seed=seed)
 
 
 def run_algorithm(name: str, obj: Objective, params: dict, seed: int) -> RunReport:
@@ -497,19 +518,15 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
     return out.getvalue()
 
 
-# INI spellings of ExperimentConfig fields; the `run` flags take them as dests.
-INI_KEYS = {"function": "objective", "format": "fmt"}
 _EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"algo_params"}
 
 
 def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
     """The checked experiment of an INI section or of the ``run`` flags: a key
-    that names an ``ExperimentConfig`` field, or spells one as in ``INI_KEYS``,
+    that names an ``ExperimentConfig`` field, or spells one as in ``ALIASES``,
     sets it; any other key is a parameter of the algorithm.  ``seed`` applies
     unless a key sets one.  The objective and an ``initial`` point are checked."""
-    fields = {INI_KEYS.get(k, k): v for k, v in keys.items()}
-    if len(fields) < len(keys):
-        raise ConfigError("a field is set by two spellings")
+    fields = _respell(ExperimentConfig, keys)
     cfg = build_config(
         ExperimentConfig,
         {"seed": seed, **{k: v for k, v in fields.items() if k in _EXPERIMENT_KEYS}},

@@ -85,6 +85,7 @@ class TestRandomWalkSearch:
     @pytest.mark.parametrize("kwargs", [
         {"step_scale": 0.0}, {"step_scale": -1.0}, {"step_scale": math.nan},
         {"patience": 0}, {"patience": -3},
+        {"budget": 0}, {"contraction": 0.0}, {"contraction": 1.0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -127,6 +128,8 @@ class TestSimulatedAnnealing:
             SaConfig(t0=0.0)
         with pytest.raises(ConfigError):
             SaConfig(step_scale=-1.0)
+        with pytest.raises(ConfigError, match=r"^budget must be >= 1$"):
+            SaConfig(budget=0)
 
 
 class TestDifferentialEvolution:
@@ -164,3 +167,5 @@ class TestDifferentialEvolution:
             DeConfig(pop_size=3)
         with pytest.raises(ConfigError):
             DeConfig(cr=1.5)
+        with pytest.raises(ConfigError, match=r"^generations must be >= 1$"):
+            DeConfig(generations=0)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import subgrid
 from subgrid import harness
-from subgrid.cli import ALGORITHM_FLAGS, build_parser, main
-from subgrid.harness import ALGORITHMS, INI_KEYS, ExperimentConfig
+from subgrid.cli import build_parser, main
+from subgrid.harness import ALGORITHMS, ALIASES, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,24 @@ class TestList:
         for algo in ("slm", "slmga", "rs", "rsw", "sa", "de"):
             assert algo in out
         assert "kernel backend:" in out
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def test_every_command_of_the_readme_runs(capsys, tmp_path, monkeypatch):
+    # each `subgrid ...` line of README's CLI block, in a directory that holds
+    # the experiments.ini it names
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("subgrid ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiments.ini").write_text("[a]\nfunction = f2\nalgo = rs\nbudget = 5\n")
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
 
 
 class TestRun:
@@ -64,8 +83,48 @@ class TestRun:
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for a in sub.choices["run"]._actions} - {"help"}
-        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | set(INI_KEYS)
-        assert dests <= keys | set(ALGORITHM_FLAGS) | {"seed", "config", "out"}
+        keys = {f.name for cls in [ExperimentConfig] + [c for c, _, _ in ALGORITHMS.values()]
+                for f in dataclasses.fields(cls)} | set(ALIASES)
+        assert dests <= keys | {"config", "out"}
+
+    @pytest.mark.parametrize("algo,flag,alias,field,value", [
+        ("slmga", "--max-gens", "max_gens", "max_generations", "2"),
+        ("de", "--budget", "budget", "generations", "3"),
+    ])
+    def test_an_ini_section_takes_the_flags_spellings(self, capsys, tmp_path,
+                                                       algo, flag, alias, field, value):
+        def by_file(key):
+            ini = tmp_path / "e.ini"
+            ini.write_text("[a]\nfunction = f2\nalgo = %s\n%s = %s\nformat = csv\n"
+                           % (algo, key, value))
+            return run_cli(capsys, "run", "--config", str(ini))
+
+        by_flags = run_cli(capsys, "run", "--function", "f2", "--algo", algo, flag, value,
+                           "--format", "csv")
+        assert by_file(alias) == by_flags == by_file(field)
+        assert by_flags != run_cli(capsys, "run", "--function", "f2", "--algo", algo,
+                                   "--format", "csv")
+
+    def test_a_field_under_two_spellings_is_config_error(self, capsys, tmp_path):
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nfunction = f2\nalgo = slmga\nmax_gens = 2\nmax_generations = 3\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(ini))
+        assert (code, out) == (2, "")
+        assert err == "config error: section [a]: a field is set by two spellings\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("run", "--function", "f2", "--algo", "rs", "--max-gens", "3"),
+         "RsConfig has no field 'max_gens'"),
+        (("run", "--function", "f2", "--algo", "de", "--h-tol", "0.1"),
+         "DeConfig has no field 'h_tol'"),
+        (("trace", "--function", "easom", "--algo", "slmga", "--sense", "max"),
+         "GaConfig has no field 'sense'"),
+    ], ids=["rs-max-gens", "de-h-tol", "trace-slmga-sense"])
+    def test_a_flag_the_algorithm_lacks_is_config_error(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert (code, err) == (2, "config error: %s\n" % message)
+        assert not out_file.exists()
 
     def test_expr_without_dim_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--expr", "x1^2")
@@ -612,6 +671,16 @@ def test_out_refused_before_any_run(capsys, tmp_path, monkeypatch, command, out,
     assert (tmp_path / "a-file").read_text() == "kept"
 
 
+def test_out_through_a_dangling_symlink_is_config_error(capsys, tmp_path):
+    # the link's own directory exists, so only the write itself fails
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "x")
+    code, out, err = run_cli(capsys, "run", "--function", "f2", "--algo", "rs", "--budget", "5",
+                             "--out", str(link))
+    assert (code, out) == (2, "")
+    assert err == "config error: cannot write %s: No such file or directory\n" % link
+
+
 def test_out_kept_when_the_run_is_refused(capsys, tmp_path):
     out_file = tmp_path / "t.csv"
     out_file.write_text("kept")
@@ -655,6 +724,10 @@ class TestEval:
                                "--at", "3,4")
         assert code == 0
         assert out.strip() == "25.0"
+
+    def test_at_of_another_length_than_dim_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--expr", "x1", "--at", "1,2", "--dim", "3")
+        assert (code, out, err) == (2, "", "config error: --at has 2 coordinates, --dim is 3\n")
 
     def test_division_by_zero(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "1/x1", "--at", "0")

@@ -108,6 +108,10 @@ class TestGridSpec:
         assert GridSpec(box, 1).max_index == 1
         assert GridSpec(box, 4).max_index == 8
 
+    def test_level_below_one_rejected(self):
+        with pytest.raises(SubgridError, match=r"^level must be >= 1$"):
+            GridSpec(BoxDomain.cube(0.0, 1.0, 1), 0)
+
 
 # The loop both engines ran before ``levels``: one level after another
 # until every step is below ``h_tol``.  ``GridSpec.step`` divides by the int
@@ -188,6 +192,13 @@ class TestGridPoint:
             position_of(GridPoint((0, 3), 2), grid)
         with pytest.raises(SubgridError, match=r"^relative coordinates \(-1, 0\) outside grid$"):
             position_of(GridPoint((-1, 0), 2), grid)
+
+    def test_point_of_another_grid_rejected(self):
+        grid = GridSpec(BoxDomain.cube(0.0, 1.0, 2), 2)
+        with pytest.raises(SubgridError, match=r"^point level 3 != grid level 2$"):
+            position_of(GridPoint((0, 0), 3), grid)
+        with pytest.raises(SubgridError, match=r"^point dimension mismatch$"):
+            position_of(GridPoint((0,), 2), grid)
 
 
 class TestCell:

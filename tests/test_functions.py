@@ -325,6 +325,11 @@ class TestGradients:
             g = obj.gradient(obj.known_optimum[0])
             assert max(abs(v) for v in g) < 1e-9, name
 
+    def test_no_finite_differences_for_f3(self):
+        obj = get_objective("f3")
+        with pytest.raises(GradientUnavailableError, match=r"^f3 has no usable gradient$"):
+            obj.fd_gradient(obj.box.center())
+
     def test_unavailable_for_rough_objectives(self):
         for name in ("f3", "f4"):
             with pytest.raises(GradientUnavailableError):

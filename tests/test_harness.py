@@ -19,13 +19,15 @@ from subgrid.core import (
     coordinate,
     position_of,
 )
-from subgrid import slmga
+from subgrid import harness, slmga
+from subgrid.baselines import SaConfig
 from subgrid.errors import ConfigError, SubgridError
 from subgrid.functions import Objective, get_objective
 from subgrid.harness import (
     BenchRow,
     ExperimentConfig,
     bench_table,
+    build_config,
     brute_force_grid_min,
     compute_metrics,
     emit_table,
@@ -252,6 +254,12 @@ class TestEmitTable:
         assert len(rep["steps"]) == reports[0].generations
         assert rep["meta"]["algorithm"] == "slmga"
 
+    def test_unequal_steps_are_written_per_axis(self):
+        obj = Objective(name="q", box=BoxDomain((0.0, 0.0), (1.0, 2.0)),
+                        eval_fn=lambda x: (x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2)
+        rows = emit_table([run_algorithm("slm", obj, {"h_tol": 0.3}, 0)], "csv").splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["1.0/2.0", "0.5/1.0", "0.25/0.5"]
+
     def test_empty_reports_rejected(self):
         with pytest.raises(ConfigError):
             emit_table([], "csv")
@@ -410,6 +418,9 @@ class TestExperimentConfigKeys:
         with pytest.raises(ConfigError):
             experiment_config(keys)
 
+    def test_an_optional_field_takes_none(self):
+        assert build_config(SaConfig, {"step_scale": None}) == SaConfig()
+
 
 class TestConfigFile:
     def test_sections_become_experiments(self, tmp_path):
@@ -483,6 +494,12 @@ class TestExpressionObjective:
         g = obj.gradient((0.25, -0.5))
         assert g[0] == pytest.approx(0.5, rel=1e-5)
         assert g[1] == pytest.approx(-1.0, rel=1e-5)
+
+    def test_the_compiled_expressions_kept_are_bounded(self):
+        # a library loop over generated expressions keeps only the latest
+        for i in range(300):
+            expression_objective("x1 + %d" % i, 1, -1.0, 1.0)
+        assert harness._compiled_expression.cache_info().currsize <= 128
 
 
 # The grid engines' settings on decimal boxes: SLM under both neighbour

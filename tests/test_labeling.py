@@ -57,6 +57,10 @@ class TestLabelFromDelta:
         assert label_from_delta((100.0, 100.0), RULE) == 0
         assert label_from_delta((0.0, 0.0, 0.0), RULE) == 0
 
+    def test_empty_delta_rejected(self):
+        with pytest.raises(SubgridError, match=r"^empty delta$"):
+            label_from_delta((), RULE)
+
     def test_last_negative_index(self):
         assert label_from_delta((-2.0, 0.0), RULE) == 1
         assert label_from_delta((-100.0, -100.0), RULE) == 2
@@ -113,6 +117,10 @@ class TestGradientDelta:
     def test_sign_pattern(self):
         assert label_from_delta(gradient_delta((-1.0, 1.0, 1.0), (-2.0, 2.0, 2.0)), RULE) == 1
 
+    def test_lengths_must_match(self):
+        with pytest.raises(SubgridError, match=r"^gradient_delta: 2 vs 1$"):
+            gradient_delta((0.0, 0.0), (1.0,))
+
     def test_nonfinite_gradient(self):
         with pytest.raises(GradientUnavailableError, match=r"^gradient has non-finite components$"):
             gradient_delta((0.0,), (float("nan"),))
@@ -134,6 +142,9 @@ class TestCompleteness:
         }
         cells = find_complete_cells(labels)
         assert cells == [Cell(GridPoint((0, 0), 1))]
+
+    def test_no_labels_no_cells(self):
+        assert find_complete_cells({}) == []
 
     def test_all_zero_labels_no_cells(self):
         labels = {GridPoint((i, j), 2): 0 for i in range(3) for j in range(3)}

@@ -2,8 +2,9 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from subgrid.core import BoxDomain
 from subgrid.errors import SubgridError
-from subgrid.functions import get_objective
+from subgrid.functions import Objective, get_objective
 from subgrid.slm import SlmConfig, slm_run
 from subgrid.slmga import GaConfig, ga_run
 from subgrid.svgtrace import emit_trace_svg
@@ -52,6 +53,13 @@ class TestStructure:
         labels = root.findall(".//%stext[@class='label']" % NS)
         assert labels, "expected annotated vertex labels"
         assert all(t.text in {"0", "1", "2"} for t in labels)
+
+
+    def test_a_constant_objective_is_shaded_one_gray(self):
+        obj = Objective(name="flat", box=BoxDomain.cube(-1.0, 1.0, 2), eval_fn=lambda x: 3.0)
+        root = ET.fromstring(emit_trace_svg(slm_run(obj, SlmConfig(h_tol=0.5)), obj))
+        shade = root.find(".//%sg[@class='shade']" % NS)
+        assert {rect.get("fill") for rect in shade} == {"#ebebeb"}
 
 
 class TestSlmgaTrace:
