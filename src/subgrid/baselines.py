@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, RunReport, StepRecord, rank
-from .errors import ConfigError
+from .errors import ConfigError, clip
 from .functions import Objective
 
 # Generation counts reported for third-party GAs; stored for PNG ratios,
@@ -56,7 +56,8 @@ def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[f
     if initial is None:
         return obj.box.center()
     if not obj.box.contains(initial):
-        raise ConfigError("initial point %r is not in the %d-d box" % (initial, obj.dim))
+        raise ConfigError("initial point %s is not in the %d-d box"
+                          % (clip(repr(initial)), obj.dim))
     return tuple(float(v) for v in initial)
 
 

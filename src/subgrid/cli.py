@@ -24,9 +24,10 @@ import sys
 
 from . import BACKEND, harness, svgtrace
 from .errors import ConfigError, ExprError, ExprEvalError, SubgridError, clip
-from .exprparse import compile as expr_compile, evaluate as expr_evaluate, parse as expr_parse
+from .exprparse import evaluate as expr_evaluate, parse as expr_parse
 from .functions import get_objective, objective_names
 from .harness import ExperimentConfig
+from .slm import Sense
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int)
     trace.add_argument("--h-tol", type=float)
     trace.add_argument("--max-gens", type=int)
-    trace.add_argument("--sense", choices=("min", "max"), help="slm only")
+    trace.add_argument("--sense", choices=[s.value for s in Sense], help="slm only")
     trace.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate an expression at a point")
@@ -228,7 +229,7 @@ def _cmd_eval(args) -> int:
     dim = args.dim if args.dim is not None else len(x)
     if len(x) != dim:
         raise ConfigError("--at has %d coordinates, --dim is %d" % (len(x), dim))
-    print(repr(expr_evaluate(expr_compile(expr_parse(args.expr, dim)), x)))
+    print(repr(expr_evaluate(expr_parse(args.expr, dim), x)))
     return EXIT_OK
 
 

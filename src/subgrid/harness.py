@@ -43,7 +43,7 @@ from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
 from .core import (BoxDomain, Candidate, GridPoint, GridSpec, LabeledVertex, RunReport, StepRecord,
                    position_of)
 from .errors import ConfigError, SubgridError, clip
-from .exprparse import compile as expr_compile, evaluate as expr_evaluate, parse as expr_parse
+from .exprparse import evaluate as expr_evaluate, parse as expr_parse
 from .functions import Objective, get_objective
 from .slm import SlmConfig
 from .slmga import GaConfig
@@ -122,10 +122,11 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
 
 @functools.lru_cache()
 def _compiled_expression(src: str, dim: int):
-    """``src`` parsed for ``dim`` variables and compiled, once while it is
-    among the 128 latest: checking a config and running it resolve the same
-    expression.  An error is raised each time, as nothing is cached for it."""
-    return expr_compile(expr_parse(src, dim))
+    """``src`` parsed for ``dim`` variables into its closures, once while it
+    is among the 128 latest: checking a config and running it resolve the
+    same expression.  An error is raised each time, as nothing is cached for
+    it."""
+    return expr_parse(src, dim)
 
 
 def resolve_objective(cfg: ExperimentConfig) -> Objective:
@@ -185,12 +186,18 @@ def _parse(tp, value):
     return tp(value)
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The field types of the config dataclass ``cls``, read once per class."""
+    return typing.get_type_hints(cls)
+
+
 def build_config(cls, params: dict, **fixed):
     """An instance of the config dataclass ``cls``: each field named in
     ``params`` parsed by its type, ``fixed`` values taken as they are,
     every other field left at its default.  A key of ``params`` that names
     no field, or a value that does not parse, is a ``ConfigError``."""
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     accepted = set(names).union(*(NESTED_KEYS[n].values() for n in names if n in NESTED_KEYS))
     unknown = sorted(set(params) - accepted)
@@ -296,13 +303,17 @@ def _fmt_point(x: Sequence[float]) -> str:
 def emit_table(reports: Sequence[RunReport], fmt: str) -> str:
     if not reports:
         raise ConfigError("no reports to emit")
+    _check_format(fmt)
     if fmt == "csv":
         return _emit_csv(reports)
     if fmt == "markdown":
         return _emit_markdown(reports)
-    if fmt == "json":
-        return _emit_json(reports)
-    raise ConfigError("unknown format %r" % fmt)
+    return _emit_json(reports)
+
+
+def _check_format(fmt: str):
+    if fmt not in FORMATS:
+        raise ConfigError("unknown format %r" % clip(fmt))
 
 
 def _emit_csv(reports) -> str:
@@ -489,6 +500,7 @@ def bench_suite(seed: int = 0) -> list[BenchRow]:
 
 
 def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
+    _check_format(fmt)
     if fmt == "json":
         return json.dumps([{
             "function": r.function, "generations": r.generations,
@@ -506,8 +518,6 @@ def bench_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
                 r.sd_euclid if r.sd_euclid is not None else float("nan"),
                 r.de_generations, round(r.png)))
         return out.getvalue()
-    if fmt != "markdown":
-        raise ConfigError("unknown format %r" % fmt)
     out.write("| Function | Generations | Final step | Best point | BV | SD | DE gens | PNG |\n")
     out.write("|---|---|---|---|---|---|---|---|\n")
     for r in rows:

@@ -140,14 +140,14 @@ class TestRun:
         assert "expression error" in err
 
     def test_an_expression_is_parsed_and_compiled_once(self, capsys):
-        # checking the flags and running them resolve the same expression
+        # checking the flags and running them resolve the same expression,
+        # and parsing it makes its closures
         harness._compiled_expression.cache_clear()
-        with mock.patch.object(harness, "expr_parse", wraps=harness.expr_parse) as parse, \
-                mock.patch.object(harness, "expr_compile", wraps=harness.expr_compile) as comp:
+        with mock.patch.object(harness, "expr_parse", wraps=harness.expr_parse) as parse:
             code, _, _ = run_cli(capsys, "run", "--expr", "x1^2+x2^2", "--dim", "2",
                                  "--algo", "rs", "--budget", "3")
         assert code == 0
-        assert (parse.call_count, comp.call_count) == (1, 1)
+        assert parse.call_count == 1
 
     def test_a_bad_expression_fails_every_time(self, capsys):
         # an error is not cached: the second run parses again and fails alike
@@ -333,6 +333,14 @@ class TestRun:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "config error: %s\n" % (message % quoted))
         assert len(err.encode()) < 200
+
+    def test_an_initial_point_is_quoted_in_part(self, capsys, tmp_path):
+        # 5,000 coordinates for f2's 2-d box
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = rsw\ninitial = %s\n" % ",".join(["5"] * 5000))
+        assert run_cli(capsys, "run", "--config", str(ini)) == (
+            2, "", "config error: section [a]: initial point (5.0, 5.0, 5.0, 5.0,... "
+                   "is not in the 2-d box\n")
 
     @pytest.mark.parametrize("algo", ["slm", "slmga"])
     def test_grid_engines_run_on_a_decimal_box(self, capsys, algo):
@@ -744,12 +752,14 @@ class TestEval:
         assert code == 3
         assert err.startswith("expression error:")
 
-    @pytest.mark.parametrize("expr", [
-        "(" * 250 + "x1" + ")" * 250,     # the parser recurses per parenthesis
-        "^".join(["1"] * 2000),           # and per right-associative power
-        "+".join(["x1"] * 3000),          # parses in a loop, evaluates recursively
+    @pytest.mark.parametrize("nest", [
+        lambda d: "(" * d + "x1" + ")" * d,     # the parser recurses per parenthesis
+        lambda d: "^".join(["1"] * 2 * d),      # and per right-associative power
+        lambda d: "+".join(["x1"] * 3 * d),     # parses in a loop, evaluates recursively
     ], ids=["parentheses", "powers", "sum"])
-    def test_deep_nesting_is_expression_error(self, capsys, expr):
+    def test_deep_nesting_is_expression_error(self, capsys, nest):
+        # nested past the recursion limit, whatever the frames per level
+        expr = nest(sys.getrecursionlimit())
         code, _, err = run_cli(capsys, "eval", "--expr", expr, "--at", "1")
         assert code == 3
         assert err.startswith("expression error: expression nested too deeply")

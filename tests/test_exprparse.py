@@ -2,6 +2,8 @@ import math
 import random
 import struct
 import sys
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 import pytest
@@ -9,27 +11,67 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subgrid.errors import ExprError, ExprEvalError
-from subgrid.exprparse import (
-    FUNCTIONS,
-    Binary,
-    Call,
-    Constant,
-    Expr,
-    Unary,
-    Variable,
-    evaluate,
-    parse,
-    to_string,
-)
-from subgrid.exprparse import compile as compile_expr
+from subgrid.exprparse import FUNCTIONS, evaluate, parse
 from subgrid.functions import get_objective
 
 _DIGITS = frozenset("0123456789")
 
 
+# The syntax tree that the reference parser builds, ``to_string`` prints and
+# the reference walker reads; ``parse`` builds closures and no tree.
+@dataclass(frozen=True)
+class Constant:
+    value: float
+
+
+@dataclass(frozen=True)
+class Variable:
+    index: int  # 1-based
+
+
+@dataclass(frozen=True)
+class Unary:
+    op: str
+    child: "Expr"
+
+
+@dataclass(frozen=True)
+class Binary:
+    op: str
+    left: "Expr"
+    right: "Expr"
+
+
+@dataclass(frozen=True)
+class Call:
+    fn: str
+    args: tuple["Expr", ...]
+
+
+Expr = Union[Constant, Variable, Unary, Binary, Call]
+
+
+def to_string(ast: Expr) -> str:
+    """Fully parenthesized form; reparses to a structurally identical AST."""
+    if isinstance(ast, Constant):
+        v = ast.value
+        if v < 0:
+            # negative literals only arise from programmatic ASTs
+            return "(0-%r)" % (-v,)
+        return repr(v)
+    if isinstance(ast, Variable):
+        return "x%d" % ast.index
+    if isinstance(ast, Unary):
+        return "(-%s)" % to_string(ast.child)
+    if isinstance(ast, Binary):
+        return "(%s%s%s)" % (to_string(ast.left), ast.op, to_string(ast.right))
+    return "%s(%s)" % (ast.fn, ",".join(to_string(a) for a in ast.args))
+
+
 class ReferenceParser:
     """The character-by-character parser that the token pattern replaced,
-    kept as the reference for ``parse``."""
+    kept as the reference for ``parse``: it builds the syntax tree that
+    ``reference_evaluate`` walks."""
 
     def __init__(self, src: str, n: int):
         self.src = src
@@ -173,17 +215,9 @@ def reference_parse(src: str, n: int) -> Expr:
         raise ExprError("expression nested too deeply", parser.pos) from None
 
 
-def outcome(parse_fn, src, n):
-    """The AST, or the message and offset of the ``ExprError``."""
-    try:
-        return parse_fn(src, n)
-    except ExprError as exc:
-        return str(exc), exc.offset
-
-
 def reference_evaluate(ast: Expr, x) -> float:
-    """The tree walker that ``compile`` replaced, kept as the reference for
-    the compiled closures: the value of ``ast`` at ``x``."""
+    """The tree walker that the closures replaced, kept as their reference:
+    the value of ``ast`` at ``x``."""
     if isinstance(ast, Constant):
         return ast.value
     if isinstance(ast, Variable):
@@ -222,8 +256,8 @@ def reference_evaluate(ast: Expr, x) -> float:
 
 
 def value_of(src: str, n: int, x) -> float:
-    """``src`` parsed, compiled and evaluated at ``x``."""
-    return evaluate(compile_expr(parse(src, n)), x)
+    """``src`` parsed and evaluated at ``x``."""
+    return evaluate(parse(src, n), x)
 
 
 def result(fn):
@@ -233,6 +267,31 @@ def result(fn):
         return struct.pack("<d", fn())
     except Exception as exc:
         return type(exc), str(exc)
+
+
+# coordinates where a change of operation or of how operands associate
+# shows: signed zeros and infinities, NaN, and magnitudes near 1e16, where
+# (1e16 + 1) + 1 and 1e16 + (1 + 1) differ
+SPECIAL = (1e16, 1.0, 1.0, -1e16, 0.0, -0.0, math.inf, -math.inf, math.nan, 3.0, -0.5,
+           1e-16)
+
+
+def points(n: int) -> list:
+    """One point of ``n`` coordinates per start in ``SPECIAL``, each axis one
+    step further along it."""
+    return [tuple(SPECIAL[(k + i) % len(SPECIAL)] for i in range(n))
+            for k in range(len(SPECIAL))]
+
+
+def outcome(src: str, n: int, parse_fn=parse, evaluate_fn=evaluate):
+    """The message and offset of the ``ExprError`` that parsing ``src``
+    raises, or the ``result`` of evaluating it at each of ``points(n)``;
+    by default through ``parse`` and ``evaluate``."""
+    try:
+        parsed = parse_fn(src, n)
+    except ExprError as exc:
+        return str(exc), exc.offset
+    return [result(lambda: evaluate_fn(parsed, x)) for x in points(n)]
 
 
 # the grammar's characters, Unicode whitespace (no-break, em and ideographic
@@ -279,7 +338,9 @@ class TestParsing:
     def test_a_call_takes_exactly_one_argument(self, src):
         with pytest.raises(ExprError):
             parse(src, 2)
-        assert parse("cos(x1)", 1) == Call("cos", (Variable(1),))
+        assert outcome("cos(x1)", 1) == [
+            result(lambda: reference_evaluate(Call("cos", (Variable(1),)), x))
+            for x in points(1)]
 
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ExprError) as err:
@@ -307,9 +368,13 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse(src, 1)
 
-    @pytest.mark.parametrize("src", ["(" * 250 + "x1" + ")" * 250, "^".join(["1"] * 2000)],
+    @pytest.mark.parametrize("nest", [lambda d: "(" * d + "x1" + ")" * d,
+                                      lambda d: "^".join(["1"] * (d + 1))],
                              ids=["parentheses", "powers"])
-    def test_nesting_past_the_recursion_limit_is_expr_error(self, src):
+    def test_nesting_past_the_recursion_limit_is_expr_error(self, nest):
+        # as many levels as the recursion limit: any recursive parser
+        # spends at least one frame on each
+        src = nest(sys.getrecursionlimit())
         with pytest.raises(ExprError) as err:
             parse(src, 1)
         assert "nested too deeply" in str(err.value)
@@ -352,8 +417,9 @@ class TestTokenPattern:
     @example(src="\u3000x01\u00a0", n=1).via("Unicode spaces around a zero-led index")
     @example(src="x1\u00b2", n=1).via("a superscript digit in a word")
     @example(src="((x1)", n=1).via("a missing ')' at the end")
+    @example(src="x1+x2+x3-x4*x2/x3", n=4).via("chains whose grouping shows near 1e16")
     def test_matches_the_reference_parser(self, src, n):
-        assert outcome(parse, src, n) == outcome(reference_parse, src, n)
+        assert outcome(src, n) == outcome(src, n, reference_parse, reference_evaluate)
 
 
 class TestEvaluation:
@@ -370,15 +436,15 @@ class TestEvaluation:
             value_of("x1^0.5", 1, (-4.0,))
 
     def test_nesting_past_the_recursion_limit_is_eval_error(self):
-        # a left-leaning sum: it parses in a loop but compiles recursively
-        ast = parse("+".join(["x1"] * 3000), 1)
+        # a left-leaning sum: it parses in a loop but evaluates recursively
+        compiled = parse("+".join(["x1"] * 3000), 1)
         with pytest.raises(ExprEvalError, match="^expression nested too deeply$"):
-            evaluate(compile_expr(ast), (1.0,))
+            evaluate(compiled, (1.0,))
 
     def test_nesting_past_the_callers_stack_is_eval_error(self):
-        # compiled near the top of the stack, evaluated from deep in it
+        # parsed near the top of the stack, evaluated from deep in it
         depth = sys.getrecursionlimit() // 2
-        compiled = compile_expr(parse("+".join(["x1"] * depth), 1))
+        compiled = parse("+".join(["x1"] * depth), 1)
         assert evaluate(compiled, (1.0,)) == depth
 
         def nested(levels):
@@ -403,8 +469,11 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("src", CASES)
     def test_print_reparse_identical_ast(self, src):
-        ast = parse(src, 2)
-        assert parse(to_string(ast), 2) == ast
+        # the text and its reference tree printed parse to closures that
+        # agree with the tree, bit for bit, at every point
+        ast = reference_parse(src, 2)
+        walked = [result(lambda: reference_evaluate(ast, x)) for x in points(2)]
+        assert outcome(src, 2) == outcome(to_string(ast), 2) == walked
 
     def test_random_asts_evaluate_identically(self):
         rng = random.Random(99)
@@ -426,7 +495,7 @@ class TestRoundTrip:
             ast = gen(3)
             back = parse(to_string(ast), 2)
             x = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            assert evaluate(compile_expr(back), x) == evaluate(compile_expr(ast), x)
+            assert result(lambda: evaluate(back, x)) == result(lambda: reference_evaluate(ast, x))
 
 
 class TestBuiltinEquivalence:
@@ -447,7 +516,7 @@ class TestBuiltinEquivalence:
     def test_matches_native(self, name):
         src, tol = self.STRINGS[name]
         obj = get_objective(name)
-        compiled = compile_expr(parse(src, obj.dim))
+        compiled = parse(src, obj.dim)
         rng = np.random.default_rng(7)
         lo = np.asarray(obj.box.lower)
         hi = np.asarray(obj.box.upper)
@@ -480,16 +549,23 @@ COORDINATES = st.one_of(
     st.floats())
 
 
+def agree(src: str, n: int, x) -> bool:
+    """``parse``'s closures and the reference walker give the same ``result``
+    for ``src`` at ``x``."""
+    return result(lambda: evaluate(parse(src, n), x)) == result(
+        lambda: reference_evaluate(reference_parse(src, n), x))
+
+
 class TestCompiledMatchesTheWalker:
-    """The compiled closures give the reference walker's value, bit for bit,
+    """The parsed closures give the reference walker's value, bit for bit,
     or raise its error class with its message."""
 
     @settings(max_examples=1000, deadline=None)
     @given(ast=asts(2), x=st.tuples(COORDINATES, COORDINATES))
     def test_printed_asts(self, ast, x):
-        back = parse(to_string(ast), 2)
-        assert result(lambda: evaluate(compile_expr(back), x)) == result(
-            lambda: reference_evaluate(back, x))
+        text = to_string(ast)
+        assert agree(text, 2, x)
+        assert outcome(text, 2) == outcome(text, 2, reference_parse, reference_evaluate)
 
     @pytest.mark.parametrize("src, x", [
         ("1/x1", (0.0,)), ("1/x1", (-0.0,)), ("x1/x1", (0.0,)),
@@ -502,6 +578,4 @@ class TestCompiledMatchesTheWalker:
         ("(1/(x1-x1))+log(x1)", (-1.0,)),
     ])
     def test_points_where_operations_fail(self, src, x):
-        ast = parse(src, 1)
-        assert result(lambda: evaluate(compile_expr(ast), x)) == result(
-            lambda: reference_evaluate(ast, x))
+        assert agree(src, 1, x)

@@ -264,13 +264,23 @@ class TestEmitTable:
         with pytest.raises(ConfigError):
             emit_table([], "csv")
 
+    ROW = BenchRow(function="f1", generations=1, final_h=0.5, best=Candidate((0.0,), 0.0),
+                   bv=0.0, sd_euclid=None, de_generations=1, png=1.0)
+
     def test_an_unknown_format_is_refused_by_both_tables(self):
-        row = BenchRow(function="f1", generations=1, final_h=0.5, best=Candidate((0.0,), 0.0),
-                       bv=0.0, sd_euclid=None, de_generations=1, png=1.0)
         with pytest.raises(ConfigError, match="^unknown format 'html'$"):
             emit_table(self._reports(), "html")
         with pytest.raises(ConfigError, match="^unknown format 'html'$"):
-            bench_table([row], "html")
+            bench_table([self.ROW], "html")
+
+    def test_an_unknown_format_is_quoted_in_part(self):
+        # a 500-character name: both tables quote its first 20
+        want = "unknown format '%s...'" % ("h" * 20)
+        with pytest.raises(ConfigError) as emitted:
+            emit_table(self._reports(), "h" * 500)
+        with pytest.raises(ConfigError) as benched:
+            bench_table([self.ROW], "h" * 500)
+        assert str(emitted.value) == str(benched.value) == want
 
 
 def reference_jsonable(rep):
