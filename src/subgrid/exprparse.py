@@ -17,6 +17,9 @@ a name only if it starts with a letter) or any other single character.
 
 Each rule of the parser returns the closure of what it read: called at a
 point, it evaluates its operands left before right, then its own operation.
+A chain of '+ -' or '* /' folds to the left, by recursion, so the parser
+spends a stack frame per operator as the closures do: an expression too deep
+to evaluate is refused when it is parsed.
 """
 
 from __future__ import annotations
@@ -79,24 +82,20 @@ class _Parser:
         return e
 
     def expr(self) -> Compiled:
-        e = self.term()
-        while True:
-            c = self.tok
-            if c in ("+", "-"):
-                self.advance()
-                e = _binary(c, e, self.term())
-            else:
-                return e
+        return self.chain(self.term(), ("+", "-"), self.term)
 
     def term(self) -> Compiled:
-        e = self.factor()
-        while True:
-            c = self.tok
-            if c in ("*", "/"):
-                self.advance()
-                e = _binary(c, e, self.factor())
-            else:
-                return e
+        return self.chain(self.factor(), ("*", "/"), self.factor)
+
+    def chain(self, left: Compiled, ops: tuple[str, ...],
+              operand: Callable[[], Compiled]) -> Compiled:
+        """``left`` folded with each ``op operand`` that follows, left to
+        right: one frame per operator, as evaluating the fold takes."""
+        c = self.tok
+        if c not in ops:
+            return left
+        self.advance()
+        return self.chain(_binary(c, left, operand()), ops, operand)
 
     def factor(self) -> Compiled:
         if self.accept("-"):
@@ -183,8 +182,9 @@ def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
 
 def parse(src: str, n: int) -> Compiled:
     """``src`` with variables x1..xn, parsed into the closures ``evaluate``
-    calls.  Nesting deeper than Python's recursion limit allows is an
-    ``ExprError`` at the offset reached."""
+    calls.  Nesting deeper than Python's recursion limit allows, counting
+    each operator of a chain as a level, is an ``ExprError`` at the offset
+    reached."""
     if not src or not src.strip():
         raise ExprError("empty expression", 0)
     parser = _Parser(src, n)

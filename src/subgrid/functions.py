@@ -262,44 +262,36 @@ def _f5_grad(x):
     return (d1 / (denom * denom), d2 / (denom * denom))
 
 
-def _build_registry() -> dict[str, Objective]:
-    reg = {}
-
-    def add(obj):
-        reg[obj.name] = obj
-
-    add(Objective(
+REGISTRY: dict[str, Objective] = {obj.name: obj for obj in (
+    Objective(
         name="goldstein-price", box=BoxDomain.cube(-2.0, 2.0, 2),
         eval_fn=_gp, gradient_fn=_gp_grad,
-        known_optimum=((0.0, -1.0), 3.0)))
-    add(Objective(
+        known_optimum=((0.0, -1.0), 3.0)),
+    Objective(
         name="easom", box=BoxDomain.cube(-100.0, 100.0, 2),
         eval_fn=_easom, gradient_fn=_easom_grad,
-        known_optimum=((math.pi, math.pi), -1.0)))
-    add(Objective(
+        known_optimum=((math.pi, math.pi), -1.0)),
+    Objective(
         name="f1", box=BoxDomain.cube(-5.12, 5.12, 3),
         eval_fn=_f1, gradient_fn=_f1_grad,
-        known_optimum=((0.0, 0.0, 0.0), 0.0)))
-    add(Objective(
+        known_optimum=((0.0, 0.0, 0.0), 0.0)),
+    Objective(
         name="f2", box=BoxDomain.cube(-2.048, 2.048, 2),
         eval_fn=_f2, gradient_fn=_f2_grad,
-        known_optimum=((1.0, 1.0), 0.0)))
-    add(Objective(
+        known_optimum=((1.0, 1.0), 0.0)),
+    Objective(
         name="f3", box=BoxDomain.cube(-5.12, 5.12, 5),
         eval_fn=_f3, smooth=False,
-        known_optimum=((-5.12,) * 5, 0.0)))
-    add(Objective(
+        known_optimum=((-5.12,) * 5, 0.0)),
+    Objective(
         name="f4", box=BoxDomain.cube(-1.28, 1.28, 30),
         eval_fn=_f4_noiseless, noise_fn=_f4_noise, smooth=False,
-        known_optimum=((0.0,) * 30, 0.0)))
-    add(Objective(
+        known_optimum=((0.0,) * 30, 0.0)),
+    Objective(
         name="f5", box=BoxDomain.cube(-65.536, 65.536, 2),
         eval_fn=_f5, gradient_fn=_f5_grad,
-        known_optimum=((-32.0, -32.0), 0.998003838818649)))
-    return reg
-
-
-REGISTRY = _build_registry()
+        known_optimum=((-32.0, -32.0), 0.998003838818649)),
+)}
 
 
 def get_objective(name: str) -> Objective:

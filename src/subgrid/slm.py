@@ -172,20 +172,18 @@ def _region_cells(base: tuple[int, ...], vertices: dict[tuple[int, ...], Labeled
     after that the last chosen cell refined, 3**n points holding its 2**n
     subcells.  ``vertices`` maps the lattice's ``k`` to its members, so
     every cell is read off the lowest, ``base``, without a search.  A
-    cell's bounds are the ``coordinate`` of its anchor index and the next,
-    computed once per axis for the lattice's two or three indices."""
-    box, n = grid.box, len(base)
+    cell's bounds are the positions of its lowest and highest vertices,
+    which ``coordinate`` placed."""
+    n = len(base)
     unit = list(itertools.product((0, 1), repeat=n))
-    offsets, span = (unit[:1], 2) if grid.level == 1 else (unit, 3)
-    xs = [[coordinate(lo, hi, kd + c, sd) for c in range(span)]
-          for lo, hi, kd, sd in zip(box.lower, box.upper, base, grid.step)]
+    offsets = unit[:1] if grid.level == 1 else unit
     cells = {}
     for off in offsets:
         anchor = tuple(map(operator.add, base, off))
         vs = [vertices[tuple(map(operator.add, anchor, v))] for v in unit]
         fs = [lv.candidate.f for lv in vs]
-        holds = all(axis[o] - 1e-12 <= v <= axis[o + 1] + 1e-12
-                    for axis, o, v in zip(xs, off, best.x))
+        holds = all(lo - 1e-12 <= v <= hi + 1e-12
+                    for lo, v, hi in zip(vs[0].candidate.x, best.x, vs[-1].candidate.x))
         cells[anchor] = (min(fs), sum(fs), is_complete((lv.label for lv in vs), n), holds)
     return cells
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgrid
-from subgrid import harness
+from subgrid import harness, slmga
 from subgrid.cli import build_parser, main
 from subgrid.harness import ALGORITHMS, ALIASES, ExperimentConfig
 
@@ -755,7 +755,7 @@ class TestEval:
     @pytest.mark.parametrize("nest", [
         lambda d: "(" * d + "x1" + ")" * d,     # the parser recurses per parenthesis
         lambda d: "^".join(["1"] * 2 * d),      # and per right-associative power
-        lambda d: "+".join(["x1"] * 3 * d),     # parses in a loop, evaluates recursively
+        lambda d: "+".join(["x1"] * 3 * d),     # and per operator of a chain
     ], ids=["parentheses", "powers", "sum"])
     def test_deep_nesting_is_expression_error(self, capsys, nest):
         # nested past the recursion limit, whatever the frames per level
@@ -764,15 +764,24 @@ class TestEval:
         assert code == 3
         assert err.startswith("expression error: expression nested too deeply")
 
-    @pytest.mark.parametrize("way", ["eval", "run"])
-    def test_a_3000_term_sum_is_too_deep(self, capsys, way):
-        # the sum parses in a loop but compiles and evaluates recursively
+    @pytest.mark.parametrize("way", ["eval", "run", "ini"])
+    def test_a_3000_term_sum_is_too_deep(self, capsys, tmp_path, monkeypatch, way):
+        # the parser spends a frame per operator, as evaluation does, so the
+        # sum is refused while its section is checked, before any section runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a section ran before every section was checked")
+
+        monkeypatch.setattr(slmga, "ga_run", refuse)
         expr = "+".join(["x1"] * 3000)
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f3\nalgo = slmga\nh_tol = 0.015\n\n"
+                       "[b]\nexpr = %s\ndim = 1\nalgo = rs\n" % expr)
         argv = {"eval": ("eval", "--expr", expr, "--at", "1"),
-                "run": ("run", "--expr", expr, "--dim", "1")}[way]
+                "run": ("run", "--expr", expr, "--dim", "1"),
+                "ini": ("run", "--config", str(ini))}[way]
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
-        assert err == "expression error: expression nested too deeply\n"
+        assert err.startswith("expression error: expression nested too deeply (at offset ")
         assert out == ""
 
     @pytest.mark.parametrize("way", ["eval", "run", "ini"])

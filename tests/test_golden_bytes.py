@@ -16,9 +16,16 @@ baselines' own draws.  The baselines also run on F2 (a
 non-dyadic box) and on a 3-d expression; DE with ``f_weight = 2`` resamples
 most mutants' out-of-box genes, and RSW and SA started at a corner with a
 step wider than the box clip most proposals.
+
+The benchmark's own goldens (``perfbench/goldens``) are checked here too, at
+input variant 0, for paper-bench and small-runs; de-baseline takes about
+6 s and is left to the benchmark run.
 """
 
 import hashlib
+import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +171,19 @@ def test_seed0_tables_are_byte_identical(algo, name, params, csv_digest, digest)
     csv = emit_table(reports, "csv")
     assert _sha256(csv) == csv_digest
     assert _sha256(csv + emit_table(reports, "json")) == digest
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["paper-bench", "small-runs"])
+def test_one_benchmark_iteration_matches_its_golden(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    w = WORKLOADS[workload](0)
+    w.make_inputs()
+    w.prepare()
+    golden = json.loads((PERFBENCH / "goldens" / ("%s.json" % workload)).read_text())["0"]
+    checked = w.check(w.iterate(time.perf_counter), golden)
+    assert checked.failed == 0, checked.problems
