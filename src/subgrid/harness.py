@@ -14,7 +14,9 @@ is written directly in the layout ``json.dumps(..., indent=2)`` gives: an
 indent of 2, the keys of each report, step, candidate, label and cell in a
 fixed order, each float as its ``repr`` and NaN and the infinities as
 ``json`` writes them (``NaN``, ``Infinity``, ``-Infinity``).  Each object
-is filled into a pattern made once per indent.  A finite float's text is
+is filled into a ``%`` pattern and each array written by an item writer,
+both made once per depth at import.  A label whose candidate is a member of
+its step's population reuses that member's text.  A finite float's text is
 made once per ``emit_table`` call and looked up after that, since a grid
 run repeats each axis's few positions in every step.  Only exact floats are
 looked up, as 1 == 1.0 == True, and never a zero, as 0.0 == -0.0 while
@@ -40,8 +42,7 @@ from typing import Callable, Optional, Sequence
 
 from . import baselines, slm, slmga
 from .baselines import DeConfig, RsConfig, RswConfig, SaConfig
-from .core import (BoxDomain, Candidate, GridPoint, GridSpec, LabeledVertex, RunReport, StepRecord,
-                   position_of)
+from .core import BoxDomain, Candidate, GridPoint, GridSpec, RunReport, StepRecord, position_of
 from .errors import ConfigError, SubgridError, clip
 from .exprparse import evaluate as expr_evaluate, parse as expr_parse
 from .functions import Objective, get_objective
@@ -353,9 +354,12 @@ def _emit_markdown(reports) -> str:
     return out.getvalue()
 
 
-# The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it.  An
-# object's or an array's text starts on a line at some indent, its members
-# sit two spaces deeper, and its closing bracket at that indent again.
+# The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it.  A
+# text at depth d starts on a line indented by 2*d spaces, its members sit a
+# depth deeper, and its closing bracket at depth d again.  The depths of a
+# report, a step, a population member or label, and a label's candidate:
+_REPORT, _STEP, _MEMBER, _LABEL_CANDIDATE = 1, 3, 5, 6
+
 
 def _json_number(v) -> str:
     """A JSON scalar as ``json`` writes it: a finite float or a plain int
@@ -368,22 +372,31 @@ def _json_number(v) -> str:
     return json.dumps(v)
 
 
-def _json_pattern(pad: str, keys: Sequence[str], arrays: Sequence[str] = ()) -> str:
-    """A ``%`` pattern of an object whose text starts on a line at indent
-    ``pad``, with ``keys`` in order and one ``%s`` per value; the value of a
-    key in ``arrays`` is what goes inside its brackets (``_json_items``)."""
-    inner = "\n" + pad + "  "
-    return "{" + inner + ("," + inner).join(
-        '"%s": [%%s]' % k if k in arrays else '"%s": %%s' % k for k in keys) + "\n" + pad + "}"
+def _json_pattern(depth: int, keys: Sequence[str]) -> str:
+    """A ``%`` pattern of an object at ``depth``, its ``keys`` in order, one ``%s`` each."""
+    inner, tail = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "}"
+    return "{" + inner + ("," + inner).join('"%s": %%s' % k for k in keys) + tail
 
 
-def _json_items(pad: str) -> Callable[[list[str]], str]:
-    """The writer of what goes inside the brackets of an array whose text
-    starts on a line at indent ``pad``: each written item on a line of its
-    own, two spaces deeper, and nothing for no items."""
-    inner = "\n" + pad + "  "
-    sep, tail = "," + inner, "\n" + pad
-    return lambda items: inner + sep.join(items) + tail if items else ""
+def _json_items(depth: int) -> Callable[[list[str]], str]:
+    """The writer of an array at ``depth`` of written items: each on a line
+    of its own, a depth deeper, and ``[]`` for no items."""
+    inner = "\n" + "  " * (depth + 1)
+    sep, tail = "," + inner, "\n" + "  " * depth + "]"
+    return lambda items: "[" + inner + sep.join(items) + tail if items else "[]"
+
+
+# An array's item writer, and a candidate's on-grid and off-grid patterns with
+# the item writer of its arrays, by depth.
+_ITEMS = [_json_items(depth) for depth in range(_LABEL_CANDIDATE + 2)]
+_CANDIDATES = [(_json_pattern(depth, ("x", "f", "k", "level")), _json_pattern(depth, ("x", "f")),
+                _ITEMS[depth + 1]) for depth in range(_LABEL_CANDIDATE + 1)]
+_REPORT_PATTERN = _json_pattern(_REPORT, ("meta", "evaluations", "converged", "best",
+                                          "best_value", "steps"))
+_STEP_PATTERN = _json_pattern(_STEP, ("level", "h", "best", "population", "labels",
+                                      "chosen_cell"))
+_LABEL_PATTERN = _json_pattern(_MEMBER, ("candidate", "label", "delta"))
+_CELL_PATTERN = _json_pattern(_STEP + 1, ("anchor", "level"))
 
 
 def _emit_json(reports: Sequence[RunReport]) -> str:
@@ -403,66 +416,41 @@ def _emit_json(reports: Sequence[RunReport]) -> str:
             return text
         return _json_number(v)
 
-    def candidate_of(pad: str):
-        """A writer of a candidate whose text starts on a line at indent ``pad``."""
-        on_grid = _json_pattern(pad, ("x", "f", "k", "level"), ("x", "k"))
-        off_grid = _json_pattern(pad, ("x", "f"), ("x",))
-        items = _json_items(pad + "  ")
-
-        def candidate(c: Candidate) -> str:
-            x, f, p = items(list(map(number, c.x))), number(c.f), c.point
-            if p is None:
-                return off_grid % (x, f)
-            return on_grid % (x, f, items(list(map(_json_number, p.k))), _json_number(p.level))
-        return candidate
-
-    # the indents of a report's fields, a step's fields and a step's members
-    field_pad = "    "
-    step_pad = field_pad + "    "
-    item_pad = step_pad + "  "
-    report_pattern = _json_pattern("  ", ("meta", "evaluations", "converged", "best",
-                                          "best_value", "steps"), ("steps",))
-    step_pattern = _json_pattern(field_pad + "  ", ("level", "h", "best", "population",
-                                                    "labels", "chosen_cell"),
-                                 ("h", "population", "labels"))
-    label_pattern = _json_pattern(item_pad, ("candidate", "label", "delta"), ("delta",))
-    cell_pattern = _json_pattern(step_pad, ("anchor", "level"), ("anchor",))
-    report_candidate = candidate_of(field_pad)
-    step_candidate = candidate_of(step_pad)
-    member_candidate = candidate_of(item_pad)
-    label_candidate = candidate_of(item_pad + "  ")
-    report_items = _json_items("")
-    steps_items = _json_items(field_pad)
-    step_items = _json_items(step_pad)
-    label_items = _json_items(item_pad + "  ")
-    cell_items = _json_items(step_pad + "  ")
-    meta_indent = "\n" + field_pad
+    def candidate(c: Candidate, depth: int) -> str:
+        on_grid, off_grid, items = _CANDIDATES[depth]
+        x, f, p = items(list(map(number, c.x))), number(c.f), c.point
+        if p is None:
+            return off_grid % (x, f)
+        return on_grid % (x, f, items(list(map(_json_number, p.k))), _json_number(p.level))
 
     def step(s: StepRecord) -> str:
-        population = list(map(member_candidate, s.population))
+        items, deltas = _ITEMS[_STEP + 1], _ITEMS[_LABEL_CANDIDATE]
+        population = [candidate(c, _MEMBER) for c in s.population]
         # A label's candidate is as a rule one of the population's, so its
-        # text is reused, two spaces deeper, rather than written again.
+        # text is reused, a depth deeper, rather than written again.
         written = dict(zip(map(id, s.population), population))
-        labels = [label_pattern % (
-            label_candidate(lv.candidate) if text is None else text.replace("\n", "\n  "),
-            _json_number(lv.label), label_items(list(map(number, lv.delta))))
+        labels = [_LABEL_PATTERN % (
+            candidate(lv.candidate, _LABEL_CANDIDATE) if text is None
+            else text.replace("\n", "\n  "),
+            _json_number(lv.label), deltas(list(map(number, lv.delta))))
             for lv in s.labels for text in [written.get(id(lv.candidate))]]
         cell = s.chosen_cell
-        return step_pattern % (
-            _json_number(s.level), step_items(list(map(number, s.h))), step_candidate(s.best),
-            step_items(population), step_items(labels),
-            "null" if cell is None else cell_pattern % (
-                cell_items(list(map(_json_number, cell.anchor.k))), _json_number(cell.level)))
+        return _STEP_PATTERN % (
+            _json_number(s.level), items(list(map(number, s.h))),
+            candidate(s.best, _STEP + 1), items(population), items(labels),
+            "null" if cell is None else _CELL_PATTERN % (
+                _ITEMS[_STEP + 2](list(map(_json_number, cell.anchor.k))),
+                _json_number(cell.level)))
 
     def report(rep: RunReport) -> str:
         # meta is small and may hold any JSON value, so ``json`` writes it
-        return report_pattern % (
-            json.dumps(rep.meta, indent=2).replace("\n", meta_indent),
+        return _REPORT_PATTERN % (
+            json.dumps(rep.meta, indent=2).replace("\n", "\n" + "  " * (_REPORT + 1)),
             _json_number(rep.evaluations), _json_number(rep.converged),
-            report_candidate(rep.best), number(rep.best_value),
-            steps_items(list(map(step, rep.steps))))
+            candidate(rep.best, _REPORT + 1), number(rep.best_value),
+            _ITEMS[_REPORT + 1](list(map(step, rep.steps))))
 
-    return "[" + report_items(list(map(report, reports))) + "]\n"
+    return _ITEMS[0](list(map(report, reports))) + "\n"
 
 
 @dataclass
@@ -548,6 +536,8 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
                           % clip(cfg.objective))
     # an unknown objective or a bad expression keeps its own error (exit 3)
     obj = resolve_objective(cfg)
+    if cfg.algo == "slm":
+        slm.check_corners(obj.box)
     baselines.start_point(obj, getattr(algo_cfg, "initial", None))
     if getattr(algo_cfg, "pop_size", 0) * obj.dim > MAX_POPULATION_FLOATS:
         raise ConfigError("pop_size * dim must be <= %d" % MAX_POPULATION_FLOATS)

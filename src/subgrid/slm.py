@@ -79,10 +79,15 @@ class SlmConfig:
             raise ConfigError("slm labels by the best neighbor only")
 
 
-def initial_corners(box: BoxDomain) -> list[GridPoint]:
-    """All 2**n corners as level-1 grid points, lexicographic order."""
+def check_corners(box: BoxDomain) -> None:
+    """Refuse a box whose 2**n corners are too many for SLM to seed."""
     if box.dim > MAX_CORNER_DIM:
         raise SubgridError("corner seeding needs 2**%d points" % box.dim)
+
+
+def initial_corners(box: BoxDomain) -> list[GridPoint]:
+    """All 2**n corners as level-1 grid points, lexicographic order."""
+    check_corners(box)
     return [GridPoint(k, 1) for k in itertools.product((0, 1), repeat=box.dim)]
 
 
@@ -321,4 +326,5 @@ def _negate_report(report: RunReport) -> None:
     for s in report.steps:
         s.best = neg(s.best)
         s.population = [neg(c) for c in s.population]
-        s.labels = [LabeledVertex(neg(lv.candidate), lv.label, lv.delta) for lv in s.labels]
+        # subdivide labels each member in order, so the labels keep theirs
+        s.labels = [LabeledVertex(c, lv.label, lv.delta) for c, lv in zip(s.population, s.labels)]

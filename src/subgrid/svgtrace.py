@@ -91,7 +91,7 @@ def emit_trace_svg(report: RunReport, obj: Objective) -> str:
     for step in report.steps:
         g = ET.SubElement(svg, "g", {"class": "step", "data-level": str(step.level)})
         grid = GridSpec(box, step.level)
-        _draw_population(g, step, grid, to_px)
+        _draw_population(g, step, to_px)
         if step.chosen_cell is not None:
             _draw_cell(g, step.chosen_cell, grid, to_px)
 
@@ -109,7 +109,7 @@ def emit_trace_svg(report: RunReport, obj: Objective) -> str:
     return ET.tostring(svg, encoding="unicode", xml_declaration=True) + "\n"
 
 
-def _draw_population(g, step, grid: GridSpec, to_px):
+def _draw_population(g, step, to_px):
     labels = {lv.candidate.point: lv.label for lv in step.labels
               if lv.candidate.point is not None}
     for cand in step.population:

@@ -273,9 +273,25 @@ class TestRun:
          "config error: need lower < upper and a finite width in every dimension\n"),
         (("--expr", "x1", "--dim", "21", "--algo", "slm"), 3,
          "error: corner seeding needs 2**21 points\n"),
+        (("--function", "f4", "--algo", "slm"), 3, "error: corner seeding needs 2**30 points\n"),
     ])
     def test_refusal_exit_code_and_message(self, capsys, argv, code, err):
         assert run_cli(capsys, "run", *argv) == (code, "", err)
+
+    @pytest.mark.parametrize("section,dim", [
+        ("expr = x1\ndim = 21\nalgo = slm\nh_tol = 10\n", 21),
+        ("function = f4\nalgo = slm\n", 30),
+    ], ids=["expr", "f4"])
+    def test_corner_limit_is_checked_before_any_section_runs(self, capsys, tmp_path,
+                                                             monkeypatch, section, dim):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a section ran before every section was checked")
+
+        monkeypatch.setattr(slmga, "ga_run", refuse)
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nfunction = f2\nalgo = slmga\nh_tol = 0.5\n\n[b]\n" + section)
+        assert run_cli(capsys, "run", "--config", str(ini)) == (
+            3, "", "error: corner seeding needs 2**%d points\n" % dim)
 
     @pytest.mark.parametrize("argv,err", [
         (("run", "--" + "a" * 3000), "unrecognized argument '--aaaaaaaaaaaaaaaaaa...'"),

@@ -442,6 +442,15 @@ class TestReports:
         rep = slm_run(get_objective("goldstein-price"), SlmConfig(h_tol=0.5))
         assert 0 < rep.evaluations < 200
 
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_each_label_holds_its_population_member(self, sense):
+        # a maximized report too, so the JSON writer writes each member once
+        rep = slm_run(get_objective("f2"), SlmConfig(h_tol=0.05, sense=sense))
+        assert rep.steps
+        for s in rep.steps:
+            assert len(s.labels) == len(s.population)
+            assert all(lv.candidate is c for lv, c in zip(s.labels, s.population))
+
     def test_meta_echoes_config(self):
         rep = slm_run(get_objective("f2"), SlmConfig(h_tol=0.1))
         assert rep.meta["algorithm"] == "slm"
