@@ -103,9 +103,9 @@ class Evaluator:
     ``start_generation`` clears the cache and moves the noise on, so a
     point evaluated again in a later generation counts again.  SLM stays
     in generation 0 for its whole run.  The box is not checked: each point
-    was placed by ``core.coordinate`` (``slm._place``, ``slm._place_cell``,
-    ``slmga.mutate``'s window, ``slmga._sweep``) or kept by
-    ``slm.slm_neighbors``' filter."""
+    was placed by ``core.coordinate`` (``slm.init_population``,
+    ``slm._place_cell``, ``slmga.mutate``'s window, ``slmga._sweep``) or
+    kept by ``slm.slm_neighbors``' filter."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj

@@ -537,7 +537,7 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
     # an unknown objective or a bad expression keeps its own error (exit 3)
     obj = resolve_objective(cfg)
     if cfg.algo == "slm":
-        slm.check_corners(obj.box)
+        slm.check_enumerated(obj.box)
     baselines.start_point(obj, getattr(algo_cfg, "initial", None))
     if getattr(algo_cfg, "pop_size", 0) * obj.dim > MAX_POPULATION_FLOATS:
         raise ConfigError("pop_size * dim must be <= %d" % MAX_POPULATION_FLOATS)

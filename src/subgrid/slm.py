@@ -49,7 +49,7 @@ from .labeling import (LabelRule, LabelVariant, delta_of, gradient_delta, is_com
 from .core import lattice_points  # noqa: F401
 from .labeling import find_complete_cells  # noqa: F401
 
-MAX_CORNER_DIM = 20
+MAX_ENUMERATED_OFFSPRING = 768  # a cell's lattice and a member's offspring: 3**n points
 
 
 class NeighborScheme(enum.Enum):
@@ -79,30 +79,27 @@ class SlmConfig:
             raise ConfigError("slm labels by the best neighbor only")
 
 
-def check_corners(box: BoxDomain) -> None:
-    """Refuse a box whose 2**n corners are too many for SLM to seed."""
-    if box.dim > MAX_CORNER_DIM:
-        raise SubgridError("corner seeding needs 2**%d points" % box.dim)
+def enumerated(box: BoxDomain) -> bool:
+    """Whether a cell's lattice and a member's offspring, 3**n points each,
+    are enumerated (n <= 6): the one rule of both engines.  If not, no cell
+    is chosen, SLM refuses the box and SLMGA sweeps from two corners."""
+    return 3**box.dim <= MAX_ENUMERATED_OFFSPRING
 
 
-def initial_corners(box: BoxDomain) -> list[GridPoint]:
-    """All 2**n corners as level-1 grid points, lexicographic order."""
-    check_corners(box)
-    return [GridPoint(k, 1) for k in itertools.product((0, 1), repeat=box.dim)]
+def check_enumerated(box: BoxDomain) -> None:
+    """Refuse a box that SLM cannot run: its cells are not ``enumerated``."""
+    if not enumerated(box):
+        raise SubgridError("slm enumerates 3**%d points per cell, above the limit of %d"
+                           % (box.dim, MAX_ENUMERATED_OFFSPRING))
 
 
 def init_population(box: BoxDomain, evaluate: Callable[[Vector], float]) -> list[Candidate]:
-    """SLMGA's evaluated level-1 lattice: all 2**n corners, or the two
-    diagonal corners when 2**n is unaffordable (which SLM refuses)."""
-    points = initial_corners(box) if box.dim <= MAX_CORNER_DIM else [
-        GridPoint((0,) * box.dim, 1), GridPoint((1,) * box.dim, 1)]
-    return _place(points, GridSpec(box, 1), evaluate)
-
-
-def _place(points: Sequence[GridPoint], grid: GridSpec,
-           evaluate: Callable[[Vector], float]) -> list[Candidate]:
-    """``points`` placed on ``grid`` and evaluated, in their order."""
-    return [Candidate(x, evaluate(x), point=p) for p in points for x in [position_of(p, grid)]]
+    """The evaluated level-1 lattice: the 2**n box corners in lexicographic
+    order where ``box`` is ``enumerated``, else the two diagonal corners."""
+    n, grid = box.dim, GridSpec(box, 1)
+    ks = itertools.product((0, 1), repeat=n) if enumerated(box) else [(0,) * n, (1,) * n]
+    return [Candidate(x, evaluate(x), point=p) for p in (GridPoint(k, 1) for k in ks)
+            for x in [position_of(p, grid)]]
 
 
 def _place_cell(cell: Cell, grid: GridSpec,
@@ -219,17 +216,17 @@ def _choose_cell(cells: dict[tuple[int, ...], tuple], level: int) -> Cell:
 
 def subdivide(
     obj: Objective, evaluate: Callable[[Vector], float], pop: list[Candidate], n_levels: int,
-    rule: LabelRule, offspring: Callable, carry: bool, choose: bool = True,
+    rule: LabelRule, offspring: Callable, carry: bool,
 ) -> tuple[list[StepRecord], Candidate, list[Candidate]]:
     """Run ``n_levels`` steps from the evaluated level-1 lattice ``pop``.
 
     ``offspring(grid, lattice, carried)`` gives a step's members, in the
     order the step records them, and each one's offspring.  With ``carry``
     the chosen cell's vertices keep their labels into the next step, where
-    ``carried`` holds them by refined point.  Without ``choose`` no cell is
-    chosen, and the distinct offspring, the best copy of each point, re-seed
-    the next step.  Returns the steps, the lowest member or offspring by
-    ``rank``, and the last lattice, or the last re-seeded offspring."""
+    ``carried`` holds them by refined point.  Off an ``enumerated`` box no
+    cell is chosen, and the distinct offspring, the best copy of each point,
+    re-seed the next step.  Returns the steps, the lowest member or
+    offspring by ``rank``, and the last lattice, or the last re-seeded one."""
     best = argmin_candidate(pop)
     carried: dict[GridPoint, LabeledVertex] = {}
     steps: list[StepRecord] = []
@@ -250,7 +247,7 @@ def subdivide(
             best = argmin_candidate((best, parent, child))
 
         chosen = None
-        if choose:
+        if enumerated(obj.box):
             # the members with their labels and values (SLMGA's re-evaluated)
             by_k = {lv.candidate.point.k: lv for lv in labels}
             chosen = _choose_cell(_region_cells(pop[0].point.k, by_k, grid, best), level)
@@ -282,6 +279,7 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     """Run the serial algorithm until every step component is below
     ``cfg.h_tol`` or ``cfg.max_levels`` is exhausted."""
     box = obj.box
+    check_enumerated(box)
     negate = cfg.sense is Sense.MAXIMIZE
     ev = Evaluator(obj, negate=negate)
     n_levels = levels(box, cfg.h_tol)
@@ -294,10 +292,9 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
             else best_neighbor(ev, p, slm_neighbors(p.x, h_next, cfg.neighbor_scheme, box))
             for p in lattice]
 
-    # initial_corners refuses a box that init_population seeds with two corners
-    corners = _place(initial_corners(box), GridSpec(box, 1), ev)
-    steps, best, _ = subdivide(obj, ev, corners, min(n_levels, cfg.max_levels),
-                               cfg.label_rule, offspring, carry=True)
+    steps, best, _ = subdivide(obj, ev, init_population(box, ev),
+                               min(n_levels, cfg.max_levels), cfg.label_rule, offspring,
+                               carry=True)
     report = RunReport(
         steps=steps,
         best=best,

@@ -10,7 +10,9 @@ deliberately absent.
 A generation is mutated at once: its members' offspring tile one window of
 the finer grid, whose points are evaluated once each and whose values give
 every member's best offspring (``mutate``).  A run that meets an undefined
-value ends on the first one in the window's C order.
+value ends on the first one in the window's C order.  Off an
+``slm.enumerated`` box (n >= 7) a run starts from two corners, and each
+member's coordinate-greedy sweep re-seeds the next generation.
 
 Stochastic objectives (F4) are evaluated under common random numbers: a
 generation's candidates share one seeded noise draw, so selection compares
@@ -44,15 +46,12 @@ from .core import (
 from .errors import ConfigError, SubgridError
 from .functions import Evaluator, Objective
 from .labeling import LabelRule
-from .slm import _place_cell, init_population, subdivide
+from .slm import _place_cell, enumerated, init_population, subdivide
 
 # unused here, but perfbench/tracer.py rebinds each of these names in this module
 from .core import lattice_points, position_of  # noqa: F401
 from .labeling import find_complete_cells, label_from_delta  # noqa: F401
 from .slm import _choose_cell, _region_cells  # noqa: F401
-
-# beyond this many offspring per member, each member takes a coordinate-greedy sweep
-MAX_ENUMERATED_OFFSPRING = 768
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,11 @@ def mutate(
     member's best is read off the values; NaN is never a best, so a NaN
     parent stays put.  ``SubgridError`` refuses a parent that is not a grid
     point, parents of mixed levels and parents spread over more than 3
-    indices on an axis.  Where 3^n passes ``MAX_ENUMERATED_OFFSPRING``, each
-    member takes a coordinate-greedy sweep instead.  Positions follow
+    indices on an axis.  Where the box is not ``slm.enumerated`` (n >= 7),
+    each member takes a coordinate-greedy sweep instead.  Positions follow
     ``coordinate``, the rule of ``position_of``, so the top index sits at
     ``upper`` exactly."""
-    if 3**box.dim > MAX_ENUMERATED_OFFSPRING:
+    if not enumerated(box):
         return [_sweep(evaluate, p, box) for p in parents]
     if not parents:
         return []
@@ -238,11 +237,9 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         return members, mutate(evaluate, members[:n_mutate], box) + [
             Candidate(p.x, p.f, point=refine(p.point)) for p in members[n_mutate:]]
 
-    # where cell enumeration is unaffordable, the mutated survivors re-seed
     steps, best, pop = subdivide(obj, evaluate, init_population(box, evaluate),
                                  min(n_levels, cfg.max_generations), cfg.label_rule,
-                                 offspring, carry=False,
-                                 choose=3**box.dim <= MAX_ENUMERATED_OFFSPRING)
+                                 offspring, carry=False)
     # the answer is the best of the population the next generation would
     # start from; best_value keeps any lower value a probe saw
     if steps and steps[-1].chosen_cell is not None:

@@ -272,8 +272,9 @@ class TestRun:
         (("--expr", "x1", "--dim", "1", "--lower", "2", "--upper", "1", "--algo", "rs"), 2,
          "config error: need lower < upper and a finite width in every dimension\n"),
         (("--expr", "x1", "--dim", "21", "--algo", "slm"), 3,
-         "error: corner seeding needs 2**21 points\n"),
-        (("--function", "f4", "--algo", "slm"), 3, "error: corner seeding needs 2**30 points\n"),
+         "error: slm enumerates 3**21 points per cell, above the limit of 768\n"),
+        (("--function", "f4", "--algo", "slm"), 3,
+         "error: slm enumerates 3**30 points per cell, above the limit of 768\n"),
     ])
     def test_refusal_exit_code_and_message(self, capsys, argv, code, err):
         assert run_cli(capsys, "run", *argv) == (code, "", err)
@@ -281,7 +282,9 @@ class TestRun:
     @pytest.mark.parametrize("section,dim", [
         ("expr = x1\ndim = 21\nalgo = slm\nh_tol = 10\n", 21),
         ("function = f4\nalgo = slm\n", 30),
-    ], ids=["expr", "f4"])
+        # the smallest refused box
+        ("expr = x1\ndim = 7\nalgo = slm\nh_tol = 10\n", 7),
+    ], ids=["expr", "f4", "expr-7d"])
     def test_corner_limit_is_checked_before_any_section_runs(self, capsys, tmp_path,
                                                              monkeypatch, section, dim):
         def refuse(*args, **kwargs):
@@ -291,7 +294,8 @@ class TestRun:
         ini = tmp_path / "e.ini"
         ini.write_text("[a]\nfunction = f2\nalgo = slmga\nh_tol = 0.5\n\n[b]\n" + section)
         assert run_cli(capsys, "run", "--config", str(ini)) == (
-            3, "", "error: corner seeding needs 2**%d points\n" % dim)
+            3, "", "error: slm enumerates 3**%d points per cell, above the limit of 768\n"
+            % dim)
 
     @pytest.mark.parametrize("argv,err", [
         (("run", "--" + "a" * 3000), "unrecognized argument '--aaaaaaaaaaaaaaaaaa...'"),

@@ -9,7 +9,8 @@ and says so.
 Settings are coarse so the whole file stays fast: every deterministic
 objective under both engines (SLM rejects the 30-d F4), one maximizing SLM
 run, a 2-d expression on the default box as the benchmark's small runs
-use them, a 3-d expression on a decimal box under both engines, SLMGA
+use them, a 3-d expression on a decimal box under both engines, an 8-d
+expression under SLMGA (above the enumeration limit, as F4), SLMGA
 mutating a fraction of each generation on F2 and on the 5-d F3, and the
 four baselines on F4, whose noise shares the run's random stream with the
 baselines' own draws.  The baselines also run on F2 (a
@@ -36,6 +37,8 @@ EXPRESSIONS = {
     "expr2": {"expr": "(x1-0.3)^2 + (x2+1.2)^2", "dim": 2},
     "expr3": {"expr": "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)",
               "dim": 3, "lower": -1.3, "upper": 2.9},
+    "expr8": {"expr": "(x1-0.3)^2 + (x2+1.2)^2 + abs(x3-2.5) + x4*x5 + (x6-x7)^2 + sin(x8)",
+              "dim": 8},
 }
 
 GOLDEN = [
@@ -100,6 +103,10 @@ GOLDEN = [
     ("slmga", "expr3", {"h_tol": 0.01},
      "65f1adbd8474e89f2c4b2be715e9d96cc85e5acf567e4601eef60dce70a25a29",
      "82ff67a62418259e90cf7dcf3e3cb6e588e6933908ce3604ef9e8ff99a42085c"),
+    # above the enumeration limit: two diagonal corners, then sweeps
+    ("slmga", "expr8", {"h_tol": 0.01},
+     "f338b6b1362ddd524f105dff6b6b543aa420679a967e9d98724899a920d2ea53",
+     "ba1b756e2c8824b6eb1b08afe628c6496f14ee686e84f0b24f4cd6c6deb11f5f"),
     ("slm", "f2", {"h_tol": 0.01, "sense": "max"},
      "04ce77a90b1f5d34be895406d767c5aecc294e3e445685ad831314608eb60b25",
      "ee70ea61bdf5aa6d0620cdb25f35e14f4d375d7cfbe2767d8e770010c04335f2"),

@@ -37,10 +37,15 @@ from subgrid.slm import (
     _moves,
     _negate_report,
     best_neighbor,
-    initial_corners,
+    init_population,
     slm_neighbors,
     slm_run,
 )
+
+
+def _corners(box):
+    """All 2**n box corners as level-1 grid points, lexicographic order."""
+    return [GridPoint(k, 1) for k in itertools.product((0, 1), repeat=box.dim)]
 
 
 # The loop that ``slm.slm_run`` replaced, kept as the reference it must
@@ -95,7 +100,7 @@ def reference_slm_run(obj, cfg):
     ev = Evaluator(obj, negate=negate)
     rule = cfg.label_rule
 
-    active = initial_corners(box)
+    active = _corners(box)
     labels = {}
     deltas = {}
     steps = []
@@ -215,27 +220,33 @@ def chain(vertices, grid, best):
 class TestInitialCorners:
     def test_two_dim(self):
         box = BoxDomain.cube(-2.0, 2.0, 2)
-        grid = GridSpec(box, 1)
-        pts = {position_of(p, grid) for p in initial_corners(box)}
+        pts = {c.x for c in init_population(box, sum)}
         assert pts == {(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0)}
 
     def test_counts(self):
-        assert len(initial_corners(BoxDomain.cube(0.0, 1.0, 3))) == 8
-        assert len(initial_corners(BoxDomain.cube(0.0, 1.0, 5))) == 32
+        assert len(init_population(BoxDomain.cube(0.0, 1.0, 3), sum)) == 8
+        assert len(init_population(BoxDomain.cube(0.0, 1.0, 5), sum)) == 32
 
     def test_dimension_guard(self):
-        with pytest.raises(SubgridError, match=r"^corner seeding needs 2\*\*21 points$"):
-            initial_corners(BoxDomain.cube(0.0, 1.0, 21))
+        # a 6-d cell's 3**6 = 729 lattice points are enumerated, a 7-d cell's are not
+        assert slm.enumerated(BoxDomain.cube(0.0, 1.0, 6))
+        slm.check_enumerated(BoxDomain.cube(0.0, 1.0, 6))
+        for n in (7, 21):
+            assert not slm.enumerated(BoxDomain.cube(0.0, 1.0, n))
+            with pytest.raises(SubgridError, match=r"^slm enumerates 3\*\*%d points per "
+                                                   r"cell, above the limit of 768$" % n):
+                slm.check_enumerated(BoxDomain.cube(0.0, 1.0, n))
 
     def test_slm_run_refuses_before_any_evaluation(self):
-        # slmga seeds such a box with two diagonal corners; slm takes all
-        # 2**n or refuses
+        # slmga seeds such a box with two diagonal corners and sweeps; slm
+        # enumerates every cell's lattice or refuses
         def eval_fn(x):
-            raise AssertionError("evaluated a point of the 21-d box")
+            raise AssertionError("evaluated a point of the %d-d box" % len(x))
 
-        obj = Objective("raises", BoxDomain.cube(0.0, 1.0, 21), eval_fn)
-        with pytest.raises(SubgridError, match=r"^corner seeding needs 2\*\*21 points$"):
-            slm_run(obj, SlmConfig(h_tol=0.5, max_levels=1))
+        for n in (7, 21):
+            obj = Objective("raises", BoxDomain.cube(0.0, 1.0, n), eval_fn)
+            with pytest.raises(SubgridError, match=r"^slm enumerates 3\*\*%d points" % n):
+                slm_run(obj, SlmConfig(h_tol=0.5, max_levels=1))
 
 
 class TestNeighbors:
@@ -392,7 +403,7 @@ class TestNoLevelToRun:
         rep = slm_run(obj, SlmConfig(h_tol=h_tol, sense=sense))
         sign = -1.0 if sense is Sense.MAXIMIZE else 1.0
         grid = GridSpec(obj.box, 1)
-        corners = [position_of(p, grid) for p in initial_corners(obj.box)]
+        corners = [position_of(p, grid) for p in _corners(obj.box)]
         want = min(corners, key=lambda x: (sign * obj.evaluate(x), x))
         assert rep.steps == []
         assert rep.best.x == want
@@ -568,7 +579,7 @@ def _cell_pass_case(draw):
     level = draw(_level)
     grid = GridSpec(box, level)
     if level == 1:
-        points = initial_corners(box)
+        points = _corners(box)
     else:
         # a lattice anywhere in the box, often at its top indices
         top = 2 ** (level - 2) - 1
@@ -683,7 +694,7 @@ def _placed(cands):
 
 
 class TestPlaceCell:
-    """``slm._place_cell`` places a cell's refined lattice as ``_place``
+    """``slm._place_cell`` places a cell's refined lattice as ``position_of``
     places its ``lattice_points``: the same candidates, bit for bit and in
     the same order, from the same evaluations."""
 
@@ -695,7 +706,9 @@ class TestPlaceCell:
         ev, ev_reference = Evaluator(obj), Evaluator(obj)
         got = slm._place_cell(cell, grid, ev)
         assert len(got) == 3**box.dim
-        assert _placed(got) == _placed(slm._place(lattice_points(cell), grid, ev_reference))
+        want = [Candidate(x, ev_reference(x), point=p)
+                for p in lattice_points(cell) for x in [position_of(p, grid)]]
+        assert _placed(got) == _placed(want)
         assert ev.count == ev_reference.count
 
     @given(_decimal_box(), st.integers(1, 70), st.data())

@@ -17,8 +17,8 @@ from subgrid.core import (
 from subgrid.errors import ConfigError, ExprEvalError, SubgridError
 from subgrid.functions import Evaluator, Objective, get_objective
 from subgrid.harness import expression_objective
-from subgrid.slm import init_population
-from subgrid.slmga import MAX_ENUMERATED_OFFSPRING, GaConfig, ga_run, mutate
+from subgrid.slm import MAX_ENUMERATED_OFFSPRING, init_population
+from subgrid.slmga import GaConfig, ga_run, mutate
 
 
 # The brood-building mutation that ``slmga.mutate`` replaced, kept as the
@@ -101,16 +101,29 @@ class TestInitPopulation:
         assert [c.x for c in pop] == [(-1.28,) * 30, (1.28,) * 30]
         assert [c.point for c in pop] == [GridPoint((0,) * 30, 1), GridPoint((1,) * 30, 1)]
 
+    @pytest.mark.parametrize("n,evaluations", [(8, 46), (16, 86), (20, 106)])
+    def test_high_dimension_expression_run_is_cheap(self, n, evaluations):
+        # 3**n passes the enumeration limit from 7-d on: two diagonal
+        # corners, two coordinate sweeps per generation and no cell chosen
+        obj = expression_objective("x1", n, -5.0, 5.0)
+        rep = ga_run(obj, GaConfig(h_tol=1e-3, max_generations=2, seed=0))
+        assert [c.point for c in rep.steps[0].population] == [
+            GridPoint((0,) * n, 1), GridPoint((1,) * n, 1)]
+        assert [s.chosen_cell for s in rep.steps] == [None, None]
+        assert rep.evaluations == evaluations
+        assert rep.best.f == rep.best_value == -5.0
+
 
 class TestSurvivorDedup:
     def test_shared_child_kept_once(self):
-        # 3**7 offspring per member are too many, so no cell is chosen and
-        # the mutated survivors carry the search; on a symmetric box every
-        # corner's best offspring is the centre, kept once
+        # 3**7 offspring per member are too many, so the run starts from the
+        # two diagonal corners, no cell is chosen and the mutated survivors
+        # carry the search; on a symmetric box both corners' best offspring
+        # is the centre, kept once
         box = BoxDomain.cube(-1.0, 1.0, 7)
         obj = Objective(name="sphere-7", box=box, eval_fn=_sphere)
         rep = ga_run(obj, GaConfig(h_tol=0.5, max_generations=2))
-        assert len(rep.steps[0].population) == 2**7
+        assert len(rep.steps[0].population) == 2
         assert rep.steps[0].chosen_cell is None
         assert [(c.x, c.point) for c in rep.steps[1].population] == [
             ((0.0,) * 7, GridPoint((1,) * 7, 2))]

@@ -74,6 +74,8 @@ GOLDEN_PINS = {
         9, "28ef5539b4df1d377c500908effd41aadefc4d806d387e5333e87dddbe94b250"),
     "slmga-expr3-h_tol=0.01": (
         9, "3dedefed48a60e8508d3efc381f8a59006f90374dda0f7bc53645a68e351448d"),
+    "slmga-expr8-h_tol=0.01": (
+        11, "937eac1057c1ceb28cf1ace3c43e5fa06351b2ebf8d46e392f921de4374a27be"),
     "slm-f2-h_tol=0.01-sense=max": (
         9, "d8df51d405060e95950ab114a0d5e86c4b57d61806c0f3ade6dde658f8bb2f26"),
 }
