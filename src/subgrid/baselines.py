@@ -6,8 +6,10 @@ shape as the grid engines so the harness can tabulate them uniformly.
 Hyperparameter defaults are conventional choices (the reference tables
 give only budgets) and are echoed into each report's metadata.
 
-A point is a tuple of Python floats.  numpy only draws the random numbers,
-and each draw becomes a list where it is made.
+A point is a tuple of Python floats.  The random numbers are numpy's stream
+bit for bit, from few numpy calls: doubles from ``rng.random``, an in-box
+point as ``lower + width * u`` (as ``rng.uniform``), DE's integers from raw
+words (``_bounded_draw``).  Each draw becomes a list where it is made.
 """
 
 from __future__ import annotations
@@ -51,6 +53,32 @@ def _clipped_step(x, direction, scale, box) -> tuple[float, ...]:
                  for v, d, lo, hi in zip(x, direction, box.lower, box.upper))
 
 
+def _uniform_point(rng, box) -> tuple[float, ...]:
+    """A uniform point in ``box``: ``rng.uniform(box.lower, box.upper)``, bit for bit."""
+    draws = rng.random(box.dim).tolist()
+    return tuple([lo + w * u for lo, w, u in zip(box.lower, box.width, draws)])
+
+
+def _bounded_draw(rng):
+    """``draw(high)`` returns ``rng.integers(high)`` bit for bit, for
+    ``1 <= high <= 2**32``: numpy's method (Lemire, arXiv:1805.10941) on
+    PCG64's 32-bit words, the low half of each raw word first.  ``draw``
+    keeps the spare half, so nothing may call ``rng.integers`` once it
+    exists.  DE's population and dimension lie far below 2**32."""
+    next_word = (half for word in iter(rng.bit_generator.random_raw, None)
+                 for half in (word & 0xFFFFFFFF, word >> 32)).__next__
+
+    def draw(high: int) -> int:
+        threshold = (0x100000000 - high) % high
+        while high > 1:  # one value draws nothing
+            m = next_word() * high
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+        return 0
+
+    return draw
+
+
 def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
     """The start point of a local search: ``initial``, else the box centre."""
     if initial is None:
@@ -77,7 +105,7 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     best: Optional[Candidate] = None
     steps = []
     for i in range(cfg.budget):
-        x = tuple(rng.uniform(obj.box.lower, obj.box.upper).tolist())
+        x = _uniform_point(rng, obj.box)
         cand = Candidate(x, obj.evaluate(x, rng=rng))
         if best is None or rank(cand) < rank(best):
             best = cand
@@ -122,7 +150,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
             continue
-        radius = scale * rng.uniform() ** (1.0 / n)
+        radius = scale * rng.random() ** (1.0 / n)
         trial = _clipped_step(x, direction.tolist(), radius / norm, obj.box)
         ft = obj.evaluate(trial, rng=rng)
         if ft < f:
@@ -178,7 +206,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
         trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
         ft = obj.evaluate(trial, rng=rng)
         delta = ft - f
-        if delta <= 0.0 or rng.uniform() < np.exp(-delta / t):
+        if delta <= 0.0 or rng.random() < np.exp(-delta / t):
             x, f = trial, ft
             if f < best.f:
                 best = Candidate(x, f)
@@ -210,13 +238,14 @@ class DeConfig:
 
 
 def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
-    """DE/rand/1/bin with per-generation random differential weight and
-    uniform resampling of out-of-box genes."""
+    """DE/rand/1/bin with per-generation random differential weight and uniform
+    resampling of out-of-box genes; indices drawn as ``rng.integers`` draws them."""
     rng = np.random.default_rng(cfg.seed)
+    draw = _bounded_draw(rng)
     lo, hi = obj.box.lower, obj.box.upper
     n = obj.dim
     np_ = cfg.pop_size
-    pop = [tuple(row) for row in rng.uniform(lo, hi, size=(np_, n)).tolist()]
+    pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
     fit = [obj.evaluate(x, rng=rng) for x in pop]
     steps = []
 
@@ -229,14 +258,20 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     for gen in range(1, cfg.generations + 1):
         fw = cfg.f_weight if cfg.f_weight is not None else rng.uniform(0.4, 1.0)
         for i in range(np_):
-            a, b, c = _distinct_indices(rng, np_, i)
+            a = b = c = i
+            while a == i:
+                a = draw(np_)
+            while b == i or b == a:
+                b = draw(np_)
+            while c == i or c == a or c == b:
+                c = draw(np_)
             mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
             outside = [v < low or v > high for v, low, high in zip(mutant, lo, hi)]  # NaN: inside
             if any(outside):
-                fresh = rng.uniform(lo, hi).tolist()
+                fresh = _uniform_point(rng, obj.box)
                 mutant = [r if o else v for o, v, r in zip(outside, mutant, fresh)]
-            cross = (rng.uniform(size=n) < cfg.cr).tolist()
-            cross[rng.integers(n)] = True  # at least one mutant gene
+            cross = (rng.random(n) < cfg.cr).tolist()
+            cross[draw(n)] = True  # at least one mutant gene
             trial = tuple(m if take else p for take, m, p in zip(cross, mutant, pop[i]))
             ft = obj.evaluate(trial, rng=rng)
             if ft <= fit[i]:
@@ -250,12 +285,3 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
                    {"generations": cfg.generations, "seed": cfg.seed,
                     "pop_size": cfg.pop_size, "cr": cfg.cr,
                     "f_mode": "random" if cfg.f_weight is None else cfg.f_weight})
-
-
-def _distinct_indices(rng, np_: int, exclude: int) -> tuple[int, int, int]:
-    picked = []
-    while len(picked) < 3:
-        j = int(rng.integers(np_))
-        if j != exclude and j not in picked:
-            picked.append(j)
-    return tuple(picked)

@@ -1,6 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_harness import _decimal_box
 
 from subgrid.baselines import (
     REPORTED_GENERATIONS,
@@ -12,6 +16,8 @@ from subgrid.baselines import (
     random_search,
     random_walk_search,
     simulated_annealing,
+    _bounded_draw,
+    _uniform_point,
 )
 from subgrid.errors import ConfigError
 from subgrid.functions import get_objective
@@ -169,3 +175,49 @@ class TestDifferentialEvolution:
             DeConfig(cr=1.5)
         with pytest.raises(ConfigError, match=r"^generations must be >= 1$"):
             DeConfig(generations=0)
+
+
+# A script of draws: ("integers", high) or (method, n) for a method of
+# numpy's Generator that draws doubles.  Lemire's method rejects a 32-bit
+# word with chance ``(2**32 % high) / 2**32``: about 1/2 at ``2**31 + 1``
+# and 1/4 at ``3 * 2**30``, next to nothing at DE's ranges.
+_HIGHS = st.one_of(st.sampled_from([1, 2, 3, 4, 20, 30, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32]),
+                   st.integers(1, 2**32))
+_CALL = st.one_of(
+    st.tuples(st.just("integers"), _HIGHS),
+    st.tuples(st.sampled_from(["random", "uniform", "standard_normal"]), st.integers(1, 5)))
+
+
+def _doubles(rng, method, n):
+    if method == "uniform":
+        return rng.uniform(size=n).tolist()
+    return getattr(rng, method)(n).tolist()
+
+
+class TestNumpyStream:
+    """The baselines' own draws against numpy's: the test that fails if numpy
+    ever changes how ``Generator.integers`` or ``uniform`` draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(_CALL, max_size=40))
+    def test_bounded_draw_is_integers(self, seed, script):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _bounded_draw(ours)
+        for method, arg in script:
+            if method == "integers":
+                got, want = draw(arg), int(theirs.integers(arg))
+                assert 0 <= got < arg
+            else:
+                got, want = _doubles(ours, method, arg), _doubles(theirs, method, arg)
+            assert got == want
+        assert ours.random() == theirs.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), _decimal_box(), st.integers(1, 4))
+    def test_uniform_point_is_numpy_uniform(self, seed, box, repeats):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(repeats):
+            point = _uniform_point(ours, box)
+            assert point == tuple(theirs.uniform(box.lower, box.upper).tolist())
+            assert all(type(v) is float for v in point)
+        assert ours.random() == theirs.random()

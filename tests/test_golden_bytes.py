@@ -15,8 +15,10 @@ mutating a fraction of each generation on F2 and on the 5-d F3, and the
 four baselines on F4, whose noise shares the run's random stream with the
 baselines' own draws.  The baselines also run on F2 (a
 non-dyadic box) and on a 3-d expression; DE with ``f_weight = 2`` resamples
-most mutants' out-of-box genes, and RSW and SA started at a corner with a
-step wider than the box clip most proposals.
+most mutants' out-of-box genes, DE with four members rejects most draws of
+its three distinct indices, DE on a 1-d expression draws its crossover index
+from a range of one, and RSW and SA started at a corner with a step wider
+than the box clip most proposals.
 
 The benchmark's own goldens (``perfbench/goldens``) are checked here too, at
 input variant 0, for paper-bench and small-runs; de-baseline takes about
@@ -34,6 +36,7 @@ from subgrid.harness import ExperimentConfig, emit_table, run_experiment
 
 # Objectives named in GOLDEN that are expressions, not registry names.
 EXPRESSIONS = {
+    "expr1": {"expr": "(x1-0.3)^2 + sin(5*x1)", "dim": 1},
     "expr2": {"expr": "(x1-0.3)^2 + (x2+1.2)^2", "dim": 2},
     "expr3": {"expr": "(x1-0.3)^2 + 2*(x2+0.7)^2 + abs(x3-1.1) + sin(3*x1*x3)",
               "dim": 3, "lower": -1.3, "upper": 2.9},
@@ -157,6 +160,14 @@ GOLDEN = [
     ("de", "expr3", {"generations": 20},
      "9c1b46117e28604e2df9623dbef5001543038142a0181b281b28d0e9000d2560",
      "6d4ffc69c2eb24647bde8d68c42ff9b2524ba869851d3715c12d9f54ad4698ab"),
+    # one gene: the crossover index is drawn from a range of one
+    ("de", "expr1", {"generations": 20},
+     "d1a06df6ce616fe84523fc4c75b2d15e74ed6ac7ac3457dc656d87ea7413671e",
+     "a697455b006b0abe68a17c5b3998d2909aa581eb2e75c7ad275b0b992d5d1943"),
+    # four members: most draws of the three distinct indices are rejected
+    ("de", "f2", {"generations": 20, "pop_size": 4},
+     "4a1356db41a35f764b4bb4dfe7a0befe117782a50b7f007d0fc58ea9c693ee70",
+     "bc3548453195382530623b74dab576d8e82ef27a5a310ec09bfcd27fb1c03ddb"),
 ]
 
 
