@@ -43,8 +43,7 @@ def _report(algo: str, obj: Objective, steps, best, evaluations, meta=None) -> R
 
 
 def _track(steps, iteration, h, best):
-    steps.append(StepRecord(level=iteration, h=h, population=[], labels=[],
-                            chosen_cell=None, best=best))
+    steps.append(StepRecord(level=iteration, h=h, labels=[], chosen_cell=None, best=best))
 
 
 def _clipped_step(x, direction, scale, box) -> tuple[float, ...]:

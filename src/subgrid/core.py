@@ -217,14 +217,19 @@ def lattice_points(c: Cell) -> list[GridPoint]:
 
 @dataclass
 class StepRecord:
-    """One refinement level (SLM) or generation (SLMGA) of a run."""
+    """One refinement level (SLM) or generation (SLMGA) of a run: each
+    member of the step with its label, in the order it was labelled."""
 
     level: int
     h: Vector
-    population: list[Candidate]
     labels: list[LabeledVertex]
     chosen_cell: Optional[Cell]
     best: Candidate
+
+    @property
+    def population(self) -> list[Candidate]:
+        """The step's members, read from its labels."""
+        return [lv.candidate for lv in self.labels]
 
 
 @dataclass

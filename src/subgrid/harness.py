@@ -15,14 +15,14 @@ indent of 2, the keys of each report, step, candidate, label and cell in a
 fixed order, each float as its ``repr`` and NaN and the infinities as
 ``json`` writes them (``NaN``, ``Infinity``, ``-Infinity``).  Each object
 is filled into a ``%`` pattern and each array written by an item writer,
-both made once per depth at import.  A label whose candidate is a member of
-its step's population reuses that member's text.  A finite float's text is
-made once per ``emit_table`` call and looked up after that, since a grid
-run repeats each axis's few positions in every step.  Only exact floats are
-looked up, as 1 == 1.0 == True, and never a zero, as 0.0 == -0.0 while
-their texts differ; every other number is written afresh.  A report's
-``meta`` is written by ``json`` itself.  ``tests/test_golden_bytes.py`` pins
-the bytes by sha256 digests.
+both made once per depth at import.  A step's population is its labels'
+candidates, so each label's candidate reuses the text of the member at its
+index.  A finite float's text is made once per ``emit_table`` call and
+looked up after that, since a grid run repeats each axis's few positions in
+every step.  Only exact floats are looked up, as 1 == 1.0 == True, and
+never a zero, as 0.0 == -0.0 while their texts differ; every other number
+is written afresh.  A report's ``meta`` is written by ``json`` itself.
+``tests/test_golden_bytes.py`` pins the bytes by sha256 digests.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def _emit_markdown(reports) -> str:
 # The report JSON, in the layout ``json.dumps(..., indent=2)`` gives it.  A
 # text at depth d starts on a line indented by 2*d spaces, its members sit a
 # depth deeper, and its closing bracket at depth d again.  The depths of a
-# report, a step, a population member or label, and a label's candidate:
+# report, a step, a population member or label, and a label's candidate and delta:
 _REPORT, _STEP, _MEMBER, _LABEL_CANDIDATE = 1, 3, 5, 6
 
 
@@ -386,11 +386,13 @@ def _json_items(depth: int) -> Callable[[list[str]], str]:
     return lambda items: "[" + inner + sep.join(items) + tail if items else "[]"
 
 
-# An array's item writer, and a candidate's on-grid and off-grid patterns with
-# the item writer of its arrays, by depth.
-_ITEMS = [_json_items(depth) for depth in range(_LABEL_CANDIDATE + 2)]
-_CANDIDATES = [(_json_pattern(depth, ("x", "f", "k", "level")), _json_pattern(depth, ("x", "f")),
-                _ITEMS[depth + 1]) for depth in range(_LABEL_CANDIDATE + 1)]
+# An array's item writer by depth, and a candidate's on-grid and off-grid
+# patterns with the item writer of its arrays at each depth one is written at:
+# a report's best, a step's best and a population member.
+_ITEMS = [_json_items(depth) for depth in range(_LABEL_CANDIDATE + 1)]
+_CANDIDATES = {depth: (_json_pattern(depth, ("x", "f", "k", "level")),
+                       _json_pattern(depth, ("x", "f")), _ITEMS[depth + 1])
+               for depth in (_REPORT + 1, _STEP + 1, _MEMBER)}
 _REPORT_PATTERN = _json_pattern(_REPORT, ("meta", "evaluations", "converged", "best",
                                           "best_value", "steps"))
 _STEP_PATTERN = _json_pattern(_STEP, ("level", "h", "best", "population", "labels",
@@ -425,15 +427,11 @@ def _emit_json(reports: Sequence[RunReport]) -> str:
 
     def step(s: StepRecord) -> str:
         items, deltas = _ITEMS[_STEP + 1], _ITEMS[_LABEL_CANDIDATE]
-        population = [candidate(c, _MEMBER) for c in s.population]
-        # A label's candidate is as a rule one of the population's, so its
-        # text is reused, a depth deeper, rather than written again.
-        written = dict(zip(map(id, s.population), population))
-        labels = [_LABEL_PATTERN % (
-            candidate(lv.candidate, _LABEL_CANDIDATE) if text is None
-            else text.replace("\n", "\n  "),
-            _json_number(lv.label), deltas(list(map(number, lv.delta))))
-            for lv in s.labels for text in [written.get(id(lv.candidate))]]
+        population = [candidate(lv.candidate, _MEMBER) for lv in s.labels]
+        # each label's candidate is the member at its index, a depth deeper
+        labels = [_LABEL_PATTERN % (text.replace("\n", "\n  "), _json_number(lv.label),
+                                    deltas(list(map(number, lv.delta))))
+                  for lv, text in zip(s.labels, population)]
         cell = s.chosen_cell
         return _STEP_PATTERN % (
             _json_number(s.level), items(list(map(number, s.h))),

@@ -259,8 +259,8 @@ def subdivide(
                 first.setdefault(c.point.k, c)
             pop = list(first.values())
 
-        steps.append(StepRecord(level=level, h=grid.step, population=members, labels=labels,
-                                chosen_cell=chosen, best=best))
+        steps.append(StepRecord(level=level, h=grid.step, labels=labels, chosen_cell=chosen,
+                                best=best))
     return steps, best, pop
 
 
@@ -322,6 +322,4 @@ def _negate_report(report: RunReport) -> None:
     report.best_value = -report.best_value
     for s in report.steps:
         s.best = neg(s.best)
-        s.population = [neg(c) for c in s.population]
-        # subdivide labels each member in order, so the labels keep theirs
-        s.labels = [LabeledVertex(c, lv.label, lv.delta) for c, lv in zip(s.population, s.labels)]
+        s.labels = [LabeledVertex(neg(lv.candidate), lv.label, lv.delta) for lv in s.labels]

@@ -198,21 +198,18 @@ def _sweep(
     sweep that accepts strict single-axis improvements (by rank) in order.
     The walker ends at the lowest-ranked probe, which is ``mutate``'s rule
     once its value is below the parent's."""
-    _refuse_off_grid([parent], box.dim)
+    first, xs = _window([parent], box)
     level = parent.point.level + 1
-    top = 2 ** (level - 1)
-    lower, upper = box.lower, box.upper
-    step = tuple(w / top for w in box.width)
     parent_k = cur_k = tuple(2 * kd for kd in parent.point.k)
-    parent_x = cur_x = tuple(map(coordinate, lower, upper, cur_k, step))
+    parent_x = cur_x = tuple(axis[c - a] for axis, c, a in zip(xs, cur_k, first))
     parent_f = cur_f = evaluate(cur_x)
-    for d, (lo, hi, sd) in enumerate(zip(lower, upper, step)):
-        for a in (1, -1):
-            c = cur_k[d] + a
-            if c < 0 or c > top:
+    for d, (axis, a) in enumerate(zip(xs, first)):
+        for m in (1, -1):
+            c = cur_k[d] + m
+            if not 0 <= c - a < len(axis):
                 continue
             k = cur_k[:d] + (c,) + cur_k[d + 1:]
-            x = cur_x[:d] + (coordinate(lo, hi, c, sd),) + cur_x[d + 1:]
+            x = cur_x[:d] + (axis[c - a],) + cur_x[d + 1:]
             f = evaluate(x)
             if (f, x) < (cur_f, cur_x):
                 cur_k, cur_x, cur_f = k, x, f

@@ -110,29 +110,28 @@ def emit_trace_svg(report: RunReport, obj: Objective) -> str:
 
 
 def _draw_population(g, step, to_px):
-    labels = {lv.candidate.point: lv.label for lv in step.labels
-              if lv.candidate.point is not None}
-    for cand in step.population:
-        px, py = to_px(*cand.x)
+    annotate = len(step.labels) <= 64
+    for lv in step.labels:
+        px, py = to_px(*lv.candidate.x)
         ET.SubElement(g, "circle", {
             "class": "vertex", "cx": "%.2f" % px, "cy": "%.2f" % py,
             "r": "2.2", "fill": "#06c",
         })
-        lab = labels.get(cand.point)
-        if lab is not None and len(step.population) <= 64:
+        if annotate:
             t = ET.SubElement(g, "text", {
                 "class": "label", "x": "%.2f" % (px + 4), "y": "%.2f" % (py - 4),
                 "font-size": "9", "fill": "#06c",
             })
-            t.text = str(lab)
+            t.text = str(lv.label)
 
 
 def _draw_cell(g, cell: Cell, grid: GridSpec, to_px):
-    corners = [position_of(v, grid) for v in cell_vertices(cell)]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    x0, y0 = to_px(min(xs), max(ys))
-    x1, y1 = to_px(max(xs), min(ys))
+    # positions never decrease as k grows, so the anchor and the opposite
+    # vertex are the outline's lower and upper corners
+    vertices = cell_vertices(cell)
+    (xa, ya), (xb, yb) = position_of(vertices[0], grid), position_of(vertices[-1], grid)
+    x0, y0 = to_px(xa, yb)
+    x1, y1 = to_px(xb, ya)
     ET.SubElement(g, "rect", {
         "class": "cell-outline",
         "x": "%.2f" % x0, "y": "%.2f" % y0,

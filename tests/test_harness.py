@@ -345,21 +345,14 @@ _meta = st.dictionaries(
     max_size=4)
 
 
-@st.composite
-def _steps(draw):
-    population = draw(st.lists(_candidates, max_size=4))
-    # a label's candidate is as a rule one of the population's own objects
-    label_candidates = (st.sampled_from(population) | _candidates) if population else _candidates
-    labels = draw(st.lists(st.builds(LabeledVertex, label_candidates, _numbers, _vectors),
-                           max_size=4))
-    return StepRecord(
-        level=draw(st.integers(1, 64)), h=draw(_vectors), population=population,
-        labels=labels, chosen_cell=draw(st.none() | st.builds(Cell, _points)),
-        best=draw(_candidates))
-
+# a step's population is its labels' candidates, on and off the grid
+_steps = st.builds(
+    StepRecord, level=st.integers(1, 64), h=_vectors,
+    labels=st.lists(st.builds(LabeledVertex, _candidates, _numbers, _vectors), max_size=4),
+    chosen_cell=st.none() | st.builds(Cell, _points), best=_candidates)
 
 _reports = st.builds(
-    RunReport, steps=st.lists(_steps(), max_size=3), best=_candidates,
+    RunReport, steps=st.lists(_steps, max_size=3), best=_candidates,
     evaluations=st.integers(0, 10**6), converged=st.booleans(), meta=_meta,
     best_value=_numbers)
 
@@ -379,11 +372,10 @@ class TestJsonWriter:
                   -math.inf)
         orders = [values, values[::-1], values[1:] + values[:1]]
         point = GridPoint((0, 1), 2)
-        population = [Candidate(x, f, point) for x in orders for f in values]
-        labels = [LabeledVertex(c, 1, d) for c, d in zip(population, orders * 10)]
+        members = [Candidate(x, f, point) for x in orders for f in values]
+        labels = [LabeledVertex(c, 1, d) for c, d in zip(members, orders * 10)]
         labels.append(LabeledVertex(Candidate(values[::-1], -0.0), 0, values))
-        step = StepRecord(level=2, h=values, population=population, labels=labels,
-                          chosen_cell=None, best=population[1])
+        step = StepRecord(level=2, h=values, labels=labels, chosen_cell=None, best=members[1])
         reports = [RunReport(steps=[step], best=Candidate(values, 0.0), evaluations=1,
                              converged=True, best_value=-0.0)]
         assert emit_table(reports, "json") == _reference_json(reports)

@@ -114,13 +114,11 @@ def reference_slm_run(obj, cfg):
             break
         h_next = tuple(hd / 2.0 for hd in h)
 
-        population = []
         vertex_values = {}
         for p in sorted(active, key=lambda q: q.k):
             x = position_of(p, grid)
             fx = ev(x)
             cand = Candidate(x, fx, point=p)
-            population.append(cand)
             vertex_values[p] = fx
             best = cand if best is None else argmin_candidate((best, cand))
             if p in labels:
@@ -137,7 +135,7 @@ def reference_slm_run(obj, cfg):
                                        reference_region_cells(active))
 
         steps.append(StepRecord(
-            level=level, h=h, population=population,
+            level=level, h=h,
             labels=[LabeledVertex(Candidate(position_of(p, grid), vertex_values[p], p),
                                   labels[p], deltas[p])
                     for p in sorted(active, key=lambda q: q.k)],
@@ -452,15 +450,6 @@ class TestReports:
     def test_evaluation_count_positive_and_cached(self):
         rep = slm_run(get_objective("goldstein-price"), SlmConfig(h_tol=0.5))
         assert 0 < rep.evaluations < 200
-
-    @pytest.mark.parametrize("sense", list(Sense))
-    def test_each_label_holds_its_population_member(self, sense):
-        # a maximized report too, so the JSON writer writes each member once
-        rep = slm_run(get_objective("f2"), SlmConfig(h_tol=0.05, sense=sense))
-        assert rep.steps
-        for s in rep.steps:
-            assert len(s.labels) == len(s.population)
-            assert all(lv.candidate is c for lv, c in zip(s.labels, s.population))
 
     def test_meta_echoes_config(self):
         rep = slm_run(get_objective("f2"), SlmConfig(h_tol=0.1))

@@ -1,3 +1,4 @@
+import hashlib
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from subgrid.core import BoxDomain
 from subgrid.errors import SubgridError
 from subgrid.functions import Objective, get_objective
-from subgrid.slm import SlmConfig, slm_run
+from subgrid.slm import Sense, SlmConfig, slm_run
 from subgrid.slmga import GaConfig, ga_run
 from subgrid.svgtrace import emit_trace_svg
 
@@ -76,3 +77,24 @@ class TestDimensionGuard:
         rep = ga_run(obj, GaConfig(h_tol=1.0, seed=0))
         with pytest.raises(SubgridError, match=r"^trace rendering requires a 2-d objective, got 3-d$"):
             emit_trace_svg(rep, obj)
+
+
+# sha256 of the whole document, at h_tol = 1e-3 and seed 0: a change to the
+# renderer or to the runs it draws must leave every digest as it is
+SVG_DIGESTS = [
+    ("easom", lambda obj: slm_run(obj, SlmConfig(h_tol=1e-3)),
+     "654c0ea455a9fba2b8955e548f27b8e392f7c38cb1ebc5607618b332a3e26392"),
+    ("f2", lambda obj: slm_run(obj, SlmConfig(h_tol=1e-3, sense=Sense.MAXIMIZE)),
+     "0d4768b826852c7d12384ab8895062a79c88ed206debe86137ed8c578543ee55"),
+    ("goldstein-price", lambda obj: ga_run(obj, GaConfig(h_tol=1e-3, seed=0)),
+     "7d43258af19285915da8d195307bc818cd8dc7e1388df6b6e853f10f931556e0"),
+]
+
+
+class TestBytes:
+    @pytest.mark.parametrize("name,run,digest", SVG_DIGESTS, ids=["easom-slm", "f2-slm-max",
+                                                                  "goldstein-price-slmga"])
+    def test_document_digest(self, name, run, digest):
+        obj = get_objective(name)
+        doc = emit_trace_svg(run(obj), obj)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
