@@ -44,6 +44,9 @@ FUNCTIONS = {
 _DIGITS = frozenset("0123456789")
 # the token rule above; the empty token at the end of the text
 _TOKEN = re.compile(r"\s*([0-9.]+(?:[eE][+-]?[0-9]+)?|\w+|\S|)")
+# frames below its caller at which ``parse`` parses; engines evaluate at most 12
+# below it (SLM under perfbench's tracer), so an expression that parses evaluates
+FRAME_MARGIN = 32
 
 Compiled = Callable[[Sequence[float]], float]
 
@@ -74,7 +77,9 @@ class _Parser:
         if not self.accept(ch):
             self.error("expected %r" % ch)
 
-    def parse(self) -> Compiled:
+    def parse(self, margin: int) -> Compiled:
+        if margin:  # start ``margin`` frames deeper
+            return self.parse(margin - 1)
         self.advance()
         e = self.expr()
         if self.tok:
@@ -183,13 +188,13 @@ def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
 def parse(src: str, n: int) -> Compiled:
     """``src`` with variables x1..xn, parsed into the closures ``evaluate``
     calls.  Nesting deeper than Python's recursion limit allows, counting
-    each operator of a chain as a level, is an ``ExprError`` at the offset
-    reached."""
+    each operator of a chain as a level and from ``FRAME_MARGIN`` frames
+    below the caller, is an ``ExprError`` at the offset reached."""
     if not src or not src.strip():
         raise ExprError("empty expression", 0)
     parser = _Parser(src, n)
     try:
-        return parser.parse()
+        return parser.parse(FRAME_MARGIN)
     except RecursionError:
         raise ExprError("expression nested too deeply", parser.pos) from None
 

@@ -105,7 +105,7 @@ class Evaluator:
     in generation 0 for its whole run.  The box is not checked: each point
     was placed by ``core.coordinate`` (``slm.init_population``,
     ``slm._place_cell``, ``slmga.mutate``'s window, ``slmga._sweep``) or
-    kept by ``slm.slm_neighbors``' filter."""
+    checked per axis by ``slm.slm_neighbors``."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj

@@ -40,6 +40,7 @@ class TestList:
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 def test_every_command_of_the_readme_runs(capsys, tmp_path, monkeypatch):
@@ -613,14 +614,14 @@ class TestRun:
 
     @pytest.mark.parametrize("algo,budget", [("slm", ()), ("slmga", ()), ("de", ("--budget", "2"))],
                              ids=["slm", "slmga", "de"])
-    def test_a_980_term_sum_runs(self, algo, budget):
+    def test_a_948_term_sum_runs(self, algo, budget):
         # no fixed depth limit: a fresh interpreter, as the command line has,
-        # evaluates a sum nested 979 deep
+        # evaluates a sum nested 947 deep, four terms short of the limit
         src = os.path.dirname(os.path.dirname(os.path.abspath(subgrid.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from subgrid.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "run", "--expr", "+".join(["x1"] * 980),
+             "sys.exit(main(sys.argv[1:]))", "run", "--expr", "+".join(["x1"] * 948),
              "--dim", "1", "--algo", algo, *budget, "--format", "csv"],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -783,6 +784,55 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--expr", expr, "--at", "1")
         assert code == 3
         assert err.startswith("expression error: expression nested too deeply")
+
+    # the second section's cheap settings, per algorithm
+    NEAR_LIMIT = {"slm": "h_tol = 1", "slmga": "h_tol = 1", "rs": "budget = 5",
+                  "rsw": "budget = 5", "sa": "budget = 5", "de": "budget = 1\npop_size = 4"}
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("joiner,term", [("^", "1"), ("+", "x1")], ids=["powers", "sum"])
+    def test_a_chain_near_the_limit_fails_before_any_section_runs_or_runs(
+            self, capsys, tmp_path, monkeypatch, joiner, term, traced):
+        # an engine evaluates deeper in the stack than the file is checked,
+        # perfbench's tracer deeper still; the parser's frame margin covers
+        # both, so no file fails after its first section has run
+        ran = []
+        run_experiment = harness.run_experiment
+
+        def recording(cfg):
+            ran.append(cfg.algo)
+            return run_experiment(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        monkeypatch.setattr(subgrid, "run_experiment", recording)
+        ini = tmp_path / "e.ini"
+
+        def run(length, algo):
+            harness._compiled_expression.cache_clear()
+            ran.clear()
+            ini.write_text("[a]\nfunction = f2\nalgo = rs\nbudget = 5\n\n"
+                           "[b]\nexpr = %s\ndim = 1\nalgo = %s\n%s\n"
+                           % (joiner.join([term] * length), algo, self.NEAR_LIMIT[algo]))
+            return run_cli(capsys, "run", "--config", str(ini))
+
+        with contextlib.ExitStack() as stack:
+            if traced:
+                monkeypatch.syspath_prepend(PERFBENCH)
+                from tracer import Tracer
+                stack.enter_context(Tracer().installed())
+            lo, hi = 1, 2 * sys.getrecursionlimit()  # the longest chain that runs
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if run(mid, "rs")[0] != 3 else (lo, mid)
+            for algo in ALGORITHMS:
+                for length in range(lo - 3, lo + 2):
+                    code, out, err = run(length, algo)
+                    if length > lo:
+                        assert (code, ran, out) == (3, [], ""), (algo, length)
+                        assert err.startswith("expression error: expression nested too "
+                                              "deeply (at offset ")
+                    else:
+                        assert code in (0, 4) and ran == ["rs", algo], (algo, length, err)
 
     @pytest.mark.parametrize("way", ["eval", "run", "ini"])
     def test_a_3000_term_sum_is_too_deep(self, capsys, tmp_path, monkeypatch, way):

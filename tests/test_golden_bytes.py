@@ -8,8 +8,9 @@ and says so.
 
 Settings are coarse so the whole file stays fast: every deterministic
 objective under both engines (SLM rejects the 30-d F4), one maximizing SLM
-run, a 2-d expression on the default box as the benchmark's small runs
-use them, a 3-d expression on a decimal box under both engines, an 8-d
+run, SLM's full-box scheme on F1, F3 and a 3-d decimal box, a 2-d
+expression on the default box as the benchmark's small runs use them, a
+3-d expression on a decimal box under both engines, an 8-d
 expression under SLMGA (above the enumeration limit, as F4), SLMGA
 mutating a fraction of each generation on F2 and on the 5-d F3, and the
 four baselines on F4, whose noise shares the run's random stream with the
@@ -20,9 +21,10 @@ its three distinct indices, DE on a 1-d expression draws its crossover index
 from a range of one, and RSW and SA started at a corner with a step wider
 than the box clip most proposals.
 
-The benchmark's own goldens (``perfbench/goldens``) are checked here too, at
-input variant 0, for paper-bench and small-runs; de-baseline takes about
-6 s and is left to the benchmark run.
+The benchmark's own goldens (``perfbench/goldens``) are checked here too, one
+iteration of each workload at input variant 0 (de-baseline's takes about
+2.5 s), so a change to DE's random stream fails here, not only in the
+benchmark run.
 """
 
 import hashlib
@@ -110,6 +112,16 @@ GOLDEN = [
     ("slmga", "expr8", {"h_tol": 0.01},
      "f338b6b1362ddd524f105dff6b6b543aa420679a967e9d98724899a920d2ea53",
      "ba1b756e2c8824b6eb1b08afe628c6496f14ee686e84f0b24f4cd6c6deb11f5f"),
+    # full-box: every move of {0, +h, -h}^n, the zero move included
+    ("slm", "f1", {"h_tol": 0.01, "neighbor_scheme": "full-box"},
+     "4d8d0f8865be472910cd40409a9e955fae1a69672c890a5aaff30cd712f74d3f",
+     "43a978bf83bcc21c62d1b009bde57d2b4d4845ed9250b39cede3dece860406f8"),
+    ("slm", "expr3", {"h_tol": 0.01, "neighbor_scheme": "full-box"},
+     "c5e1fa3b6fc8ccd3939d4506ecc289ffeb64c4ea8edff9eda0fff60ab1782ce2",
+     "4bae0511ac687cbb62776be9c489de11ba786dc5f3ec5ceb3bf67b886631b617"),
+    ("slm", "f3", {"h_tol": 1.0, "neighbor_scheme": "full-box"},
+     "4cd836c15ce06d7e3392d2434b5e8005ad7456cc3e7623e254b11a6b9bfb3886",
+     "94673c84941e32b3398a81799015cb064222c099f5fc15d2f6a7817425539a2b"),
     ("slm", "f2", {"h_tol": 0.01, "sense": "max"},
      "04ce77a90b1f5d34be895406d767c5aecc294e3e445685ad831314608eb60b25",
      "ee70ea61bdf5aa6d0620cdb25f35e14f4d375d7cfbe2767d8e770010c04335f2"),
@@ -194,7 +206,7 @@ def test_seed0_tables_are_byte_identical(algo, name, params, csv_digest, digest)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["paper-bench", "small-runs"])
+@pytest.mark.parametrize("workload", ["paper-bench", "small-runs", "de-baseline"])
 def test_one_benchmark_iteration_matches_its_golden(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import WORKLOADS

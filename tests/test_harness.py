@@ -526,8 +526,8 @@ def _points_outside(rep, box):
 # Bounds with 1-3 decimals: on about one such axis in six ``lower + width``
 # rounds past ``upper``, and on about as many it rounds below it.
 @st.composite
-def _decimal_box(draw):
-    n = draw(st.integers(1, 3))
+def _decimal_box(draw, max_dim=3):
+    n = draw(st.integers(1, max_dim))
     scale = 10 ** draw(st.integers(1, 3))
     lower, upper = [], []
     for _ in range(n):

@@ -34,13 +34,32 @@ from subgrid.slm import (
     NeighborScheme,
     Sense,
     SlmConfig,
-    _moves,
     _negate_report,
     best_neighbor,
     init_population,
     slm_neighbors,
     slm_run,
 )
+
+
+def _moves(n, scheme):
+    """The moves of ``scheme`` in ``product((0, 1, -1))`` order: all 3**n
+    for full-box; for sign-uniform the nonzero moves whose nonzero entries
+    share one sign."""
+    return [m for m in itertools.product((0, 1, -1), repeat=n)
+            if scheme is NeighborScheme.FULL_BOX or (1 in m) != (-1 in m)]
+
+
+# The probe builder that ``slm.slm_neighbors`` replaced, kept as the
+# reference it must agree with: it walks the move table, builds each probe
+# with its own comprehension and box-checks each probe whole.
+def reference_neighbors(x, h_next, scheme, box):
+    out = []
+    for move in _moves(len(x), scheme):
+        cand = tuple(xi + a * hi if a else xi for xi, hi, a in zip(x, h_next, move))
+        if box.contains(cand):
+            out.append(cand)
+    return out
 
 
 def _corners(box):
@@ -301,6 +320,37 @@ class TestNeighbors:
                 in_grid = [m for m in _moves(box.dim, scheme)
                            if all(0 <= 2 * kd + md <= 2 * top for kd, md in zip(k, m))]
                 assert len(slm_neighbors(x, h_next, scheme, box)) == len(in_grid)
+
+    @staticmethod
+    def check_matches_the_reference(x, h_next, box):
+        for scheme in NeighborScheme:
+            got = slm_neighbors(x, h_next, scheme, box)
+            want = reference_neighbors(x, h_next, scheme, box)
+            assert [tuple(map(float.hex, p)) for p in got] == \
+                [tuple(map(float.hex, p)) for p in want]
+
+    # levels past ~54 hold probes with x + h == x; an axis that holds 0 is
+    # sometimes at -0.0, which a probe keeps where it does not move
+    @given(_decimal_box(max_dim=6), st.integers(1, 60), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_bit_for_bit(self, box, level, data):
+        top = 2 ** (level - 1)
+        grid = GridSpec(box, level)
+        h_next = tuple(hd / 2.0 for hd in grid.step)
+        index = st.one_of(st.sampled_from([0, 1, top - 1, top]), st.integers(0, top))
+        k = tuple(data.draw(index) for _ in range(box.dim))
+        x = tuple(data.draw(st.sampled_from([xi, -0.0])) if lo <= 0.0 <= hi else xi
+                  for xi, lo, hi in zip(position_of(GridPoint(k, level), grid),
+                                        box.lower, box.upper))
+        self.check_matches_the_reference(x, h_next, box)
+
+    def test_matches_the_reference_where_probes_do_not_move(self):
+        box = BoxDomain((-1.3, -2.0, 0.1), (2.9, 2.0, 0.7))
+        grid = GridSpec(box, 60)
+        h_next = tuple(hd / 2.0 for hd in grid.step)
+        x = (position_of(GridPoint((2**58 + 3,) * 3, 60), grid)[0], -0.0, 0.7)
+        assert x[0] + h_next[0] == x[0] and x[2] - h_next[2] == x[2]
+        self.check_matches_the_reference(x, h_next, box)
 
 
 class TestBestNeighbor:

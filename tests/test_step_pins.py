@@ -78,6 +78,12 @@ GOLDEN_PINS = {
         11, "937eac1057c1ceb28cf1ace3c43e5fa06351b2ebf8d46e392f921de4374a27be"),
     "slm-f2-h_tol=0.01-sense=max": (
         9, "d8df51d405060e95950ab114a0d5e86c4b57d61806c0f3ade6dde658f8bb2f26"),
+    "slm-f1-h_tol=0.01-neighbor_scheme=full-box": (
+        11, "88fbe999bcc52e7a8cdde5cdca46705f164e9894850906e2fb5dd4e8fe6f4f30"),
+    "slm-expr3-h_tol=0.01-neighbor_scheme=full-box": (
+        9, "95d99f1775d217d5fb4ae1529383e35306832350afa2dbb8b37346299a801fd5"),
+    "slm-f3-h_tol=1.0-neighbor_scheme=full-box": (
+        4, "d40b9e5377a19d9179551bbfc9b8bd5eb4b46ee0cad195b7b1be0f284671a350"),
 }
 
 DEEP_PINS = {
