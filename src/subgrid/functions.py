@@ -10,15 +10,16 @@ where there is one: F4's sums one standard-normal draw per quartic term from
 the caller's random source, so reproducibility is the caller's choice of seed.
 
 The grid engines evaluate through ``Evaluator`` (cache, count, sense,
-common random numbers); the baselines call ``Objective.evaluate`` directly
-and pass their own random stream.  Either way the point is a tuple of
-Python floats, made so by its caller, and the value is a Python float.
+common random numbers, drawn once per generation); the baselines call
+``Objective.evaluate`` directly and pass their own random stream.  Either
+way the point is a tuple of Python floats, made so by its caller, and the
+value is a Python float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ class Objective:
             return f
         if rng is None:
             raise SubgridError("%s is stochastic; pass a random source" % self.name)
-        return f + self.noise_fn(rng, len(x))
+        return f + float(self.noise_fn(rng, len(x)))
 
     def gradient(self, x: Sequence[float]) -> Vector:
         """Analytic gradient where defined, else central finite differences.
@@ -97,15 +98,15 @@ class Evaluator:
 
     Counts each evaluation, caches values by position, negates them when
     maximizing, and evaluates stochastic objectives under common random
-    numbers: every point of one generation sees the same noise draw, the
-    first draws of ``default_rng([seed, generation])``.  The generator is
-    made once per generation and its state put back before each draw.
-    ``start_generation`` clears the cache and moves the noise on, so a
-    point evaluated again in a later generation counts again.  SLM stays
-    in generation 0 for its whole run.  The box is not checked: each point
-    was placed by ``core.coordinate`` (``slm.init_population``,
-    ``slm._place_cell``, ``slmga.mutate``'s window, ``slmga._sweep``) or
-    checked per axis by ``slm.slm_neighbors``."""
+    numbers: ``start_generation`` draws the generation's noise once, from
+    ``default_rng([seed, generation])``, and evaluates every point of the
+    generation through ``current``, a deterministic copy of the objective
+    that adds that draw.  It also clears the cache, so a point evaluated
+    again in a later generation counts again.  SLM stays in generation 0
+    for its whole run.  The box is not checked: each point was placed by
+    ``core.coordinate`` (``slm.init_population``, ``slm._place_cell``,
+    ``slmga.mutate``'s window, ``slmga._sweep``) or checked per axis by
+    ``slm.slm_neighbors``."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj
@@ -116,19 +117,18 @@ class Evaluator:
 
     def start_generation(self, generation: int) -> None:
         self.cache: dict[Vector, float] = {}
-        self.rng = None
-        if self.obj.stochastic:
-            self.rng = np.random.default_rng([self.seed, generation])
-            self.rng_state = self.rng.bit_generator.state
+        self.current = obj = self.obj
+        if obj.stochastic:
+            noise = obj.noise_fn(np.random.default_rng([self.seed, generation]), obj.dim)
+            eval_fn = obj.eval_fn
+            self.current = replace(obj, eval_fn=lambda x: float(eval_fn(x)) + noise, noise_fn=None)
 
     def __call__(self, x: Vector) -> float:
         got = self.cache.get(x)
         if got is not None:
             return got
         self.count += 1
-        if self.rng is not None:
-            self.rng.bit_generator.state = self.rng_state
-        f = self.obj.evaluate(x, rng=self.rng, in_box=True)
+        f = self.current.evaluate(x, in_box=True)
         if self.negate:
             f = -f
         self.cache[x] = f

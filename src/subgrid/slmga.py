@@ -208,11 +208,10 @@ def _sweep(
             c = cur_k[d] + m
             if not 0 <= c - a < len(axis):
                 continue
-            k = cur_k[:d] + (c,) + cur_k[d + 1:]
             x = cur_x[:d] + (axis[c - a],) + cur_x[d + 1:]
             f = evaluate(x)
             if (f, x) < (cur_f, cur_x):
-                cur_k, cur_x, cur_f = k, x, f
+                cur_k, cur_x, cur_f = cur_k[:d] + (c,) + cur_k[d + 1:], x, f
     if cur_f < parent_f:
         return Candidate(cur_x, cur_f, point=GridPoint(cur_k, level))
     return Candidate(parent_x, parent_f, point=GridPoint(parent_k, level))

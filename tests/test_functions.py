@@ -1,12 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subgrid.baselines import RsConfig, random_search
 from subgrid.core import BoxDomain
 from subgrid.errors import GradientUnavailableError, SubgridError
 from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
-from subgrid.harness import expression_objective
+from subgrid.harness import emit_table, expression_objective
+from subgrid.slm import SlmConfig, slm_run
+from subgrid.slmga import GaConfig, ga_run
+from test_golden_bytes import noisy_f2
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Values frozen from an independent 40-digit computation.
 KNOWN_VALUES = [
@@ -219,8 +226,8 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("seed,generations", [(0, (0,)), (3, (1, 2, 7)), (2**40, (5,))])
     def test_noise_is_a_fresh_generator_per_call(self, seed, generations):
-        # the generator is made once per generation; every evaluation still
-        # draws what default_rng([seed, generation]) draws first
+        # the noise is drawn once per generation; every evaluation still
+        # adds what default_rng([seed, generation]) draws first
         f4 = get_objective("f4")
         ev = Evaluator(f4, seed=seed)
         points = [(0.0,) * 30, (0.5,) * 30, (1.0,) + (-0.25,) * 29, (0.5,) * 30]
@@ -230,6 +237,43 @@ class TestEvaluator:
             for x in points:
                 fresh = f4.evaluate(x, rng=np.random.default_rng([seed, gen]))
                 assert ev(x) == fresh
+
+    @pytest.mark.parametrize("run,cfg", [(ga_run, GaConfig(h_tol=0.02)),
+                                         (slm_run, SlmConfig(h_tol=0.05))], ids=["slmga", "slm"])
+    def test_noise_is_drawn_once_per_generation(self, run, cfg):
+        # SLMGA's generation 0 seeds the corners and each generation after
+        # draws anew; SLM stays in generation 0
+        draws = []
+        f4_noise = get_objective("f4").noise_fn
+
+        def counting(rng, n):
+            draws.append(n)
+            return f4_noise(rng, n)
+
+        report = run(noisy_f2(counting), cfg)
+        assert report.evaluations > len(draws)
+        assert len(draws) == (report.generations + 1 if run is ga_run else 1)
+
+    @pytest.mark.parametrize("obj,h_tol", [(get_objective("f4"), 0.01), (noisy_f2(), 0.02)],
+                             ids=["f4", "noisy-f2"])
+    def test_traced_kernel_calls_are_the_evaluations(self, monkeypatch, obj, h_tol):
+        # the benchmark's contract: one Objective.evaluate per evaluation,
+        # the noise included
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from tracer import KERNEL_SPAN, Tracer
+
+        with Tracer().installed() as tracer:
+            report = ga_run(obj, GaConfig(h_tol=h_tol))
+        assert tracer.stats[KERNEL_SPAN].calls == report.evaluations
+
+    def test_values_are_python_floats_whatever_the_noise_returns(self):
+        obj = noisy_f2(lambda rng, n: rng.standard_normal(n).sum())
+        x = (0.5, -0.7)
+        assert type(obj.evaluate(x, rng=np.random.default_rng(0))) is float
+        assert type(Evaluator(obj)(x)) is float
+        assert type(Evaluator(obj, negate=True)(x)) is float
+        csv = emit_table([random_search(obj, RsConfig(budget=20))], "csv")
+        assert "np.float64(" not in csv
 
 
 class TestStochasticF4:

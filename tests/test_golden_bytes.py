@@ -25,8 +25,15 @@ The benchmark's own goldens (``perfbench/goldens``) are checked here too, one
 iteration of each workload at input variant 0 (de-baseline's takes about
 2.5 s), so a change to DE's random stream fails here, not only in the
 benchmark run.
+
+The 30-d F4 only ever takes SLMGA's high-dimension sweep, so a 2-d noisy
+objective (F2's value plus F4's noise) pins the noise through the
+enumerated paths: ``mutate``'s window, ``_place_cell`` and SLM, minimizing
+and maximizing.  ``run_experiment`` builds no stochastic expression, so these
+runs call the engines directly.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -34,7 +41,10 @@ from pathlib import Path
 
 import pytest
 
+from subgrid.functions import get_objective
 from subgrid.harness import ExperimentConfig, emit_table, run_experiment
+from subgrid.slm import Sense, SlmConfig, slm_run
+from subgrid.slmga import GaConfig, ga_run
 
 # Objectives named in GOLDEN that are expressions, not registry names.
 EXPRESSIONS = {
@@ -198,6 +208,38 @@ def test_seed0_tables_are_byte_identical(algo, name, params, csv_digest, digest)
     keys = EXPRESSIONS.get(name, {"objective": name})
     cfg = ExperimentConfig(**keys, algo=algo, algo_params=dict(params), seed=0)
     reports = run_experiment(cfg).reports
+    csv = emit_table(reports, "csv")
+    assert _sha256(csv) == csv_digest
+    assert _sha256(csv + emit_table(reports, "json")) == digest
+
+
+def noisy_f2(noise_fn=get_objective("f4").noise_fn):
+    """F2's value plus F4's noise: a 2-d stochastic objective."""
+    return dataclasses.replace(get_objective("f2"), name="noisy-f2", gradient_fn=None,
+                               smooth=False, noise_fn=noise_fn)
+
+
+NOISY = [
+    (ga_run, GaConfig(h_tol=0.02),
+     "be60b5583e8c0bbd8471bdac4e0f19cf479ff1be148564aa69aed90bac7872ef",
+     "b9aaa24394b013bb35f930c8247b9c28d4a9d1cc44781dca97779211863b7344"),
+    (ga_run, GaConfig(h_tol=0.02, mutation_rate=0.3, seed=3),
+     "75c2fb0c016860f9ca36ef8670b71b1696dfbdb7a38d84552dff33417b6ebc9d",
+     "367cd06830bafa5cb5a9cd49a2404c2191cc766c7c9574c8710d060a9e4de9d7"),
+    (slm_run, SlmConfig(h_tol=0.05),
+     "a711b747eeb64c4509addb97f2a6eb201f8ec91703c96911b8d97104822d4558",
+     "9302ceefa988a0a79ad7b689d6ca818e1a32c247dfe1bebe725f8dcb3302d679"),
+    # maximizing: the value negated is F2's plus the noise
+    (slm_run, SlmConfig(h_tol=0.05, sense=Sense.MAXIMIZE),
+     "ba55a2498c881700e9a50817c3bdb643a9fcb9ee8cd9184cd1c3b1896ebb0b55",
+     "67c583740d0d48d0ab4536143d4297209a777f92fa7e51124fad014fb22859d3"),
+]
+
+
+@pytest.mark.parametrize("run,cfg,csv_digest,digest", NOISY,
+                         ids=["slmga", "slmga-mutation_rate=0.3-seed=3", "slm", "slm-max"])
+def test_noisy_f2_tables_are_byte_identical(run, cfg, csv_digest, digest):
+    reports = [run(noisy_f2(), cfg)]
     csv = emit_table(reports, "csv")
     assert _sha256(csv) == csv_digest
     assert _sha256(csv + emit_table(reports, "json")) == digest
