@@ -72,24 +72,22 @@ class Objective:
         return self.fd_gradient(x)
 
     def fd_gradient(self, x: Sequence[float]) -> Vector:
-        """Central differences with per-coordinate step 1e-6*max(1, |x_d|)
-        (at most half the box width); one-sided along a coordinate where a
-        step would leave the box."""
+        """Differences between two in-box tuples, at ``a = x_d - h`` and ``b =
+        x_d + h`` on axis d, over ``b - a``: ``h`` is 1e-6*max(1, |x_d|), at most
+        half the box width, and ``x_d`` stands in for a step that would leave the
+        box.  Raises ``GradientUnavailableError`` where no step fits (``a == b``)."""
         if not self.smooth:
             raise GradientUnavailableError("%s has no usable gradient" % self.name)
         x = tuple(float(v) for v in x)
         out = []
-        for d in range(self.dim):
-            h = min(1e-6 * max(1.0, abs(x[d])), self.box.width[d] / 2.0)
-            up = x[d] + h <= self.box.upper[d]
-            down = x[d] - h >= self.box.lower[d]
-            hi = list(x)
-            lo = list(x)
-            if up:
-                hi[d] += h
-            if down:
-                lo[d] -= h
-            out.append((self.noiseless(hi) - self.noiseless(lo)) / ((up + down) * h))
+        for d, (v, lo, hi) in enumerate(zip(x, self.box.lower, self.box.upper)):
+            h = min(1e-6 * max(1.0, abs(v)), (hi - lo) / 2.0)
+            a = v - h if v - h >= lo else v
+            b = v + h if v + h <= hi else v
+            if a == b:
+                raise GradientUnavailableError("%s: no step fits on axis %d" % (self.name, d + 1))
+            fb, fa = (self.noiseless(x[:d] + (t,) + x[d + 1:]) for t in (b, a))
+            out.append((fb - fa) / (b - a))
         return tuple(out)
 
 

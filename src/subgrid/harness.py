@@ -53,9 +53,9 @@ MAX_BRUTE_FORCE_POINTS = 10**7
 # The largest expression dimension: its box is two tuples of 8 MB.  F4's 30
 # is the largest dimension of a built-in objective.
 MAX_DIM = 10**6
-# The most floats a DE population may hold, ``pop_size * dim``: the population
-# and its trials are tuples of Python floats, about 320 MB at this bound.
-MAX_POPULATION_FLOATS = 10**7
+# The most floats one generation may hold, points * dim: DE's population and
+# its trials, or above 6-d SLMGA's two sweeps of a parent and 2n probes each.
+MAX_GENERATION_FLOATS = 10**7
 # The unknown keys a config error names before it gives the rest as a count.
 MAX_KEYS_QUOTED = 3
 
@@ -537,8 +537,10 @@ def experiment_config(keys: dict, seed: int = 0) -> ExperimentConfig:
     if cfg.algo == "slm":
         slm.check_enumerated(obj.box)
     baselines.start_point(obj, getattr(algo_cfg, "initial", None))
-    if getattr(algo_cfg, "pop_size", 0) * obj.dim > MAX_POPULATION_FLOATS:
-        raise ConfigError("pop_size * dim must be <= %d" % MAX_POPULATION_FLOATS)
+    sweeps = cfg.algo == "slmga" and not slm.enumerated(obj.box)
+    points = 2 * (2 * obj.dim + 1) if sweeps else getattr(algo_cfg, "pop_size", 1)
+    if points * obj.dim > MAX_GENERATION_FLOATS:
+        raise ConfigError("a generation's points * dim must be <= %d" % MAX_GENERATION_FLOATS)
     return cfg
 
 

@@ -13,13 +13,18 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subgrid
 from subgrid import harness, slmga
 from subgrid.cli import build_parser, main
 from subgrid.harness import ALGORITHMS, ALIASES, ExperimentConfig
+
+
+SUBNORMAL_GRADIENT_KEYS = {
+    "expr": "x1", "dim": "1", "lower": "0", "upper": "5e-324", "algo": "slmga",
+    "label_rule": "gradient-fixed-point", "h_tol": "5e-324"}
 
 
 def run_cli(capsys, *argv):
@@ -455,7 +460,7 @@ class TestRun:
         ini = tmp_path / "e.ini"
         ini.write_text("[a]\nalgo = de\ngenerations = 1\n%s\n" % lines)
         assert run_cli(capsys, "run", "--config", str(ini)) == (
-            2, "", "config error: section [a]: pop_size * dim must be <= 10000000\n")
+            2, "", "config error: section [a]: a generation's points * dim must be <= 10000000\n")
 
     def test_an_unaffordable_de_population_exits_2_without_traceback(self, tmp_path):
         ini = tmp_path / "e.ini"
@@ -466,6 +471,37 @@ class TestRun:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr
+
+    def test_an_slmga_generation_of_1581_dims_is_refused_before_any_runs(
+            self, capsys, tmp_path, monkeypatch):
+        # above 6-d two sweeps hold 2 * (2n + 1) points: 9,988,760 floats at
+        # 1,580-d, 10,001,406 at 1,581-d
+        def refuse(*args, **kwargs):
+            raise AssertionError("a section ran before every section was checked")
+
+        monkeypatch.setattr(harness, "run_algorithm", refuse)
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nobjective = f2\nalgo = rs\n\n"
+                       "[b]\nexpr = x1\ndim = 1581\nalgo = slmga\n")
+        assert run_cli(capsys, "run", "--config", str(ini)) == (2, "", (
+            "config error: section [b]: a generation's points * dim must be <= 10000000\n"))
+
+    def test_an_slmga_generation_of_1580_dims_is_accepted(self):
+        cfg = harness.experiment_config({"expr": "x1", "dim": "1580", "algo": "slmga"})
+        assert (cfg.algo, cfg.dim) == ("slmga", 1580)
+
+    def test_gradient_labels_on_a_subnormal_box_exit_0(self, capsys, tmp_path):
+        # h = width / 2 rounds to 0: no difference step fits, so the label is
+        # the best neighbour's step
+        ini = tmp_path / "e.ini"
+        ini.write_text(_ini_text([("a", SUBNORMAL_GRADIENT_KEYS)]))
+        code, out, err = run_cli(capsys, "run", "--config", str(ini))
+        assert (code, err) == (0, "")
+        assert "| Step1 | SLMGA | expr:x1 |" in out
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subgrid.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "subgrid.cli", "run", "--config", str(ini)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_percent_in_config_value_is_literal(self, capsys, tmp_path):
         # no interpolation: the value reaches the expression parser as written
@@ -1016,7 +1052,7 @@ class TestEveryWayIn:
     Values are any int, any float, edge spellings and text up to 3,000
     characters, ``dim`` and ``pop_size`` included; only the keys that cost
     run time alone (``_RUN_TIME``) are drawn small.  ``harness.MAX_DIM`` and
-    ``harness.MAX_POPULATION_FLOATS`` are lowered for the test, so that every
+    ``harness.MAX_GENERATION_FLOATS`` are lowered for the test, so that every
     draw they let through runs in milliseconds; the checks that apply them
     are the program's own."""
 
@@ -1027,7 +1063,7 @@ class TestEveryWayIn:
         env = {} if seed is None else {"SUBGRID_SEED": seed}
         err = io.StringIO()
         with mock.patch.object(harness, "MAX_DIM", 3), \
-                mock.patch.object(harness, "MAX_POPULATION_FLOATS", 3000), \
+                mock.patch.object(harness, "MAX_GENERATION_FLOATS", 3000), \
                 mock.patch.dict(os.environ, env), \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             if seed is None:
@@ -1046,6 +1082,7 @@ class TestEveryWayIn:
     @given(sections=st.lists(st.tuples(st.one_of(st.sampled_from(["a", "b"]), _HEADERS),
                                        _experiment()), max_size=3),
            seed=_SEEDS)
+    @example(sections=[("a", SUBNORMAL_GRADIENT_KEYS)], seed=None)
     @settings(max_examples=100, deadline=None)
     def test_ini_files(self, sections, seed):
         with tempfile.TemporaryDirectory() as tmp:

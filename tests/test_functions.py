@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgrid.baselines import RsConfig, random_search
 from subgrid.core import BoxDomain
@@ -340,6 +342,28 @@ class TestEvaluationPins:
         assert objs[-1].dim == 3
 
 
+# [1, 1 + 2**-52]^2: one ulp wide, so 1 + h rounds to 1 at the lower corner
+MICRO = BoxDomain((1.0, 1.0), (1.0000000000000002,) * 2)
+
+
+def _square_sum(x):
+    return sum(v * v for v in x)
+
+
+@st.composite
+def _box_and_point(draw):
+    """A box of 1-3 axes, each from one ulp or 5e-324 up to 1e3 wide, and a
+    point in it: a corner coordinate or any between."""
+    lower, upper, x = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+        hi = max(lo + draw(st.floats(5e-324, 1e3)), math.nextafter(lo, math.inf))
+        lower.append(lo)
+        upper.append(hi)
+        x.append(draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))))
+    return BoxDomain(tuple(lower), tuple(upper)), tuple(x)
+
+
 class TestGradients:
     SMOOTH = ["f1", "f2", "f5", "goldstein-price", "easom"]
 
@@ -362,6 +386,45 @@ class TestGradients:
             g = obj.fd_gradient(corner)
             for gd, xd in zip(g, corner):
                 assert gd == pytest.approx(2.0 * xd, rel=1e-5)
+
+    def test_eval_fn_sees_tuples(self):
+        seen = []
+        obj = Objective("t", BoxDomain.cube(-1.0, 1.0, 2), lambda x: seen.append(type(x)) or 0.0)
+        assert obj.fd_gradient((0.1, 0.2)) == (0.0, 0.0)
+        assert seen == [tuple] * 4
+
+    def test_a_dict_lookup_eval_fn(self):
+        table = {}
+        obj = Objective("d", BoxDomain.cube(-1.0, 1.0, 2),
+                        lambda x: table.setdefault(x, float(sum(x))))
+        assert obj.fd_gradient((0.5, 0.5)) == pytest.approx((1.0, 1.0), rel=1e-9)
+        assert len(table) == 4
+
+    def test_no_step_fits_a_subnormal_width(self):
+        obj = Objective("s", BoxDomain((0.0,), (5e-324,)), _square_sum)
+        for x in ((0.0,), (5e-324,)):
+            with pytest.raises(GradientUnavailableError, match=r"^s: no step fits on axis 1$"):
+                obj.fd_gradient(x)
+
+    def test_one_ulp_box(self):
+        # the lower corner's step rounds away; the upper corner's one-sided
+        # step spans the box, one ulp of 2.2e-16, and the slope is about 2
+        obj = Objective("q", MICRO, _square_sum)
+        with pytest.raises(GradientUnavailableError):
+            obj.fd_gradient(MICRO.lower)
+        g = obj.fd_gradient(MICRO.upper)
+        assert max(abs(v - 2.0) for v in g) < 1e-9
+
+    @given(box_x=_box_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_a_tuple_of_floats_or_no_step(self, box_x):
+        box, x = box_x
+        try:
+            g = Objective("q", box, _square_sum).fd_gradient(x)
+        except GradientUnavailableError:
+            return
+        assert type(g) is tuple and len(g) == box.dim
+        assert all(type(v) is float for v in g)
 
     def test_stationary_at_known_optima(self):
         for name in ("f1", "f2", "goldstein-price", "easom"):
