@@ -10,12 +10,20 @@ A point is a tuple of Python floats.  The random numbers are numpy's stream
 bit for bit, from few numpy calls: doubles from ``rng.random``, an in-box
 point as ``lower + width * u`` (as ``rng.uniform``), DE's integers from raw
 words (``_bounded_draw``).  Each draw becomes a list where it is made.
+
+DE draws a generation's weight first, unless it is fixed.  Each trial then
+draws, in this order: the indices a, b and c, each drawn again until it
+differs from the member and the indices before it; a fresh in-box point,
+only if a mutant gene lies outside the box; n crossover doubles; the index
+of the gene always taken from the mutant (no draw in one dimension); and the
+objective's noise, if it has any.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Optional
 
 import numpy as np
@@ -64,13 +72,18 @@ def _bounded_draw(rng):
     PCG64's 32-bit words, the low half of each raw word first.  ``draw``
     keeps the spare half, so nothing may call ``rng.integers`` once it
     exists.  DE's population and dimension lie far below 2**32."""
-    next_word = (half for word in iter(rng.bit_generator.random_raw, None)
-                 for half in (word & 0xFFFFFFFF, word >> 32)).__next__
+    raw = rng.bit_generator.random_raw
+    spare = None  # the high half of the last raw word, until it is used
 
     def draw(high: int) -> int:
+        nonlocal spare
         threshold = (0x100000000 - high) % high
         while high > 1:  # one value draws nothing
-            m = next_word() * high
+            if spare is None:
+                word = raw()
+                m, spare = (word & 0xFFFFFFFF) * high, word >> 32
+            else:
+                m, spare = spare * high, None
             if m & 0xFFFFFFFF >= threshold:
                 return m >> 32
         return 0
@@ -243,7 +256,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     draw = _bounded_draw(rng)
     lo, hi = obj.box.lower, obj.box.upper
     n = obj.dim
-    np_ = cfg.pop_size
+    np_, cr = cfg.pop_size, cfg.cr
     pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
     fit = [obj.evaluate(x, rng=rng) for x in pop]
     steps = []
@@ -265,13 +278,15 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
             while c == i or c == a or c == b:
                 c = draw(np_)
             mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
-            outside = [v < low or v > high for v, low, high in zip(mutant, lo, hi)]  # NaN: inside
-            if any(outside):
+            if any(map(lt, mutant, lo)) or any(map(gt, mutant, hi)):  # NaN: inside
                 fresh = _uniform_point(rng, obj.box)
-                mutant = [r if o else v for o, v, r in zip(outside, mutant, fresh)]
-            cross = (rng.random(n) < cfg.cr).tolist()
-            cross[draw(n)] = True  # at least one mutant gene
-            trial = tuple(m if take else p for take, m, p in zip(cross, mutant, pop[i]))
+                mutant = [r if v < low or v > high else v
+                          for v, low, high, r in zip(mutant, lo, hi, fresh)]
+            cross = rng.random(n).tolist()
+            j = draw(n)  # at least one mutant gene
+            genes = [m if u < cr else p for u, m, p in zip(cross, mutant, pop[i])]
+            genes[j] = mutant[j]
+            trial = tuple(genes)
             ft = obj.evaluate(trial, rng=rng)
             if ft <= fit[i]:
                 pop[i] = trial

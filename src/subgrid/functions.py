@@ -60,8 +60,9 @@ class Objective:
             raise SubgridError("%s is stochastic; pass a random source" % self.name)
         return f + float(self.noise_fn(rng, len(x)))
 
-    def gradient(self, x: Sequence[float]) -> Vector:
-        """Analytic gradient where defined, else central finite differences.
+    def gradient(self, x: Sequence[float],
+                 value: Optional[Callable[[Vector], float]] = None) -> Vector:
+        """Analytic gradient where defined, else ``fd_gradient(x, value)``.
 
         Raises ``GradientUnavailableError`` for discontinuous (F3) and
         stochastic (F4) objectives."""
@@ -69,15 +70,19 @@ class Objective:
             raise GradientUnavailableError("%s has no usable gradient" % self.name)
         if self.gradient_fn is not None:
             return tuple(self.gradient_fn(x))
-        return self.fd_gradient(x)
+        return self.fd_gradient(x, value)
 
-    def fd_gradient(self, x: Sequence[float]) -> Vector:
-        """Differences between two in-box tuples, at ``a = x_d - h`` and ``b =
-        x_d + h`` on axis d, over ``b - a``: ``h`` is 1e-6*max(1, |x_d|), at most
-        half the box width, and ``x_d`` stands in for a step that would leave the
-        box.  Raises ``GradientUnavailableError`` where no step fits (``a == b``)."""
+    def fd_gradient(self, x: Sequence[float],
+                    value: Optional[Callable[[Vector], float]] = None) -> Vector:
+        """Differences of ``value`` (default ``noiseless``) between two in-box
+        tuples, at ``a = x_d - h`` and ``b = x_d + h`` on axis d, over ``b - a``:
+        ``h`` is 1e-6*max(1, |x_d|), at most half the box width, and ``x_d``
+        stands in for a step that would leave the box.  Raises
+        ``GradientUnavailableError`` where no step fits (``a == b``)."""
         if not self.smooth:
             raise GradientUnavailableError("%s has no usable gradient" % self.name)
+        if value is None:
+            value = self.noiseless
         x = tuple(float(v) for v in x)
         out = []
         for d, (v, lo, hi) in enumerate(zip(x, self.box.lower, self.box.upper)):
@@ -86,7 +91,7 @@ class Objective:
             b = v + h if v + h <= hi else v
             if a == b:
                 raise GradientUnavailableError("%s: no step fits on axis %d" % (self.name, d + 1))
-            fb, fa = (self.noiseless(x[:d] + (t,) + x[d + 1:]) for t in (b, a))
+            fb, fa = (value(x[:d] + (t,) + x[d + 1:]) for t in (b, a))
             out.append((fb - fa) / (b - a))
         return tuple(out)
 
@@ -103,8 +108,9 @@ class Evaluator:
     again in a later generation counts again.  SLM stays in generation 0
     for its whole run.  The box is not checked: each point was placed by
     ``core.coordinate`` (``slm.init_population``, ``slm._place_cell``,
-    ``slmga.mutate``'s window, ``slmga._sweep``) or checked per axis by
-    ``slm.slm_neighbors``."""
+    ``slmga.mutate``'s window, ``slmga._sweep``), checked per axis by
+    ``slm.slm_neighbors``, or clamped into the box per axis by
+    ``Objective.fd_gradient``, which labels take their gradients from."""
 
     def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
         self.obj = obj
@@ -214,7 +220,7 @@ def _f4_noiseless(x):
 
 
 def _f4_noise(rng, n):
-    return float(rng.standard_normal(n).sum())
+    return float(np.add.reduce(rng.standard_normal(n)))  # ndarray.sum, unwrapped
 
 
 _FOXHOLE = (-32.0, -16.0, 0.0, 16.0, 32.0)

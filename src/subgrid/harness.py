@@ -323,18 +323,17 @@ def _emit_csv(reports) -> str:
     cols = ["trial", "step", "h"] + ["best_x_%d" % (d + 1) for d in range(n)]
     cols += ["best_f", "label_multiset"]
     out.write(",".join(cols) + "\n")
+    last = best_text = None  # a best held by consecutive rows is written once
     for t, rep in enumerate(reports):
-        rows = rep.steps or [None]
-        for s in rows:
+        for s in rep.steps or [None]:
             if s is None:
                 step, h, best, labels = 1, (), rep.best, []
             else:
                 step, h, best, labels = s.level, s.h, s.best, s.labels
+            if best is not last:
+                last, best_text = best, ",".join([*map(repr, best.x), repr(best.f)])
             multiset = "|".join(str(lv.label) for lv in labels)
-            row = [str(t), str(step), _fmt_h(h)]
-            row += [repr(v) for v in best.x]
-            row += [repr(best.f), multiset]
-            out.write(",".join(row) + "\n")
+            out.write("%s,%s,%s,%s,%s\n" % (t, step, _fmt_h(h), best_text, multiset))
     return out.getvalue()
 
 
@@ -425,8 +424,13 @@ def _emit_json(reports: Sequence[RunReport]) -> str:
             return off_grid % (x, f)
         return on_grid % (x, f, items(list(map(_json_number, p.k))), _json_number(p.level))
 
+    last = best_text = None  # a step best held by consecutive steps is written once
+
     def step(s: StepRecord) -> str:
+        nonlocal last, best_text
         items, deltas = _ITEMS[_STEP + 1], _ITEMS[_LABEL_CANDIDATE]
+        if s.best is not last:
+            last, best_text = s.best, candidate(s.best, _STEP + 1)
         population = [candidate(lv.candidate, _MEMBER) for lv in s.labels]
         # each label's candidate is the member at its index, a depth deeper
         labels = [_LABEL_PATTERN % (text.replace("\n", "\n  "), _json_number(lv.label),
@@ -435,7 +439,7 @@ def _emit_json(reports: Sequence[RunReport]) -> str:
         cell = s.chosen_cell
         return _STEP_PATTERN % (
             _json_number(s.level), items(list(map(number, s.h))),
-            candidate(s.best, _STEP + 1), items(population), items(labels),
+            best_text, items(population), items(labels),
             "null" if cell is None else _CELL_PATTERN % (
                 _ITEMS[_STEP + 2](list(map(_json_number, cell.anchor.k))),
                 _json_number(cell.level)))

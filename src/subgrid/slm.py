@@ -235,7 +235,7 @@ def subdivide(
         for parent, child in zip(members, children):
             old = carried.get(parent.point)
             if old is None:
-                delta = _label_delta(obj, rule, parent, child)
+                delta = _label_delta(obj, evaluate, rule, parent, child)
                 labels.append(LabeledVertex(parent, label_from_delta(delta, rule), delta))
             else:
                 labels.append(LabeledVertex(parent, old.label, old.delta))
@@ -259,12 +259,14 @@ def subdivide(
     return steps, best, pop
 
 
-def _label_delta(obj: Objective, rule: LabelRule, parent: Candidate, child: Candidate) -> Vector:
+def _label_delta(obj: Objective, evaluate: Callable[[Vector], float], rule: LabelRule,
+                 parent: Candidate, child: Candidate) -> Vector:
     """The direction ``parent`` is labelled by: its gradient step under the
-    gradient rule where it has a usable gradient, else the step to ``child``."""
+    gradient rule where it has a usable gradient, else the step to ``child``.
+    A finite-difference gradient takes its values from ``evaluate``."""
     if rule.variant is LabelVariant.GRADIENT_FIXED_POINT:
         try:
-            return gradient_delta(parent.x, obj.gradient(parent.x))
+            return gradient_delta(parent.x, obj.gradient(parent.x, evaluate))
         except GradientUnavailableError:
             pass
     return delta_of(parent, child)

@@ -17,10 +17,13 @@ from subgrid.baselines import (
     random_walk_search,
     simulated_annealing,
     _bounded_draw,
+    _report,
+    _track,
     _uniform_point,
 )
+from subgrid.core import BoxDomain, Candidate
 from subgrid.errors import ConfigError
-from subgrid.functions import get_objective
+from subgrid.functions import Objective, _f4_noise, _f4_noiseless, get_objective
 
 
 @pytest.mark.parametrize("run,cfg", [
@@ -194,6 +197,32 @@ def _doubles(rng, method, n):
     return getattr(rng, method)(n).tolist()
 
 
+@st.composite
+def _wide_box(draw):
+    """A box of up to 3 axes, each at most 1e300 wide and anywhere in
+    [-1e300, 2e300]."""
+    lower, upper = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(-1e300, 1e300))
+        width = draw(st.floats(5e-324, 1e300))
+        if not lo < lo + width:
+            width = abs(lo) * 2**-52 or 5e-324  # at least one ulp of lo
+        lower.append(lo)
+        upper.append(lo + width)
+    return BoxDomain(tuple(lower), tuple(upper))
+
+
+class _StubGenerator:
+    """Stands in for a numpy Generator whose ``random`` returns ``draws``."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, n):
+        assert n == len(self.draws)
+        return np.array(self.draws)
+
+
 class TestNumpyStream:
     """The baselines' own draws against numpy's: the test that fails if numpy
     ever changes how ``Generator.integers`` or ``uniform`` draws."""
@@ -221,3 +250,103 @@ class TestNumpyStream:
             assert point == tuple(theirs.uniform(box.lower, box.upper).tolist())
             assert all(type(v) is float for v in point)
         assert ours.random() == theirs.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_decimal_box(max_dim=4), _wide_box()), st.data())
+    def test_uniform_point_stays_in_the_box(self, box, data):
+        u = st.sampled_from([0.0, 1.0 - 2**-53]) | st.floats(0.0, 1.0, exclude_max=True)
+        draws = data.draw(st.lists(u, min_size=box.dim, max_size=box.dim))
+        point = _uniform_point(_StubGenerator(draws), box)
+        assert box.contains(point), (box, draws, point)
+
+    def test_the_largest_draw_stays_below_an_overshooting_upper(self):
+        # -1.3 + 4.2 rounds to 2.9000000000000004; the largest double below 1 does not
+        box = BoxDomain((-1.3,), (2.9,))
+        assert box.lower[0] + box.width[0] > box.upper[0]
+        assert _uniform_point(_StubGenerator([1.0 - 2**-53]), box) == (2.8999999999999995,)
+
+
+def reference_differential_evolution(obj, cfg):
+    """``differential_evolution`` as it stood before its trial was built in
+    two passes: the oracle for its random stream and its reports."""
+    rng = np.random.default_rng(cfg.seed)
+    draw = _bounded_draw(rng)
+    lo, hi = obj.box.lower, obj.box.upper
+    n = obj.dim
+    np_ = cfg.pop_size
+    pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
+    fit = [obj.evaluate(x, rng=rng) for x in pop]
+    steps = []
+
+    def current_best() -> Candidate:
+        i = int(np.argmin(fit))  # first index of the minimum; a NaN wins
+        return Candidate(pop[i], fit[i])
+
+    best = current_best()
+    _track(steps, 0, (), best)
+    for gen in range(1, cfg.generations + 1):
+        fw = cfg.f_weight if cfg.f_weight is not None else rng.uniform(0.4, 1.0)
+        for i in range(np_):
+            a = b = c = i
+            while a == i:
+                a = draw(np_)
+            while b == i or b == a:
+                b = draw(np_)
+            while c == i or c == a or c == b:
+                c = draw(np_)
+            mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
+            outside = [v < low or v > high for v, low, high in zip(mutant, lo, hi)]  # NaN: inside
+            if any(outside):
+                fresh = _uniform_point(rng, obj.box)
+                mutant = [r if o else v for o, v, r in zip(outside, mutant, fresh)]
+            cross = (rng.random(n) < cfg.cr).tolist()
+            cross[draw(n)] = True  # at least one mutant gene
+            trial = tuple(m if take else p for take, m, p in zip(cross, mutant, pop[i]))
+            ft = obj.evaluate(trial, rng=rng)
+            if ft <= fit[i]:
+                pop[i] = trial
+                fit[i] = ft
+        gen_best = current_best()
+        if gen_best.f < best.f:
+            best = gen_best
+        _track(steps, gen, (fw,), best)
+    return _report("de", obj, steps, best, np_ * (cfg.generations + 1),
+                   {"generations": cfg.generations, "seed": cfg.seed,
+                    "pop_size": cfg.pop_size, "cr": cfg.cr,
+                    "f_mode": "random" if cfg.f_weight is None else cfg.f_weight})
+
+
+def _assert_same_de_report(got, want):
+    assert [(s.level, s.h, s.best) for s in got.steps] == \
+        [(s.level, s.h, s.best) for s in want.steps]
+    assert (got.best, got.evaluations, got.meta) == (want.best, want.evaluations, want.meta)
+    assert all(type(s.best.x) is tuple for s in got.steps)
+
+
+def _shifted_squares(x):
+    return sum((v - 0.3 * d) ** 2 for d, v in enumerate(x))
+
+
+class TestDifferentialEvolutionStream:
+    """``differential_evolution`` draws, keeps and reports exactly what
+    ``reference_differential_evolution`` does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_decimal_box(max_dim=6), st.integers(4, 9), st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           st.sampled_from([None, 0.5, 2.0, 50.0]), st.booleans(), st.integers(1, 6),
+           st.integers(0, 2**32))
+    def test_matches_the_reference(self, box, pop_size, cr, f_weight, noisy, gens, seed):
+        # weights of 2 and 50 throw most mutants out of the box, so genes are resampled
+        if noisy:
+            obj = Objective("f4-like", box, _f4_noiseless, noise_fn=_f4_noise, smooth=False)
+        else:
+            obj = Objective("squares", box, _shifted_squares)
+        cfg = DeConfig(generations=gens, seed=seed, pop_size=pop_size, cr=cr, f_weight=f_weight)
+        _assert_same_de_report(differential_evolution(obj, cfg),
+                               reference_differential_evolution(obj, cfg))
+
+    def test_matches_the_reference_on_30d_f4(self):
+        obj = get_objective("f4")
+        cfg = DeConfig(generations=50, seed=0)
+        _assert_same_de_report(differential_evolution(obj, cfg),
+                               reference_differential_evolution(obj, cfg))

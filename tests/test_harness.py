@@ -1,3 +1,5 @@
+import functools
+import io
 import json
 import math
 from unittest import mock
@@ -512,6 +514,101 @@ GRID_ENGINES = [
     ("slmga", {}),
 ]
 GRID_ENGINE_IDS = ["slm", "slm-full-box", "slmga"]
+
+
+def reference_emit_csv(reports):
+    """``harness._emit_csv`` as it stood before it wrote a repeated best's
+    text once: the oracle its bytes are held to."""
+    n = len(reports[0].best.x)
+    out = io.StringIO()
+    cols = ["trial", "step", "h"] + ["best_x_%d" % (d + 1) for d in range(n)]
+    cols += ["best_f", "label_multiset"]
+    out.write(",".join(cols) + "\n")
+    for t, rep in enumerate(reports):
+        rows = rep.steps or [None]
+        for s in rows:
+            if s is None:
+                step, h, best, labels = 1, (), rep.best, []
+            else:
+                step, h, best, labels = s.level, s.h, s.best, s.labels
+            multiset = "|".join(str(lv.label) for lv in labels)
+            row = [str(t), str(step), harness._fmt_h(h)]
+            row += [repr(v) for v in best.x]
+            row += [repr(best.f), multiset]
+            out.write(",".join(row) + "\n")
+    return out.getvalue()
+
+
+_SIX_ALGORITHMS = [("slm", {"h_tol": 0.05}), ("slmga", {"h_tol": 0.05}), ("rs", {"budget": 40}),
+                   ("rsw", {"budget": 40}), ("sa", {"budget": 40}), ("de", {"generations": 4})]
+
+
+@functools.lru_cache(maxsize=None)
+def _real_report(algo: str, seed: int) -> RunReport:
+    return run_algorithm(algo, get_objective("f2"), dict(_SIX_ALGORITHMS)[algo], seed)
+
+
+@st.composite
+def _reports_sharing_bests(draw):
+    """Real f2 reports of the six algorithms.  Each step's best, and a
+    step-less report's, is its own, a distinct copy of its own, the best
+    written just before (one object), or a distinct twin of that best that
+    compares equal to it but is written otherwise (``np.float64`` genes)."""
+    reports, last = [], None
+
+    def pick(best):
+        how = draw(st.sampled_from(["own", "copy", "previous", "twin"]))
+        if how == "copy":
+            return Candidate(best.x, best.f, best.point)
+        if how == "previous" and last is not None:
+            return last
+        if how == "twin" and last is not None:
+            return Candidate(tuple(map(np.float64, last.x)), last.f, last.point)
+        return best
+
+    for _ in range(draw(st.integers(1, 3))):
+        rep = _real_report(draw(st.sampled_from([a for a, _ in _SIX_ALGORITHMS])),
+                           draw(st.integers(0, 1)))
+        steps = []
+        if draw(st.integers(0, 3)):  # one report in four has no steps
+            for s in rep.steps:
+                last = pick(s.best)
+                steps.append(StepRecord(s.level, s.h, s.labels, s.chosen_cell, last))
+        best = pick(rep.best) if not steps else rep.best
+        if not steps:
+            last = best
+        reports.append(RunReport(steps=steps, best=best, evaluations=rep.evaluations,
+                                 converged=rep.converged, meta=rep.meta,
+                                 best_value=rep.best_value))
+    return reports
+
+
+class TestRepeatedBests:
+    """A best held by consecutive rows or steps is written once, with the
+    bytes the writers gave when they wrote it every time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_reports_sharing_bests())
+    def test_same_bytes(self, reports):
+        assert emit_table(reports, "csv") == reference_emit_csv(reports)
+        assert emit_table(reports, "json") == _reference_json(reports)
+
+    def test_equal_bests_keep_their_own_text(self):
+        # equal, so only identity may decide reuse: 0.0 == -0.0, 1.0 == True, 2.0 == 2
+        first, twin = Candidate((0.0, 1.0), 2.0), Candidate((-0.0, True), 2)
+        assert first == twin
+        steps = [StepRecord(level, (0.5,), [], None, best)
+                 for level, best in enumerate((first, twin, twin, first), start=1)]
+        reports = [RunReport(steps=steps, best=first, evaluations=4, converged=True),
+                   RunReport(steps=[], best=twin, evaluations=1, converged=True)]
+        assert emit_table(reports, "csv") == reference_emit_csv(reports)
+        assert emit_table(reports, "json") == _reference_json(reports)
+
+    def test_de_steps_share_their_best(self):
+        # the case the reuse is for: DE keeps its best object until it improves
+        rep = _real_report("de", 0)
+        assert any(a.best is b.best for a, b in zip(rep.steps, rep.steps[1:]))
+        assert emit_table([rep], "csv") == reference_emit_csv([rep])
 
 
 def _points_outside(rep, box):

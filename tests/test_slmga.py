@@ -431,3 +431,15 @@ class TestGradientFallback:
         assert grad.steps == plain.steps
         assert (grad.best, grad.best_value, grad.evaluations) == (
             plain.best, plain.best_value, plain.evaluations)
+
+    @pytest.mark.parametrize("variant", ["best-neighbor", "gradient-fixed-point"])
+    def test_every_kernel_call_is_counted(self, variant):
+        # finite-difference points go through the Evaluator, which counts
+        # them and caches repeats: 1,326 evaluations under gradient labels
+        from subgrid.labeling import LabelRule, LabelVariant
+
+        fn = _recording(lambda x: x[0] ** 2 + x[1] ** 2)
+        obj = Objective("sphere", BoxDomain.cube(-4.0, 4.0, 2), fn)
+        rep = ga_run(obj, GaConfig(label_rule=LabelRule(LabelVariant(variant))))
+        assert rep.evaluations == len(fn.probes)
+        assert all(obj.box.contains(x) and type(x) is tuple for x in fn.probes)
