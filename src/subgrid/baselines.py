@@ -6,16 +6,35 @@ shape as the grid engines so the harness can tabulate them uniformly.
 Hyperparameter defaults are conventional choices (the reference tables
 give only budgets) and are echoed into each report's metadata.
 
+Each point is in its box by construction, so each is evaluated with
+``in_box=True``, unchecked:
+
+- an in-box point, ``lower + width * u`` with ``0 <= u <= 1 - 2**-53``,
+  stays in ``[lower, upper]`` (where ``lower + width`` rounds past
+  ``upper``, too);
+- a local search's start point is checked by ``start_point``, or is the
+  box centre;
+- rsw's and sa's trials clip ``v + d * s`` to the box per gene; where
+  ``v``, ``d`` and ``s`` are finite the gene is never NaN, and the clip
+  lands it inside.  sa's ``s`` is at most its first step scale; rsw's
+  ``radius / norm`` overflows to an infinity when the scale is near the
+  largest double, and only then is its trial checked;
+- in a DE mutant gene ``va + fw * (vb - vc)``, ``vb - vc`` is at most the
+  box's finite width and ``fw`` is finite, so the gene is finite or an
+  infinity, never NaN; a gene outside the box is replaced by an in-box
+  one, and a trial's other genes are its member's.
+
 A point is a tuple of Python floats.  The random numbers are numpy's stream
 bit for bit, from few numpy calls: doubles from ``rng.random``, an in-box
 point as ``lower + width * u`` (as ``rng.uniform``), DE's integers from raw
 words (``_bounded_draw``).  Each draw becomes a list where it is made.
 
-DE draws a generation's weight first, unless it is fixed.  Each trial then
-draws, in this order: the indices a, b and c, each drawn again until it
-differs from the member and the indices before it; a fresh in-box point,
-only if a mutant gene lies outside the box; n crossover doubles; the index
-of the gene always taken from the mutant (no draw in one dimension); and the
+DE draws a generation's weight first, unless it is fixed: one double, as
+``rng.uniform`` draws it (``_random_weight``).  Each trial then draws, in
+this order: the indices a, b and c, each drawn again until it differs from
+the member and the indices before it; a fresh in-box point, only if a
+mutant gene lies outside the box; n crossover doubles; the index of the
+gene always taken from the mutant (no draw in one dimension); and the
 objective's noise, if it has any.
 """
 
@@ -91,6 +110,21 @@ def _bounded_draw(rng):
     return draw
 
 
+def _argmin(values: list[float]) -> int:
+    """``int(np.argmin(values))`` for a list of floats: the first index of
+    the minimum, or of the first NaN if there is one."""
+    i = values.index(min(values))
+    if math.isnan(sum(values)):  # a NaN, or infinities of both signs
+        i = next((k for k, v in enumerate(values) if v != v), i)
+    return i
+
+
+def _random_weight(rng) -> float:
+    """DE's weight, ``rng.uniform(0.4, 1.0)`` bit for bit: numpy computes
+    ``low + (high - low) * u`` from one double."""
+    return 0.4 + (1.0 - 0.4) * rng.random()
+
+
 def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
     """The start point of a local search: ``initial``, else the box centre."""
     if initial is None:
@@ -118,7 +152,7 @@ def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     steps = []
     for i in range(cfg.budget):
         x = _uniform_point(rng, obj.box)
-        cand = Candidate(x, obj.evaluate(x, rng=rng))
+        cand = Candidate(x, obj.evaluate(x, rng=rng, in_box=True))
         if best is None or rank(cand) < rank(best):
             best = cand
             _track(steps, i + 1, (), best)
@@ -150,7 +184,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     x = start = start_point(obj, cfg.initial)
     rng = np.random.default_rng(cfg.seed)
     n = obj.dim
-    f = obj.evaluate(x, rng=rng)
+    f = obj.evaluate(x, rng=rng, in_box=True)
     best = Candidate(x, f)
     steps = []
     _track(steps, 0, (cfg.step_scale,), best)
@@ -163,8 +197,10 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
         if norm == 0.0:
             continue
         radius = scale * rng.random() ** (1.0 / n)
-        trial = _clipped_step(x, direction.tolist(), radius / norm, obj.box)
-        ft = obj.evaluate(trial, rng=rng)
+        step = radius / norm
+        trial = _clipped_step(x, direction.tolist(), step, obj.box)
+        # a step that overflowed times a zero gene is NaN: that trial is checked
+        ft = obj.evaluate(trial, rng=rng, in_box=step < math.inf)
         if ft < f:
             x, f = trial, ft
             rejections = 0
@@ -208,7 +244,7 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     rng = np.random.default_rng(cfg.seed)
     x = start = start_point(obj, cfg.initial)
     sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
-    f = obj.evaluate(x, rng=rng)
+    f = obj.evaluate(x, rng=rng, in_box=True)
     best = Candidate(x, f)
     steps = []
     _track(steps, 0, (sigma0,), best)
@@ -216,9 +252,10 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
         trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
-        ft = obj.evaluate(trial, rng=rng)
+        ft = obj.evaluate(trial, rng=rng, in_box=True)
         delta = ft - f
-        if delta <= 0.0 or rng.random() < np.exp(-delta / t):
+        # t cools to 0.0 in the end; there an uphill move has probability 0
+        if delta <= 0.0 or rng.random() < (np.exp(-delta / t) if t > 0.0 else 0.0):
             x, f = trial, ft
             if f < best.f:
                 best = Candidate(x, f)
@@ -258,17 +295,17 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     n = obj.dim
     np_, cr = cfg.pop_size, cfg.cr
     pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
-    fit = [obj.evaluate(x, rng=rng) for x in pop]
+    fit = [obj.evaluate(x, rng=rng, in_box=True) for x in pop]
     steps = []
 
     def current_best() -> Candidate:
-        i = int(np.argmin(fit))  # first index of the minimum; a NaN wins
+        i = _argmin(fit)
         return Candidate(pop[i], fit[i])
 
     best = current_best()
     _track(steps, 0, (), best)
     for gen in range(1, cfg.generations + 1):
-        fw = cfg.f_weight if cfg.f_weight is not None else rng.uniform(0.4, 1.0)
+        fw = cfg.f_weight if cfg.f_weight is not None else _random_weight(rng)
         for i in range(np_):
             a = b = c = i
             while a == i:
@@ -278,7 +315,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
             while c == i or c == a or c == b:
                 c = draw(np_)
             mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
-            if any(map(lt, mutant, lo)) or any(map(gt, mutant, hi)):  # NaN: inside
+            if any(map(lt, mutant, lo)) or any(map(gt, mutant, hi)):
                 fresh = _uniform_point(rng, obj.box)
                 mutant = [r if v < low or v > high else v
                           for v, low, high, r in zip(mutant, lo, hi, fresh)]
@@ -287,7 +324,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
             genes = [m if u < cr else p for u, m, p in zip(cross, mutant, pop[i])]
             genes[j] = mutant[j]
             trial = tuple(genes)
-            ft = obj.evaluate(trial, rng=rng)
+            ft = obj.evaluate(trial, rng=rng, in_box=True)
             if ft <= fit[i]:
                 pop[i] = trial
                 fit[i] = ft

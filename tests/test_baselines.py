@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from subgrid.baselines import (
     random_search,
     random_walk_search,
     simulated_annealing,
+    _argmin,
     _bounded_draw,
+    _random_weight,
     _report,
     _track,
     _uniform_point,
@@ -24,6 +29,9 @@ from subgrid.baselines import (
 from subgrid.core import BoxDomain, Candidate
 from subgrid.errors import ConfigError
 from subgrid.functions import Objective, _f4_noise, _f4_noiseless, get_objective
+from subgrid.harness import expression_objective
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("run,cfg", [
@@ -130,6 +138,32 @@ class TestSimulatedAnnealing:
         b = simulated_annealing(obj, SaConfig(budget=200, seed=11))
         assert a.best == b.best
 
+    def test_a_run_cooled_to_zero_finishes(self):
+        # cooling 0.5 takes t0 = 1e-3 to 0.0 in 1,065 steps; F4's noise
+        # then makes uphill moves, which used to divide by t
+        obj = get_objective("f4")
+        rep = simulated_annealing(obj, SaConfig(budget=2000, cooling=0.5))
+        assert rep.evaluations == 2001
+        values = [s.best.f for s in rep.steps]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_every_uphill_move_draws_at_any_temperature(self, monkeypatch):
+        # every value exceeds the last, so each of the 1,200 moves is uphill
+        # and draws its double, before and after t reaches 0.0
+        made, default_rng = [], np.random.default_rng
+
+        def counting_rng(seed):
+            made.append(_CountingGenerator(default_rng(seed)))
+            return made[-1]
+
+        calls = itertools.count()
+        obj = Objective("uphill", BoxDomain.cube(-1.0, 1.0, 2), lambda x: float(next(calls)))
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        rep = simulated_annealing(obj, SaConfig(budget=1200, cooling=0.5))
+        assert 1e-3 * 0.5**1200 == 0.0
+        assert made[0].randoms == 1200
+        assert rep.best.x == obj.box.center()
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SaConfig(cooling=1.5)
@@ -139,6 +173,21 @@ class TestSimulatedAnnealing:
             SaConfig(step_scale=-1.0)
         with pytest.raises(ConfigError, match=r"^budget must be >= 1$"):
             SaConfig(budget=0)
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.randoms = 0
+
+    def random(self, *args):
+        self.randoms += 1
+        return self.rng.random(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class TestDifferentialEvolution:
@@ -198,13 +247,13 @@ def _doubles(rng, method, n):
 
 
 @st.composite
-def _wide_box(draw):
-    """A box of up to 3 axes, each at most 1e300 wide and anywhere in
-    [-1e300, 2e300]."""
+def _wide_box(draw, span=1e300):
+    """A box of up to 3 axes, each at most ``span`` wide, with its lower
+    bound at least ``-span`` and its upper bound finite."""
     lower, upper = [], []
     for _ in range(draw(st.integers(1, 3))):
-        lo = draw(st.floats(-1e300, 1e300))
-        width = draw(st.floats(5e-324, 1e300))
+        lo = draw(st.floats(-span, min(span, sys.float_info.max - span)))
+        width = draw(st.floats(5e-324, span))
         if not lo < lo + width:
             width = abs(lo) * 2**-52 or 5e-324  # at least one ulp of lo
         lower.append(lo)
@@ -350,3 +399,83 @@ class TestDifferentialEvolutionStream:
         cfg = DeConfig(generations=50, seed=0)
         _assert_same_de_report(differential_evolution(obj, cfg),
                                reference_differential_evolution(obj, cfg))
+
+
+def _box_checking(box):
+    """An objective whose kernel asserts that each point it is given is
+    finite and lies in ``box``: the baselines evaluate with ``in_box=True``."""
+    def eval_fn(x):
+        assert all(map(math.isfinite, x)) and box.contains(x), (box, x)
+        return x[0]
+
+    return Objective("box-checking", box, eval_fn)
+
+
+_BOXES = st.one_of(_decimal_box(max_dim=4), _wide_box(span=1e308))
+_STEP_SCALES = st.one_of(st.sampled_from([1e-300, 1.0, 1e308]), st.floats(1e-9, 1e308))
+
+
+class TestEveryPointIsInTheBox:
+    """Each point a baseline evaluates is in its box by construction (the
+    ``baselines`` docstring), with mutants and steps that overflow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BOXES, st.integers(4, 9), st.sampled_from([0.0, 1.0]),
+           st.sampled_from([None, 0.0, 0.5, 50.0, 1e308, -1e308]), st.integers(1, 3),
+           st.integers(0, 2**32))
+    def test_differential_evolution(self, box, pop_size, cr, f_weight, gens, seed):
+        cfg = DeConfig(generations=gens, seed=seed, pop_size=pop_size, cr=cr, f_weight=f_weight)
+        assert differential_evolution(_box_checking(box), cfg).evaluations == pop_size * (gens + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_BOXES, st.integers(1, 20), st.integers(0, 2**32))
+    def test_random_search(self, box, budget, seed):
+        assert random_search(_box_checking(box), RsConfig(budget=budget, seed=seed)).evaluations \
+            == budget
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BOXES, st.integers(1, 20), st.integers(0, 2**32), _STEP_SCALES,
+           st.sampled_from([0.995, 0.5, 1e-300]))
+    def test_local_searches(self, box, budget, seed, scale, cooling):
+        obj = _box_checking(box)
+        random_walk_search(obj, RswConfig(budget=budget, seed=seed, step_scale=scale))
+        simulated_annealing(obj, SaConfig(budget=budget, seed=seed, step_scale=scale,
+                                          cooling=cooling))
+        simulated_annealing(obj, SaConfig(budget=budget, seed=seed, cooling=cooling))
+
+
+class TestTheNumpyCallsThatWent:
+    """``_argmin`` and ``_random_weight`` against the numpy calls they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]),
+                              st.floats()), min_size=1, max_size=25))
+    def test_argmin_is_numpys(self, values):
+        assert _argmin(values) == int(np.argmin(values))
+
+    def test_random_weight_is_numpy_uniform(self):
+        for seed in range(1000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(3):
+                got, want = _random_weight(ours), theirs.uniform(0.4, 1.0)
+                assert (type(got), got.hex()) == (float, want.hex())
+                assert ours.bit_generator.random_raw(k).tolist() == \
+                    theirs.bit_generator.random_raw(k).tolist()
+
+
+@pytest.mark.parametrize("run,obj,cfg", [
+    (differential_evolution, get_objective("f4"), DeConfig(generations=5)),
+    (differential_evolution, expression_objective("x1^2 + x2*x3 - sin(x4)", 4, -2.0, 2.0),
+     DeConfig(generations=5, pop_size=6)),
+    (random_search, get_objective("f2"), RsConfig(budget=50)),
+    (random_walk_search, get_objective("f2"), RswConfig(budget=50)),
+    (simulated_annealing, get_objective("f2"), SaConfig(budget=50)),
+], ids=["de-f4", "de-expr", "rs", "rsw", "sa"])
+def test_one_kernel_span_per_evaluation(monkeypatch, run, obj, cfg):
+    # the benchmark's contract: one traced Objective.evaluate per evaluation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import KERNEL_SPAN, Tracer
+
+    with Tracer().installed() as tracer:
+        report = run(obj, cfg)
+    assert tracer.stats[KERNEL_SPAN].calls == report.evaluations

@@ -503,6 +503,15 @@ class TestRun:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_annealing_cooled_to_zero_exit_0(self, capsys, tmp_path):
+        # cooling 0.5 rounds t down to 0.0 within the budget, and F4's noise
+        # then makes uphill moves: accepted with probability 0, not divided by t
+        ini = tmp_path / "e.ini"
+        ini.write_text("[a]\nfunction = f4\nalgo = sa\nbudget = 2000\ncooling = 0.5\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(ini))
+        assert (code, err) == (0, "")
+        assert "| SA | f4 |" in out
+
     def test_percent_in_config_value_is_literal(self, capsys, tmp_path):
         # no interpolation: the value reaches the expression parser as written
         ini = tmp_path / "e.ini"
