@@ -53,10 +53,9 @@ class Objective:
         if not self.box.contains(x):
             raise SubgridError("%s: point %r outside box" % (self.name, tuple(x)))
 
-    def noiseless(self, x: Sequence[float], *, in_box: bool = False) -> float:
+    def noiseless(self, x: Sequence[float]) -> float:
         """Deterministic value: the objective itself, or F4 without noise."""
-        if not in_box:
-            self._check_box(x)
+        self._check_box(x)
         return float(self.eval_fn(x))
 
     def evaluate(self, x: Sequence[float], rng=None, *, in_box: bool = False) -> float:

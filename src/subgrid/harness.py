@@ -123,8 +123,8 @@ def expression_objective(src: str, dim: int, lower: float, upper: float) -> Obje
 
 @functools.lru_cache()
 def _compiled_expression(src: str, dim: int):
-    """``src`` parsed for ``dim`` variables into its closures, once while it
-    is among the 128 latest: checking a config and running it resolve the
+    """``src`` compiled for ``dim`` variables into one function, once while
+    it is among the 128 latest: checking a config and running it resolve the
     same expression.  An error is raised each time, as nothing is cached for
     it."""
     return expr_parse(src, dim)

@@ -147,7 +147,7 @@ class TestRun:
 
     def test_an_expression_is_parsed_and_compiled_once(self, capsys):
         # checking the flags and running them resolve the same expression,
-        # and parsing it makes its closures
+        # and parsing it compiles its function
         harness._compiled_expression.cache_clear()
         with mock.patch.object(harness, "expr_parse", wraps=harness.expr_parse) as parse:
             code, _, _ = run_cli(capsys, "run", "--expr", "x1^2+x2^2", "--dim", "2",
@@ -661,7 +661,7 @@ class TestRun:
                              ids=["slm", "slmga", "de"])
     def test_a_948_term_sum_runs(self, algo, budget):
         # no fixed depth limit: a fresh interpreter, as the command line has,
-        # evaluates a sum nested 947 deep, four terms short of the limit
+        # runs a sum nested 947 deep, 36 terms short of the longest it parses
         src = os.path.dirname(os.path.dirname(os.path.abspath(subgrid.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
@@ -839,8 +839,8 @@ class TestEval:
     def test_a_chain_near_the_limit_fails_before_any_section_runs_or_runs(
             self, capsys, tmp_path, monkeypatch, joiner, term, traced):
         # an engine evaluates deeper in the stack than the file is checked,
-        # perfbench's tracer deeper still; the parser's frame margin covers
-        # both, so no file fails after its first section has run
+        # perfbench's tracer deeper still; the compiled function takes one
+        # frame wherever it runs, so no file fails after its first section
         ran = []
         run_experiment = harness.run_experiment
 
@@ -881,8 +881,8 @@ class TestEval:
 
     @pytest.mark.parametrize("way", ["eval", "run", "ini"])
     def test_a_3000_term_sum_is_too_deep(self, capsys, tmp_path, monkeypatch, way):
-        # the parser spends a frame per operator, as evaluation does, so the
-        # sum is refused while its section is checked, before any section runs
+        # the parser spends a frame per operator, so the sum is refused while
+        # its section is checked, before any section runs
         def refuse(*args, **kwargs):
             raise AssertionError("a section ran before every section was checked")
 
