@@ -25,9 +25,15 @@ Each point is in its box by construction, so each is evaluated with
   one, and a trial's other genes are its member's.
 
 A point is a tuple of Python floats.  The random numbers are numpy's stream
-bit for bit, from few numpy calls: doubles from ``rng.random``, an in-box
-point as ``lower + width * u`` (as ``rng.uniform``), DE's integers from raw
-words (``_bounded_draw``).  Each draw becomes a list where it is made.
+bit for bit: a double is ``rng.random``'s, ``(w >> 11) * 2**-53`` of PCG64's
+next raw word ``w``; an in-box point is ``lower + width * u`` (as
+``rng.uniform``); DE's integers are ``rng.integers``'s, Lemire's method on
+the words' 32-bit halves (``_bounded_draw``).  Where the objective draws no
+noise, rs and DE read the raw words ``BLOCK`` at a time and serve every
+draw from Python lists (``_block_reader``): nothing else reads the
+generator, so reading ahead changes no number.  A noisy objective (F4)
+draws its noise from the same generator between trials, so there each draw
+is a numpy call made when it is needed (``_sources``).
 
 DE draws a generation's weight first, unless it is fixed: one double, as
 ``rng.uniform`` draws it (``_random_weight``).  Each trial then draws, in
@@ -50,6 +56,8 @@ import numpy as np
 from .core import Candidate, RunReport, StepRecord, rank
 from .errors import ConfigError, clip
 from .functions import Objective
+
+BLOCK = 4096  # raw words per numpy call where a run reads ahead (_block_reader)
 
 # Generation counts reported for third-party GAs; stored for PNG ratios,
 # deliberately not reproduced here.
@@ -79,19 +87,20 @@ def _clipped_step(x, direction, scale, box) -> tuple[float, ...]:
                  for v, d, lo, hi in zip(x, direction, box.lower, box.upper))
 
 
-def _uniform_point(rng, box) -> tuple[float, ...]:
-    """A uniform point in ``box``: ``rng.uniform(box.lower, box.upper)``, bit for bit."""
-    draws = rng.random(box.dim).tolist()
+def _uniform_point(doubles, box) -> tuple[float, ...]:
+    """A uniform point in ``box`` from a ``doubles`` source (``_sources``):
+    ``rng.uniform(box.lower, box.upper)``, bit for bit."""
+    draws = doubles(box.dim)
     return tuple([lo + w * u for lo, w, u in zip(box.lower, box.width, draws)])
 
 
-def _bounded_draw(rng):
+def _bounded_draw(word):
     """``draw(high)`` returns ``rng.integers(high)`` bit for bit, for
-    ``1 <= high <= 2**32``: numpy's method (Lemire, arXiv:1805.10941) on
-    PCG64's 32-bit words, the low half of each raw word first.  ``draw``
-    keeps the spare half, so nothing may call ``rng.integers`` once it
-    exists.  DE's population and dimension lie far below 2**32."""
-    raw = rng.bit_generator.random_raw
+    ``1 <= high <= 2**32``, where ``word()`` returns PCG64's next raw word:
+    numpy's method (Lemire, arXiv:1805.10941) on its 32-bit words, the low
+    half of each raw word first.  ``draw`` keeps the spare half, so nothing
+    may call ``rng.integers`` once it exists.  DE's population and dimension
+    lie far below 2**32."""
     spare = None  # the high half of the last raw word, until it is used
 
     def draw(high: int) -> int:
@@ -99,8 +108,8 @@ def _bounded_draw(rng):
         threshold = (0x100000000 - high) % high
         while high > 1:  # one value draws nothing
             if spare is None:
-                word = raw()
-                m, spare = (word & 0xFFFFFFFF) * high, word >> 32
+                w = word()
+                m, spare = (w & 0xFFFFFFFF) * high, w >> 32
             else:
                 m, spare = spare * high, None
             if m & 0xFFFFFFFF >= threshold:
@@ -108,6 +117,54 @@ def _bounded_draw(rng):
         return 0
 
     return draw
+
+
+def _block_reader(rng):
+    """``(draw, doubles)`` over ``rng``'s raw words, fetched ``BLOCK`` at a
+    time: ``doubles(k)`` is ``rng.random(k).tolist()`` and ``draw`` is
+    ``_bounded_draw``'s, bit for bit, in any interleaving.  A refill keeps
+    the unread words.  A request longer than a block takes the unread words
+    and then reads the rest from ``rng`` itself, whose state is just past
+    them, so a wide point is not kept twice.  ``rng`` runs ahead of what
+    was served, so nothing else may read it while these are in use."""
+    raw = rng.bit_generator.random_raw
+    words, units, pos = [], [], 0  # unread: words[pos:], with their doubles units[pos:]
+
+    def refill() -> None:
+        nonlocal words, units, pos
+        block = raw(BLOCK)
+        words = words[pos:] + block.tolist()
+        units = units[pos:] + ((block >> 11) * 2.0**-53).tolist()
+        pos = 0
+
+    def word() -> int:
+        nonlocal pos
+        if pos == len(words):
+            refill()
+        pos += 1
+        return words[pos - 1]
+
+    def doubles(k: int) -> list[float]:
+        nonlocal pos
+        if pos + k > len(units):
+            if k > BLOCK:
+                rest = units[pos:]
+                pos = len(units)
+                return rest + rng.random(k - len(rest)).tolist()
+            refill()
+        pos += k
+        return units[pos - k:pos]
+
+    return _bounded_draw(word), doubles
+
+
+def _sources(rng, obj: Objective):
+    """A run's ``(draw, doubles)`` from ``rng``: ``_block_reader`` when
+    ``obj`` draws no noise.  A noisy objective draws from ``rng`` between
+    trials, so there each draw is a numpy call made when it is needed."""
+    if obj.noise_fn is None:
+        return _block_reader(rng)
+    return _bounded_draw(rng.bit_generator.random_raw), lambda k: rng.random(k).tolist()
 
 
 def _argmin(values: list[float]) -> int:
@@ -119,10 +176,10 @@ def _argmin(values: list[float]) -> int:
     return i
 
 
-def _random_weight(rng) -> float:
+def _random_weight(doubles) -> float:
     """DE's weight, ``rng.uniform(0.4, 1.0)`` bit for bit: numpy computes
     ``low + (high - low) * u`` from one double."""
-    return 0.4 + (1.0 - 0.4) * rng.random()
+    return 0.4 + (1.0 - 0.4) * doubles(1)[0]
 
 
 def start_point(obj: Objective, initial: Optional[tuple[float, ...]]) -> tuple[float, ...]:
@@ -148,10 +205,11 @@ class RsConfig:
 def random_search(obj: Objective, cfg: RsConfig) -> RunReport:
     """Uniform in-box sampling, best kept."""
     rng = np.random.default_rng(cfg.seed)
+    _, doubles = _sources(rng, obj)
     best: Optional[Candidate] = None
     steps = []
     for i in range(cfg.budget):
-        x = _uniform_point(rng, obj.box)
+        x = _uniform_point(doubles, obj.box)
         cand = Candidate(x, obj.evaluate(x, rng=rng, in_box=True))
         if best is None or rank(cand) < rank(best):
             best = cand
@@ -290,11 +348,11 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     """DE/rand/1/bin with per-generation random differential weight and uniform
     resampling of out-of-box genes; indices drawn as ``rng.integers`` draws them."""
     rng = np.random.default_rng(cfg.seed)
-    draw = _bounded_draw(rng)
+    draw, doubles = _sources(rng, obj)
     lo, hi = obj.box.lower, obj.box.upper
     n = obj.dim
     np_, cr = cfg.pop_size, cfg.cr
-    pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
+    pop = [_uniform_point(doubles, obj.box) for _ in range(np_)]
     fit = [obj.evaluate(x, rng=rng, in_box=True) for x in pop]
     steps = []
 
@@ -305,7 +363,7 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
     best = current_best()
     _track(steps, 0, (), best)
     for gen in range(1, cfg.generations + 1):
-        fw = cfg.f_weight if cfg.f_weight is not None else _random_weight(rng)
+        fw = cfg.f_weight if cfg.f_weight is not None else _random_weight(doubles)
         for i in range(np_):
             a = b = c = i
             while a == i:
@@ -316,10 +374,10 @@ def differential_evolution(obj: Objective, cfg: DeConfig) -> RunReport:
                 c = draw(np_)
             mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
             if any(map(lt, mutant, lo)) or any(map(gt, mutant, hi)):
-                fresh = _uniform_point(rng, obj.box)
+                fresh = _uniform_point(doubles, obj.box)
                 mutant = [r if v < low or v > high else v
                           for v, low, high, r in zip(mutant, lo, hi, fresh)]
-            cross = rng.random(n).tolist()
+            cross = doubles(n)
             j = draw(n)  # at least one mutant gene
             genes = [m if u < cr else p for u, m, p in zip(cross, mutant, pop[i])]
             genes[j] = mutant[j]

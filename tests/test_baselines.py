@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_harness import _decimal_box
 
 from subgrid.baselines import (
+    BLOCK,
     REPORTED_GENERATIONS,
     DeConfig,
     RsConfig,
@@ -20,6 +21,7 @@ from subgrid.baselines import (
     random_walk_search,
     simulated_annealing,
     _argmin,
+    _block_reader,
     _bounded_draw,
     _random_weight,
     _report,
@@ -240,10 +242,24 @@ _CALL = st.one_of(
     st.tuples(st.sampled_from(["random", "uniform", "standard_normal"]), st.integers(1, 5)))
 
 
+# A script for the block reader: ("draw", high) or ("doubles", k), with
+# requests that end on, straddle or span whole blocks.
+_READ = st.one_of(
+    st.tuples(st.just("draw"), _HIGHS),
+    st.tuples(st.just("doubles"), st.one_of(
+        st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]),
+        st.integers(0, 40), st.integers(2 * BLOCK + 1, 3 * BLOCK))))
+
+
 def _doubles(rng, method, n):
     if method == "uniform":
         return rng.uniform(size=n).tolist()
     return getattr(rng, method)(n).tolist()
+
+
+def _numpy_doubles(rng):
+    """A ``doubles`` source that calls numpy, as a noisy run's does."""
+    return lambda k: rng.random(k).tolist()
 
 
 @st.composite
@@ -261,15 +277,13 @@ def _wide_box(draw, span=1e300):
     return BoxDomain(tuple(lower), tuple(upper))
 
 
-class _StubGenerator:
-    """Stands in for a numpy Generator whose ``random`` returns ``draws``."""
+def _stub_doubles(draws):
+    """A ``doubles`` source whose one request returns ``draws``."""
+    def doubles(k):
+        assert k == len(draws)
+        return list(draws)
 
-    def __init__(self, draws):
-        self.draws = draws
-
-    def random(self, n):
-        assert n == len(self.draws)
-        return np.array(self.draws)
+    return doubles
 
 
 class TestNumpyStream:
@@ -280,7 +294,7 @@ class TestNumpyStream:
     @given(st.integers(0, 2**64 - 1), st.lists(_CALL, max_size=40))
     def test_bounded_draw_is_integers(self, seed, script):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = _bounded_draw(ours)
+        draw = _bounded_draw(ours.bit_generator.random_raw)
         for method, arg in script:
             if method == "integers":
                 got, want = draw(arg), int(theirs.integers(arg))
@@ -295,7 +309,7 @@ class TestNumpyStream:
     def test_uniform_point_is_numpy_uniform(self, seed, box, repeats):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(repeats):
-            point = _uniform_point(ours, box)
+            point = _uniform_point(_numpy_doubles(ours), box)
             assert point == tuple(theirs.uniform(box.lower, box.upper).tolist())
             assert all(type(v) is float for v in point)
         assert ours.random() == theirs.random()
@@ -305,25 +319,49 @@ class TestNumpyStream:
     def test_uniform_point_stays_in_the_box(self, box, data):
         u = st.sampled_from([0.0, 1.0 - 2**-53]) | st.floats(0.0, 1.0, exclude_max=True)
         draws = data.draw(st.lists(u, min_size=box.dim, max_size=box.dim))
-        point = _uniform_point(_StubGenerator(draws), box)
+        point = _uniform_point(_stub_doubles(draws), box)
         assert box.contains(point), (box, draws, point)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(_READ, max_size=30))
+    # a draw leaves its word's high half pending; the request after it refills
+    @example(0, [("draw", 2), ("doubles", BLOCK), ("draw", 2), ("draw", 3)])
+    @example(1, [("doubles", BLOCK - 1), ("draw", 20), ("doubles", 2 * BLOCK + 3),
+                 ("draw", 2**32), ("draw", 2**31 + 1), ("doubles", 0), ("draw", 1)])
+    def test_block_reader_is_numpys_stream(self, seed, script):
+        draw, doubles = _block_reader(np.random.default_rng(seed))
+        theirs = np.random.default_rng(seed)
+        for call, arg in script:
+            if call == "draw":
+                got, want = draw(arg), int(theirs.integers(arg))
+            else:
+                got, want = doubles(arg), theirs.random(arg).tolist()
+            assert got == want, (call, arg)
+        assert doubles(1) == [theirs.random()]
 
     def test_the_largest_draw_stays_below_an_overshooting_upper(self):
         # -1.3 + 4.2 rounds to 2.9000000000000004; the largest double below 1 does not
         box = BoxDomain((-1.3,), (2.9,))
         assert box.lower[0] + box.width[0] > box.upper[0]
-        assert _uniform_point(_StubGenerator([1.0 - 2**-53]), box) == (2.8999999999999995,)
+        assert _uniform_point(_stub_doubles([1.0 - 2**-53]), box) == (2.8999999999999995,)
 
 
 def reference_differential_evolution(obj, cfg):
     """``differential_evolution`` as it stood before its trial was built in
-    two passes: the oracle for its random stream and its reports."""
+    two passes, drawing each number with its own numpy call: the oracle for
+    its random stream and its reports."""
     rng = np.random.default_rng(cfg.seed)
-    draw = _bounded_draw(rng)
     lo, hi = obj.box.lower, obj.box.upper
     n = obj.dim
     np_ = cfg.pop_size
-    pop = [_uniform_point(rng, obj.box) for _ in range(np_)]
+
+    def draw(high):
+        return int(rng.integers(high))
+
+    def in_box_point():
+        return tuple(rng.uniform(lo, hi).tolist())
+
+    pop = [in_box_point() for _ in range(np_)]
     fit = [obj.evaluate(x, rng=rng) for x in pop]
     steps = []
 
@@ -346,7 +384,7 @@ def reference_differential_evolution(obj, cfg):
             mutant = [va + fw * (vb - vc) for va, vb, vc in zip(pop[a], pop[b], pop[c])]
             outside = [v < low or v > high for v, low, high in zip(mutant, lo, hi)]  # NaN: inside
             if any(outside):
-                fresh = _uniform_point(rng, obj.box)
+                fresh = in_box_point()
                 mutant = [r if o else v for o, v, r in zip(outside, mutant, fresh)]
             cross = (rng.random(n) < cfg.cr).tolist()
             cross[draw(n)] = True  # at least one mutant gene
@@ -391,6 +429,16 @@ class TestDifferentialEvolutionStream:
         else:
             obj = Objective("squares", box, _shifted_squares)
         cfg = DeConfig(generations=gens, seed=seed, pop_size=pop_size, cr=cr, f_weight=f_weight)
+        _assert_same_de_report(differential_evolution(obj, cfg),
+                               reference_differential_evolution(obj, cfg))
+
+    @pytest.mark.parametrize("f_weight", [None, 50.0])
+    def test_matches_the_reference_over_many_blocks(self, f_weight):
+        # a run reads 15 blocks; most trials redraw genes (at a weight of 50,
+        # nearly all), and 7 of the 14 later refills fall inside those draws
+        box = BoxDomain((-5.12,) * 30, (5.12,) * 30)
+        cfg = DeConfig(generations=50, seed=3, f_weight=f_weight)
+        obj = Objective("squares", box, _shifted_squares)
         _assert_same_de_report(differential_evolution(obj, cfg),
                                reference_differential_evolution(obj, cfg))
 
@@ -457,7 +505,7 @@ class TestTheNumpyCallsThatWent:
         for seed in range(1000):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             for k in range(3):
-                got, want = _random_weight(ours), theirs.uniform(0.4, 1.0)
+                got, want = _random_weight(_numpy_doubles(ours)), theirs.uniform(0.4, 1.0)
                 assert (type(got), got.hex()) == (float, want.hex())
                 assert ours.bit_generator.random_raw(k).tolist() == \
                     theirs.bit_generator.random_raw(k).tolist()
