@@ -24,6 +24,14 @@ Each point is in its box by construction, so each is evaluated with
   infinity, never NaN; a gene outside the box is replaced by an in-box
   one, and a trial's other genes are its member's.
 
+A local search does not evaluate a trial equal to its current point, every
+gene clipped or rounded back to it: its value would be the point's own.
+rsw counts it a rejection; sa takes it without a draw, as a move with
+``delta`` 0, which is how a run cooled to ``t == 0`` ends.  So
+``evaluations`` counts the evaluations made: rs's budget, DE's population
+times its generations plus one, and for rsw and sa the start point and each
+trial that moves.
+
 A point is a tuple of Python floats.  The random numbers are numpy's stream
 bit for bit: a double is ``rng.random``'s, ``(w >> 11) * 2**-53`` of PCG64's
 next raw word ``w``; an in-box point is ``lower + width * u`` (as
@@ -70,11 +78,9 @@ REPORTED_GENERATIONS = {
 }
 
 
-def _report(algo: str, obj: Objective, steps, best, evaluations, meta=None) -> RunReport:
-    base = {"algorithm": algo, "objective": obj.name}
-    base.update(meta or {})
-    return RunReport(steps=steps, best=best, evaluations=evaluations,
-                     converged=True, meta=base)
+def _report(algo: str, obj: Objective, steps, best, evaluations, meta) -> RunReport:
+    return RunReport(steps=steps, best=best, evaluations=evaluations, converged=True,
+                     meta={"algorithm": algo, "objective": obj.name, **meta})
 
 
 def _track(steps, iteration, h, best):
@@ -248,6 +254,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
     _track(steps, 0, (cfg.step_scale,), best)
     scale = cfg.step_scale
     rejections = 0
+    evaluations = 1
     for i in range(cfg.budget):
         # uniform direction, uniform radius: a sample from the scale ball
         direction = rng.standard_normal(n)
@@ -257,8 +264,12 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
         radius = scale * rng.random() ** (1.0 / n)
         step = radius / norm
         trial = _clipped_step(x, direction.tolist(), step, obj.box)
-        # a step that overflowed times a zero gene is NaN: that trial is checked
-        ft = obj.evaluate(trial, rng=rng, in_box=step < math.inf)
+        if trial == x:  # every gene clipped or rounded back: rejected unevaluated
+            ft = f
+        else:
+            # a step that overflowed times a zero gene is NaN: that trial is checked
+            ft = obj.evaluate(trial, rng=rng, in_box=step < math.inf)
+            evaluations += 1
         if ft < f:
             x, f = trial, ft
             rejections = 0
@@ -270,7 +281,7 @@ def random_walk_search(obj: Objective, cfg: RswConfig) -> RunReport:
             if rejections >= cfg.patience:
                 scale *= cfg.contraction
                 rejections = 0
-    return _report("rsw", obj, steps, best, cfg.budget + 1,
+    return _report("rsw", obj, steps, best, evaluations,
                    {"budget": cfg.budget, "seed": cfg.seed,
                     "initial": start, "step_scale": cfg.step_scale,
                     "contraction": cfg.contraction, "patience": cfg.patience})
@@ -307,19 +318,27 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     steps = []
     _track(steps, 0, (sigma0,), best)
     t = cfg.t0
+    evaluations = 1
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
         trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
-        ft = obj.evaluate(trial, rng=rng, in_box=True)
-        delta = ft - f
-        # t cools to 0.0 in the end; there an uphill move has probability 0
-        if delta <= 0.0 or rng.random() < (np.exp(-delta / t) if t > 0.0 else 0.0):
-            x, f = trial, ft
-            if f < best.f:
-                best = Candidate(x, f)
-                _track(steps, i + 1, (sigma,), best)
+        if trial == x:
+            # every gene clipped or rounded back: its value would be f, so the
+            # move is taken unevaluated and without a draw (x takes the trial's
+            # signed zeros, as it did when the trial was evaluated)
+            x = trial
+        else:
+            # a trial that moves has sigma > 0, so t > 0
+            ft = obj.evaluate(trial, rng=rng, in_box=True)
+            evaluations += 1
+            delta = ft - f
+            if delta <= 0.0 or rng.random() < np.exp(-delta / t):
+                x, f = trial, ft
+                if f < best.f:
+                    best = Candidate(x, f)
+                    _track(steps, i + 1, (sigma,), best)
         t *= cfg.cooling
-    return _report("sa", obj, steps, best, cfg.budget + 1,
+    return _report("sa", obj, steps, best, evaluations,
                    {"budget": cfg.budget, "seed": cfg.seed, "t0": cfg.t0,
                     "cooling": cfg.cooling, "step_scale": sigma0,
                     "initial": start})

@@ -167,7 +167,7 @@ def _cmd_list(args) -> int:
         print("  %-16s n=%-3d box=[%g, %g]" % (
             name, obj.dim, obj.box.lower[0], obj.box.upper[0]))
     print("algorithms:")
-    for name in harness.algorithm_names():
+    for name in sorted(harness.ALGORITHMS):
         print("  %s" % name)
     print("kernel backend: %s" % BACKEND)
     return EXIT_OK

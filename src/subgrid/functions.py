@@ -12,8 +12,8 @@ docstring).  A call without it, such as a user's own, is checked.
 where there is one: F4's sums one standard-normal draw per quartic term from
 the caller's random source, so reproducibility is the caller's choice of seed.
 
-The grid engines evaluate through ``Evaluator`` (cache, count, sense,
-common random numbers, drawn once per generation); the baselines call
+The grid engines evaluate through ``Evaluator`` (cache, count, common
+random numbers, drawn once per generation); the baselines call
 ``Objective.evaluate`` directly and pass their own random stream.  Either
 way the point is a tuple of Python floats, made so by its caller, and the
 value is a Python float.
@@ -113,22 +113,22 @@ class Objective:
 class Evaluator:
     """The grid engines' single path from a point to its objective value.
 
-    Counts each evaluation, caches values by position, negates them when
-    maximizing, and evaluates stochastic objectives under common random
-    numbers: ``start_generation`` draws the generation's noise once, from
-    ``default_rng([seed, generation])``, and evaluates every point of the
-    generation through ``current``, a deterministic copy of the objective
-    that adds that draw.  It also clears the cache, so a point evaluated
-    again in a later generation counts again.  SLM stays in generation 0
-    for its whole run.  The box is not checked: each point was placed by
+    Counts each evaluation, caches values by position, and evaluates
+    stochastic objectives under common random numbers: ``start_generation``
+    draws the generation's noise once, from ``default_rng([seed,
+    generation])``, and evaluates every point of the generation through
+    ``current``, a deterministic copy of the objective that adds that draw.
+    It also clears the cache, so a point evaluated again in a later
+    generation counts again.  SLM stays in generation 0 for its whole run;
+    it applies the sign itself when maximizing, so the values here are the
+    objective's own.  The box is not checked: each point was placed by
     ``core.coordinate`` (``slm.init_population``, ``slm._place_cell``,
     ``slmga.mutate``'s window, ``slmga._sweep``), checked per axis by
     ``slm.slm_neighbors``, or clamped into the box per axis by
     ``Objective.fd_gradient``, which labels take their gradients from."""
 
-    def __init__(self, obj: Objective, negate: bool = False, seed: int = 0):
+    def __init__(self, obj: Objective, seed: int = 0):
         self.obj = obj
-        self.negate = negate
         self.seed = seed
         self.count = 0
         self.start_generation(0)
@@ -146,10 +146,7 @@ class Evaluator:
         if got is not None:
             return got
         self.count += 1
-        f = self.current.evaluate(x, in_box=True)
-        if self.negate:
-            f = -f
-        self.cache[x] = f
+        f = self.cache[x] = self.current.evaluate(x, in_box=True)
         return f
 
 

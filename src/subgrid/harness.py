@@ -230,7 +230,7 @@ def algorithm_config(name: str, params: dict, seed: int = 0):
         cls = ALGORITHMS[name][0]
     except KeyError:
         raise ConfigError("unknown algorithm %r (have: %s)"
-                          % (clip(name), ", ".join(algorithm_names()))) from None
+                          % (clip(name), ", ".join(sorted(ALGORITHMS)))) from None
     return build_config(cls, _respell(cls, params), seed=seed)
 
 
@@ -240,10 +240,6 @@ def run_algorithm(name: str, obj: Objective, params: dict, seed: int) -> RunRepo
     cfg = algorithm_config(name, params, seed)
     _, module, engine = ALGORITHMS[name]
     return getattr(module, engine)(obj, cfg)
-
-
-def algorithm_names() -> list[str]:
-    return sorted(ALGORITHMS)
 
 
 def compute_metrics(report: RunReport, obj: Objective) -> Metrics:

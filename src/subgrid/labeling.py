@@ -36,9 +36,9 @@ class LabelRule:
             raise ConfigError("epsilon must be finite and >= 0")
 
 
-def label_from_delta(d: Sequence[float], rule: LabelRule | None = None) -> int:
+def label_from_delta(d: Sequence[float], rule: LabelRule) -> int:
     """Label in {0..n}: 0 if all d_j >= -eps, else max{j : d_j < -eps}."""
-    eps = rule.epsilon if rule is not None else 0.0
+    eps = rule.epsilon
     if not d:
         raise SubgridError("empty delta")
     label = 0

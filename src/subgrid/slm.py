@@ -277,8 +277,9 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     ``cfg.h_tol`` or ``cfg.max_levels`` is exhausted."""
     box = obj.box
     check_enumerated(box)
-    negate = cfg.sense is Sense.MAXIMIZE
-    ev = Evaluator(obj, negate=negate)
+    maximize = cfg.sense is Sense.MAXIMIZE
+    ev = Evaluator(obj)
+    evaluate = (lambda x: -ev(x)) if maximize else ev
     n_levels = levels(box, cfg.h_tol)
 
     def offspring(grid, lattice, carried):
@@ -286,10 +287,10 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
         h_next = tuple(hd / 2.0 for hd in grid.step)
         return lattice, [
             p if p.point in carried
-            else best_neighbor(ev, p, slm_neighbors(p.x, h_next, cfg.neighbor_scheme, box))
+            else best_neighbor(evaluate, p, slm_neighbors(p.x, h_next, cfg.neighbor_scheme, box))
             for p in lattice]
 
-    steps, best, _ = subdivide(obj, ev, init_population(box, ev),
+    steps, best, _ = subdivide(obj, evaluate, init_population(box, evaluate),
                                min(n_levels, cfg.max_levels), cfg.label_rule, offspring,
                                carry=True)
     report = RunReport(
@@ -306,7 +307,7 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
             "sense": cfg.sense.value,
         },
     )
-    if negate:
+    if maximize:
         _negate_report(report)
     return report
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from subgrid.baselines import (
     random_search,
     random_walk_search,
     simulated_annealing,
+    start_point,
     _argmin,
     _block_reader,
     _bounded_draw,
+    _clipped_step,
     _random_weight,
     _report,
     _track,
@@ -141,17 +144,17 @@ class TestSimulatedAnnealing:
         assert a.best == b.best
 
     def test_a_run_cooled_to_zero_finishes(self):
-        # cooling 0.5 takes t0 = 1e-3 to 0.0 in 1,065 steps; F4's noise
-        # then makes uphill moves, which used to divide by t
-        obj = get_objective("f4")
+        # cooling 0.5 takes t0 = 1e-3 to 0.0 in 1,065 steps, and each gene
+        # rounds back to the point long before: those trials are not evaluated
+        obj, calls = _counting(get_objective("f4"))
         rep = simulated_annealing(obj, SaConfig(budget=2000, cooling=0.5))
-        assert rep.evaluations == 2001
+        assert rep.evaluations == len(calls) < 100
         values = [s.best.f for s in rep.steps]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_every_uphill_move_draws_at_any_temperature(self, monkeypatch):
-        # every value exceeds the last, so each of the 1,200 moves is uphill
-        # and draws its double, before and after t reaches 0.0
+        # every value exceeds the last, so each evaluated trial is uphill and
+        # draws its double; a trial that rounds back to the point is no move
         made, default_rng = [], np.random.default_rng
 
         def counting_rng(seed):
@@ -163,7 +166,7 @@ class TestSimulatedAnnealing:
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         rep = simulated_annealing(obj, SaConfig(budget=1200, cooling=0.5))
         assert 1e-3 * 0.5**1200 == 0.0
-        assert made[0].randoms == 1200
+        assert made[0].randoms == rep.evaluations - 1 > 0
         assert rep.best.x == obj.box.center()
 
     def test_config_validation(self):
@@ -447,6 +450,125 @@ class TestDifferentialEvolutionStream:
         cfg = DeConfig(generations=50, seed=0)
         _assert_same_de_report(differential_evolution(obj, cfg),
                                reference_differential_evolution(obj, cfg))
+
+
+def reference_random_walk_search(obj, cfg):
+    """``random_walk_search`` as it stood while it evaluated every trial,
+    a trial equal to its point too, and reported ``budget + 1``."""
+    x = start = start_point(obj, cfg.initial)
+    rng = np.random.default_rng(cfg.seed)
+    n = obj.dim
+    f = obj.evaluate(x, rng=rng, in_box=True)
+    best = Candidate(x, f)
+    steps = []
+    _track(steps, 0, (cfg.step_scale,), best)
+    scale = cfg.step_scale
+    rejections = 0
+    for i in range(cfg.budget):
+        direction = rng.standard_normal(n)
+        norm = float(np.linalg.norm(direction))
+        if norm == 0.0:
+            continue
+        radius = scale * rng.random() ** (1.0 / n)
+        step = radius / norm
+        trial = _clipped_step(x, direction.tolist(), step, obj.box)
+        ft = obj.evaluate(trial, rng=rng, in_box=step < math.inf)
+        if ft < f:
+            x, f = trial, ft
+            rejections = 0
+            if f < best.f:
+                best = Candidate(x, f)
+                _track(steps, i + 1, (scale,), best)
+        else:
+            rejections += 1
+            if rejections >= cfg.patience:
+                scale *= cfg.contraction
+                rejections = 0
+    return _report("rsw", obj, steps, best, cfg.budget + 1,
+                   {"budget": cfg.budget, "seed": cfg.seed,
+                    "initial": start, "step_scale": cfg.step_scale,
+                    "contraction": cfg.contraction, "patience": cfg.patience})
+
+
+def reference_simulated_annealing(obj, cfg):
+    """``simulated_annealing`` as it stood while it evaluated every trial,
+    a trial equal to its point too, and reported ``budget + 1``."""
+    rng = np.random.default_rng(cfg.seed)
+    x = start = start_point(obj, cfg.initial)
+    sigma0 = cfg.step_scale if cfg.step_scale is not None else min(obj.box.width) / 4.0
+    f = obj.evaluate(x, rng=rng, in_box=True)
+    best = Candidate(x, f)
+    steps = []
+    _track(steps, 0, (sigma0,), best)
+    t = cfg.t0
+    for i in range(cfg.budget):
+        sigma = sigma0 * (t / cfg.t0)
+        trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
+        ft = obj.evaluate(trial, rng=rng, in_box=True)
+        delta = ft - f
+        if delta <= 0.0 or rng.random() < (np.exp(-delta / t) if t > 0.0 else 0.0):
+            x, f = trial, ft
+            if f < best.f:
+                best = Candidate(x, f)
+                _track(steps, i + 1, (sigma,), best)
+        t *= cfg.cooling
+    return _report("sa", obj, steps, best, cfg.budget + 1,
+                   {"budget": cfg.budget, "seed": cfg.seed, "t0": cfg.t0,
+                    "cooling": cfg.cooling, "step_scale": sigma0,
+                    "initial": start})
+
+
+def _counting(obj):
+    """``obj`` with a kernel that records each point it is given."""
+    calls = []
+    return replace(obj, eval_fn=lambda x: calls.append(x) or obj.eval_fn(x)), calls
+
+
+class TestAFrozenTrialIsNotEvaluated:
+    """rsw and sa skip a trial equal to their point and report what the
+    reference reports, but for ``evaluations``, the kernel calls made."""
+
+    @staticmethod
+    def _run_both(run, reference, obj, cfg):
+        counted, calls = _counting(obj)
+        got, want = run(counted, cfg), reference(obj, cfg)
+        assert [(s.level, s.h, s.best) for s in got.steps] == \
+            [(s.level, s.h, s.best) for s in want.steps]
+        assert (got.best, got.converged, got.meta) == (want.best, want.converged, want.meta)
+        assert got.evaluations == len(calls) <= want.evaluations
+        return got, want
+
+    @staticmethod
+    def _objective(box, kind):
+        # squares are strict; the floored plateau makes sa take equal values
+        if kind == "squares":
+            return Objective("squares", box, _shifted_squares)
+        return Objective("plateau", box, lambda x: float(math.floor(4.0 * x[0])))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_decimal_box(max_dim=3), st.sampled_from(["squares", "plateau"]),
+           st.sampled_from(["centre", "lower", "upper"]),
+           st.integers(1, 60), st.integers(0, 2**32),
+           st.sampled_from([1e-300, 1e-3, 1.0, 50.0, 1e300]),
+           st.sampled_from([0.995, 0.5, 1e-300]))
+    def test_matches_the_reference(self, box, kind, start, budget, seed, scale, cooling):
+        obj = self._objective(box, kind)
+        initial = {"centre": None, "lower": box.lower, "upper": box.upper}[start]
+        self._run_both(random_walk_search, reference_random_walk_search, obj,
+                       RswConfig(initial=initial, budget=budget, seed=seed, step_scale=scale))
+        self._run_both(simulated_annealing, reference_simulated_annealing, obj,
+                       SaConfig(initial=initial, budget=budget, seed=seed, step_scale=scale,
+                                cooling=cooling))
+
+    def test_a_clipped_corner_and_a_frozen_tail_are_skipped(self):
+        box = BoxDomain((-1.0,), (1.0,))
+        obj = Objective("squares", box, _shifted_squares)
+        got, want = self._run_both(random_walk_search, reference_random_walk_search, obj,
+                                   RswConfig(initial=(1.0,), budget=40, step_scale=1e300))
+        assert got.evaluations < want.evaluations == 41
+        got, want = self._run_both(simulated_annealing, reference_simulated_annealing, obj,
+                                   SaConfig(budget=200, cooling=0.5))
+        assert got.evaluations < want.evaluations == 201
 
 
 def _box_checking(box):

@@ -1,9 +1,11 @@
 """The rule of ``subgrid.errors``, read off the package's source: an error
 class exists only where an ``except`` clause names it, and every error raised
-is one of them."""
+is one of them.  Also, every source file parses as the oldest Python that
+``pyproject.toml`` declares."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import subgrid
@@ -37,3 +39,15 @@ def test_every_raise_names_an_error_class():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and _name(node.exc.func) not in CLASSES]
     assert others == []
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # newer syntax (``except*``, PEP 695 generics) fails at the floor's parser
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    version = (int(floor[1]), int(floor[2]))
+    paths = [p for d in ("src", "tests", "tools", "perfbench") for p in (root / d).rglob("*.py")]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

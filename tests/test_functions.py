@@ -11,7 +11,7 @@ from subgrid.core import BoxDomain
 from subgrid.errors import GradientUnavailableError, SubgridError
 from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
 from subgrid.harness import emit_table, expression_objective
-from subgrid.slm import SlmConfig, slm_run
+from subgrid.slm import Sense, SlmConfig, slm_run
 from subgrid.slmga import GaConfig, ga_run
 from test_golden_bytes import noisy_f2
 
@@ -197,10 +197,11 @@ class TestEvaluator:
         ev((0.0, 0.0, 0.0))
         assert ev.count == 2
 
-    def test_maximizing_negates(self):
+    def test_values_are_the_objectives_own(self):
+        # SLM applies the sign when maximizing; the Evaluator never does
         f2 = get_objective("f2")
         x = (0.5, -0.7)
-        assert Evaluator(f2, negate=True)(x) == -f2.evaluate(x)
+        assert Evaluator(f2)(x) == f2.evaluate(x) > 0.0
 
     def test_new_generation_counts_again(self):
         ev = Evaluator(get_objective("f1"))
@@ -274,7 +275,8 @@ class TestEvaluator:
         x = (0.5, -0.7)
         assert type(obj.evaluate(x, rng=np.random.default_rng(0))) is float
         assert type(Evaluator(obj)(x)) is float
-        assert type(Evaluator(obj, negate=True)(x)) is float
+        rep = slm_run(obj, SlmConfig(h_tol=0.5, sense=Sense.MAXIMIZE))
+        assert {type(lv.candidate.f) for s in rep.steps for lv in s.labels} == {float}
         csv = emit_table([random_search(obj, RsConfig(budget=20))], "csv")
         assert "np.float64(" not in csv
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -6,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden_bytes import noisy_f2
 from test_harness import _decimal_box
 
 from subgrid import slm, slmga
@@ -28,7 +30,7 @@ from subgrid.core import (
 )
 from subgrid.errors import SubgridError
 from subgrid.functions import Evaluator, Objective, get_objective
-from subgrid.harness import emit_table
+from subgrid.harness import emit_table, expression_objective
 from subgrid.labeling import delta_of, find_complete_cells, label_from_delta
 from subgrid.slm import (
     NeighborScheme,
@@ -116,7 +118,12 @@ def reference_choose_cell(complete, grid, values, best, region_cells):
 def reference_slm_run(obj, cfg):
     box = obj.box
     negate = cfg.sense is Sense.MAXIMIZE
-    ev = Evaluator(obj, negate=negate)
+    counted = Evaluator(obj)
+
+    def ev(x):
+        f = counted(x)
+        return -f if negate else f
+
     rule = cfg.label_rule
 
     active = _corners(box)
@@ -169,7 +176,7 @@ def reference_slm_run(obj, cfg):
     report = RunReport(
         steps=steps,
         best=best,
-        evaluations=ev.count,
+        evaluations=counted.count,
         converged=all(hd < cfg.h_tol for hd in final_grid.step),
         meta={
             "algorithm": "slm",
@@ -726,6 +733,34 @@ class TestMatchesReference:
         obj = get_objective(name)
         cfg = SlmConfig(h_tol=min(obj.box.width) / 2**8)
         assert _json(slm_run(obj, cfg)) == _json(reference_slm_run(obj, cfg))
+
+
+def _negated(obj):
+    """``obj`` with its value and its noise negated."""
+    eval_fn, noise_fn = obj.eval_fn, obj.noise_fn
+    return dataclasses.replace(
+        obj, eval_fn=lambda x: -eval_fn(x),
+        noise_fn=None if noise_fn is None else (lambda rng, n: -noise_fn(rng, n)))
+
+
+class TestMaximizingIsMinimizingTheNegation:
+    """``slm_run`` maximizing gives the minimizing run of the negated
+    objective with every value negated back: the sign is SLM's alone."""
+
+    @pytest.mark.parametrize("scheme", list(NeighborScheme))
+    @pytest.mark.parametrize("obj", [
+        get_objective("goldstein-price"),
+        expression_objective("(x1-0.3)^2 - 2*(x2+0.7)^2 + sin(3*x1*x2)", 2, -1.3, 2.9),
+        noisy_f2(),
+    ], ids=["goldstein-price", "decimal-box-expression", "noisy-f2"])
+    def test_same_steps_and_best(self, obj, scheme):
+        got = slm_run(obj, SlmConfig(h_tol=0.01, neighbor_scheme=scheme, sense=Sense.MAXIMIZE))
+        want = slm_run(_negated(obj), SlmConfig(h_tol=0.01, neighbor_scheme=scheme))
+        _negate_report(want)
+        assert len(got.steps) > 1
+        assert got.steps == want.steps
+        assert (got.best, got.best_value, got.evaluations) == \
+            (want.best, want.best_value, want.evaluations)
 
 
 def _placed(cands):
