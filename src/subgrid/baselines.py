@@ -27,7 +27,8 @@ Each point is in its box by construction, so each is evaluated with
 A local search does not evaluate a trial equal to its current point, every
 gene clipped or rounded back to it: its value would be the point's own.
 rsw counts it a rejection; sa takes it without a draw, as a move with
-``delta`` 0, which is how a run cooled to ``t == 0`` ends.  So
+``delta`` 0, and ends its loop once its step scale has cooled to 0.0, where
+every trial is its point and nothing more is evaluated or drawn.  So
 ``evaluations`` counts the evaluations made: rs's budget, DE's population
 times its generations plus one, and for rsw and sa the start point and each
 trial that moves.
@@ -321,6 +322,10 @@ def simulated_annealing(obj: Objective, cfg: SaConfig) -> RunReport:
     evaluations = 1
     for i in range(cfg.budget):
         sigma = sigma0 * (t / cfg.t0)
+        if sigma == 0.0:
+            # cooled to a standstill: sigma stays 0.0 as t falls, so every
+            # remaining trial would be the point, taken unevaluated
+            break
         trial = _clipped_step(x, rng.standard_normal(obj.dim).tolist(), sigma, obj.box)
         if trial == x:
             # every gene clipped or rounded back: its value would be f, so the

@@ -12,8 +12,9 @@ docstring).  A call without it, such as a user's own, is checked.
 where there is one: F4's sums one standard-normal draw per quartic term from
 the caller's random source, so reproducibility is the caller's choice of seed.
 
-The grid engines evaluate through ``Evaluator`` (cache, count, common
-random numbers, drawn once per generation); the baselines call
+The grid engines evaluate through ``Evaluator.value``, a cache in C that
+counts its misses, under common random numbers drawn once per generation;
+the baselines call
 ``Objective.evaluate`` directly and pass their own random stream.  Either
 way the point is a tuple of Python floats, made so by its caller, and the
 value is a Python float.
@@ -21,6 +22,7 @@ value is a Python float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -113,41 +115,53 @@ class Objective:
 class Evaluator:
     """The grid engines' single path from a point to its objective value.
 
-    Counts each evaluation, caches values by position, and evaluates
-    stochastic objectives under common random numbers: ``start_generation``
-    draws the generation's noise once, from ``default_rng([seed,
-    generation])``, and evaluates every point of the generation through
-    ``current``, a deterministic copy of the objective that adds that draw.
-    It also clears the cache, so a point evaluated again in a later
-    generation counts again.  SLM stays in generation 0 for its whole run;
-    it applies the sign itself when maximizing, so the values here are the
-    objective's own.  The box is not checked: each point was placed by
-    ``core.coordinate`` (``slm.init_population``, ``slm._place_cell``,
-    ``slmga.mutate``'s window, ``slmga._sweep``), checked per axis by
-    ``slm.slm_neighbors``, or clamped into the box per axis by
-    ``Objective.fd_gradient``, which labels take their gradients from."""
+    ``value`` is the path, and the engines call it directly: a
+    ``functools.lru_cache`` around the generation's
+    ``Objective.evaluate(x, in_box=True)``, so a cached value is returned
+    without entering Python.  ``count`` is the evaluations made, the cache's
+    misses, banked at each ``start_generation``; a lookup that hits is not
+    counted (``value.cache_info().hits`` counts those), an evaluation that
+    raises is counted and not cached, and a NaN value is cached.
+
+    Stochastic objectives are evaluated under common random numbers:
+    ``start_generation`` draws the generation's noise once, from
+    ``default_rng([seed, generation])``, and evaluates every point of the
+    generation through a deterministic copy of the objective that adds that
+    draw.  It also clears the cache, so a point evaluated again in a later
+    generation counts again.  SLM stays in generation 0
+    for its whole run; it applies the sign itself when maximizing, so the
+    values here are the objective's own.  The box is not checked: each
+    point was placed by ``core.coordinate`` (``slm.init_population``,
+    ``slm._place_cell``, ``slmga.mutate``'s window, ``slmga._sweep``),
+    checked per axis by ``slm.slm_neighbors``, or clamped into the box per
+    axis by ``Objective.fd_gradient``, which labels take their gradients
+    from."""
 
     def __init__(self, obj: Objective, seed: int = 0):
         self.obj = obj
         self.seed = seed
-        self.count = 0
+        # the generation's objective sits in a list, not on self: a cache that
+        # referred to its Evaluator would keep both alive until a cyclic
+        # collection, the last generation's values with them
+        self._current = current = [obj]
+        self.value: Callable[[Vector], float] = functools.lru_cache(maxsize=None)(
+            lambda x: current[0].evaluate(x, in_box=True))
+        self._banked = 0
         self.start_generation(0)
 
+    @property
+    def count(self) -> int:
+        return self._banked + self.value.cache_info().misses
+
     def start_generation(self, generation: int) -> None:
-        self.cache: dict[Vector, float] = {}
-        self.current = obj = self.obj
+        self._banked = self.count
+        obj = self.obj
         if obj.stochastic:
             noise = obj.noise_fn(np.random.default_rng([self.seed, generation]), obj.dim)
             eval_fn = obj.eval_fn
-            self.current = replace(obj, eval_fn=lambda x: float(eval_fn(x)) + noise, noise_fn=None)
-
-    def __call__(self, x: Vector) -> float:
-        got = self.cache.get(x)
-        if got is not None:
-            return got
-        self.count += 1
-        f = self.cache[x] = self.current.evaluate(x, in_box=True)
-        return f
+            obj = replace(obj, eval_fn=lambda x: float(eval_fn(x)) + noise, noise_fn=None)
+        self._current[0] = obj
+        self.value.cache_clear()
 
 
 def _gp(x):
@@ -216,17 +230,17 @@ def _f2_grad(x):
 
 
 def _f3(x):
-    s = 30.0
-    for v in x:
-        s += math.floor(v)
-    return s
+    # every term is a small integer, so the sum is exact in any order
+    return sum(map(math.floor, x), 30.0)
 
 
 def _f4_noiseless(x):
-    s = 0.0
-    for i, v in enumerate(x, start=1):
+    # a float weight, w == i exactly for any n < 2**53, saves enumerate's tuple
+    s = w = 0.0
+    for v in x:
+        w += 1.0
         v2 = v * v
-        s += i * v2 * v2
+        s += w * v2 * v2
     return s
 
 

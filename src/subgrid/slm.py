@@ -16,6 +16,7 @@ before its probes, so a run ends on the first undefined value in that order.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ from .core import (
     StepRecord,
     Vector,
     argmin_candidate,
-    cell_vertices,
     coordinate,
     levels,
     position_of,
@@ -159,29 +159,45 @@ def best_neighbor(
     return best
 
 
-def _region_cells(base: tuple[int, ...], vertices: dict[tuple[int, ...], LabeledVertex],
-                  grid: GridSpec, best: Candidate) -> dict[tuple[int, ...], tuple]:
+_lattice_k = operator.attrgetter("candidate.point.k")
+
+
+@functools.cache
+def _cell_rows(n: int, side: int) -> list[tuple[Callable, int, int]]:
+    """The cells of a lattice of ``side**n`` points listed in C order, anchors
+    in C order: per cell an ``itemgetter`` of its 2**n vertices' indices, in
+    ``cell_vertices`` order, and the indices of its lowest and highest vertex."""
+    strides = [side ** (n - 1 - d) for d in range(n)]
+    unit = [sum(map(operator.mul, v, strides)) for v in itertools.product((0, 1), repeat=n)]
+    rows = []
+    for anchor in itertools.product(range(side - 1), repeat=n):
+        a = sum(map(operator.mul, anchor, strides))
+        rows.append((operator.itemgetter(*[a + u for u in unit]), a, a + unit[-1]))
+    return rows
+
+
+def _region_cells(lattice: Sequence[LabeledVertex], grid: GridSpec,
+                  best: Candidate) -> dict[tuple[int, ...], tuple]:
     """The region cells of a step, in one pass: each anchor ``k`` mapped to
     the (min, sum) of the cell's vertex values, in ``cell_vertices`` order,
     whether its vertex labels are complete, and whether it holds ``best``.
 
     A step's lattice is the box's 2**n corners at level 1, one cell, and
     after that the last chosen cell refined, 3**n points holding its 2**n
-    subcells.  ``vertices`` maps the lattice's ``k`` to its members, so
-    every cell is read off the lowest, ``base``, without a search.  A
-    cell's bounds are the positions of its lowest and highest vertices,
-    which ``coordinate`` placed."""
-    n = len(base)
-    unit = list(itertools.product((0, 1), repeat=n))
-    offsets = unit[:1] if grid.level == 1 else unit
+    subcells.  ``lattice`` holds its members in C order, the order of their
+    ``k``, so every cell's vertices are read by index from ``_cell_rows``,
+    made once per dimension and side, without a search.  A cell's bounds
+    are the positions of its lowest and highest vertices, which
+    ``coordinate`` placed."""
+    n = grid.box.dim
+    fs = [lv.candidate.f for lv in lattice]
+    labels = [lv.label for lv in lattice]
     cells = {}
-    for off in offsets:
-        anchor = tuple(map(operator.add, base, off))
-        vs = [vertices[tuple(map(operator.add, anchor, v))] for v in unit]
-        fs = [lv.candidate.f for lv in vs]
-        holds = all(lo - 1e-12 <= v <= hi + 1e-12
-                    for lo, v, hi in zip(vs[0].candidate.x, best.x, vs[-1].candidate.x))
-        cells[anchor] = (min(fs), sum(fs), is_complete((lv.label for lv in vs), n), holds)
+    for vertices, first, last in _cell_rows(n, 2 if grid.level == 1 else 3):
+        lo, hi = lattice[first].candidate, lattice[last].candidate
+        vf = vertices(fs)
+        holds = all(a - 1e-12 <= v <= b + 1e-12 for a, v, b in zip(lo.x, best.x, hi.x))
+        cells[lo.point.k] = (min(vf), sum(vf), is_complete(vertices(labels), n), holds)
     return cells
 
 
@@ -233,21 +249,29 @@ def subdivide(
 
         labels: list[LabeledVertex] = []
         for parent, child in zip(members, children):
-            old = carried.get(parent.point)
+            old = carried.get(parent.point) if carried else None
             if old is None:
                 delta = _label_delta(obj, evaluate, rule, parent, child)
                 labels.append(LabeledVertex(parent, label_from_delta(delta, rule), delta))
             else:
                 labels.append(LabeledVertex(parent, old.label, old.delta))
-            best = argmin_candidate((best, parent, child))
+            # argmin_candidate((best, parent, child)), in min's order
+            if rank(parent) < rank(best):
+                best = parent
+            if rank(child) < rank(best):
+                best = child
 
         chosen = None
         if enumerated(obj.box):
-            # the members with their labels and values (SLMGA's re-evaluated)
-            by_k = {lv.candidate.point.k: lv for lv in labels}
-            chosen = _choose_cell(_region_cells(pop[0].point.k, by_k, grid, best), level)
+            # the members with their labels and values (SLMGA's re-evaluated),
+            # in C order: SLM's already are, SLMGA's are sorted by rank
+            lattice = sorted(labels, key=_lattice_k)
+            cells = _region_cells(lattice, grid, best)
+            chosen = _choose_cell(cells, level)
             if carry:
-                carried = {refine(v): by_k[v.k] for v in cell_vertices(chosen)}
+                vertices, _, _ = _cell_rows(obj.box.dim, 2 if level == 1 else 3)[
+                    list(cells).index(chosen.anchor.k)]
+                carried = {refine(lv.candidate.point): lv for lv in vertices(lattice)}
         else:
             first: dict[tuple[int, ...], Candidate] = {}
             for c in sorted(children, key=rank):
@@ -279,7 +303,7 @@ def slm_run(obj: Objective, cfg: SlmConfig) -> RunReport:
     check_enumerated(box)
     maximize = cfg.sense is Sense.MAXIMIZE
     ev = Evaluator(obj)
-    evaluate = (lambda x: -ev(x)) if maximize else ev
+    evaluate = (lambda x: -ev.value(x)) if maximize else ev.value
     n_levels = levels(box, cfg.h_tol)
 
     def offspring(grid, lattice, carried):

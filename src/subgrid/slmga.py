@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -102,23 +103,24 @@ def mutate(
         return []
     first, xs = _window(parents, box)
     n = box.dim
-    ks = [p.point.k for p in parents]
     level = parents[0].point.level + 1
 
     # the window padded by one index of +inf on each side, where a move
     # leaves the box; row i gathers member i's 3^n offspring in C order,
     # each fine index mapped onto the first index of its position
     padded = tuple(len(axis) + 2 for axis in xs)
-    strides = [math.prod(padded[d + 1:]) for d in range(n)]
-    moves, move_table = _moves(n)
-    # k passes 2^63 at deep levels: offsets from the window are Python ints
-    centres = np.array([sum((2 * kd - a + 1) * s for kd, a, s in zip(k, first, strides))
-                        for k in ks])
-    rows = centres[:, None] + move_table @ np.array(strides)
-    if any(u == v for axis in xs for u, v in zip(axis, axis[1:])):
+    strides = np.array([math.prod(padded[d + 1:]) for d in range(n)])
+    moves = _moves(n)
+    # k passes 2^63 at deep levels: each member's fine indices in the window
+    # are taken from Python ints, as objects
+    local = (np.array([p.point.k for p in parents], dtype=object) * 2
+             - np.array(first, dtype=object)).astype(np.intp)
+    rows = ((local + 1) @ strides)[:, None] + moves @ strides
+    shared = any(u == v for axis in xs for u, v in zip(axis, axis[1:]))
+    if shared:
         shift = functools.reduce(np.add.outer, [
             np.array([0] + [axis.index(x) - i for i, x in enumerate(axis)] + [0]) * s
-            for axis, s in zip(xs, strides)])
+            for axis, s in zip(xs, strides.tolist())])
         rows += shift.ravel()[rows]
     probed = np.zeros(math.prod(padded), dtype=bool)
     probed[rows] = True
@@ -129,22 +131,23 @@ def mutate(
     table = np.full(padded, np.inf)
     table[inner][probed] = values
     table = table.ravel()
-    own = table[rows[:, len(moves) // 2]].tolist()  # the zero move
+    own = table[rows[:, len(moves) // 2]]  # the zero move
     table[np.isnan(table)] = np.inf
     gathered = table[rows]
     best = gathered.argmin(axis=1)
-    best_f = gathered[np.arange(len(ks)), best].tolist()
+    best_f = gathered[np.arange(len(parents)), best]
 
-    children = []
-    for k, b, f, parent_f in zip(ks, best.tolist(), best_f, own):
-        if f < parent_f:
-            child_k = tuple(2 * kd + m if axis[2 * kd + m - a] != axis[2 * kd - a] else 2 * kd
-                            for kd, m, axis, a in zip(k, moves[b], xs, first))
-        else:
-            child_k, f = tuple(2 * kd for kd in k), parent_f
-        x = tuple(axis[c - a] for axis, c, a in zip(xs, child_k, first))
-        children.append(Candidate(x, f, point=GridPoint(child_k, level)))
-    return children
+    improved = best_f < own
+    child = np.where(improved[:, None], local + moves[best], local)
+    if shared:
+        # the child keeps the parent's index where its position is the parent's
+        for d, axis in enumerate(xs):
+            at = np.array(axis)
+            same = at[child[:, d]] == at[local[:, d]]
+            child[same, d] = local[same, d]
+    return [Candidate(tuple(map(operator.getitem, xs, c)), f,
+                      point=GridPoint(tuple(map(operator.add, first, c)), level))
+            for c, f in zip(child.tolist(), np.where(improved, best_f, own).tolist())]
 
 
 def _window(parents: Sequence[Candidate],
@@ -183,10 +186,9 @@ def _refuse_off_grid(parents: Sequence[Candidate], n: int) -> None:
 
 
 @functools.cache
-def _moves(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The 3^n moves {-1, 0, 1}^n in C order, as tuples and as an array."""
-    moves = list(itertools.product((-1, 0, 1), repeat=n))
-    return moves, np.array(moves, dtype=np.intp).reshape(len(moves), n)
+def _moves(n: int) -> np.ndarray:
+    """The 3^n moves {-1, 0, 1}^n in C order, one per row."""
+    return np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.intp).reshape(-1, n)
 
 
 def _sweep(
@@ -219,11 +221,12 @@ def _sweep(
 
 def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
     box = obj.box
-    evaluate = Evaluator(obj, seed=cfg.seed)
+    ev = Evaluator(obj, seed=cfg.seed)
+    evaluate = ev.value
     n_levels = levels(box, cfg.h_tol)
 
     def offspring(grid, pop, carried):
-        evaluate.start_generation(grid.level)
+        ev.start_generation(grid.level)
         # re-evaluate under this generation's noise so comparisons are fair
         if obj.stochastic:
             pop = [Candidate(c.x, evaluate(c.x), point=c.point) for c in pop]
@@ -246,7 +249,7 @@ def ga_run(obj: Objective, cfg: GaConfig) -> RunReport:
         steps=steps,
         best=solution,
         best_value=best.f,
-        evaluations=evaluate.count,
+        evaluations=ev.count,
         converged=n_levels <= cfg.max_generations,
         meta={
             "algorithm": "slmga",

@@ -181,15 +181,21 @@ class TestSimulatedAnnealing:
 
 
 class _CountingGenerator:
-    """A numpy Generator that counts its ``random`` calls."""
+    """A numpy Generator that counts its ``random`` and ``standard_normal``
+    calls."""
 
     def __init__(self, rng):
         self.rng = rng
         self.randoms = 0
+        self.normals = 0
 
     def random(self, *args):
         self.randoms += 1
         return self.rng.random(*args)
+
+    def standard_normal(self, *args):
+        self.normals += 1
+        return self.rng.standard_normal(*args)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -569,6 +575,25 @@ class TestAFrozenTrialIsNotEvaluated:
         got, want = self._run_both(simulated_annealing, reference_simulated_annealing, obj,
                                    SaConfig(budget=200, cooling=0.5))
         assert got.evaluations < want.evaluations == 201
+
+    def test_a_run_cooled_to_a_standstill_ends(self, monkeypatch):
+        # the f4/sa INI's cooling: sigma reaches 0.0 at step 1,065 of 2,000,
+        # and from there sa draws no trial, as each would be its point
+        made, default_rng = [], np.random.default_rng
+
+        def counting_rng(seed):
+            made.append(_CountingGenerator(default_rng(seed)))
+            return made[-1]
+
+        obj = Objective("squares", BoxDomain.cube(-1.0, 1.0, 2), _shifted_squares)
+        cfg = SaConfig(budget=2000, cooling=0.5)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        got, want = self._run_both(simulated_annealing, reference_simulated_annealing, obj, cfg)
+        sigma0, t, moving = 0.5, cfg.t0, 0
+        while sigma0 * (t / cfg.t0) > 0.0:
+            moving, t = moving + 1, t * cfg.cooling
+        assert [g.normals for g in made] == [moving, cfg.budget] == [1065, 2000]
+        assert got.evaluations < 100 < want.evaluations
 
 
 def _box_checking(box):

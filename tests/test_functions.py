@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from subgrid.baselines import RsConfig, random_search
 from subgrid.core import BoxDomain
 from subgrid.errors import GradientUnavailableError, SubgridError
-from subgrid.functions import REGISTRY, Evaluator, Objective, get_objective, objective_names
+from subgrid.functions import (REGISTRY, Evaluator, Objective, _f3, _f4_noiseless, get_objective,
+                               objective_names)
 from subgrid.harness import emit_table, expression_objective
-from subgrid.slm import Sense, SlmConfig, slm_run
+from subgrid.slm import NeighborScheme, Sense, SlmConfig, slm_run
 from subgrid.slmga import GaConfig, ga_run
 from test_golden_bytes import noisy_f2
 
@@ -105,7 +108,7 @@ class TestValues:
         # its callers place their points in the box (tests/test_harness.py::
         # TestEvaluatedPointsLieInTheBox), so it does not check again
         gp = get_objective("goldstein-price")
-        assert Evaluator(gp)((3.0, 0.0)) == gp.eval_fn((3.0, 0.0)) == 72150.0
+        assert Evaluator(gp).value((3.0, 0.0)) == gp.eval_fn((3.0, 0.0)) == 72150.0
 
     @pytest.mark.parametrize("value", [np.float64(2.5), 3, np.int64(4)])
     def test_evaluate_returns_a_python_float(self, value):
@@ -189,27 +192,68 @@ class TestF5MatchesTheReference:
             assert f5.evaluate(x).hex() == reference_f5(x).hex(), x
 
 
+def reference_f3(x):
+    """The step function as a loop adding each floor to 30.0."""
+    s = 30.0
+    for v in x:
+        s += math.floor(v)
+    return s
+
+
+def reference_f4_noiseless(x):
+    """F4 without noise, weighted by ``enumerate``'s ints: the kernel
+    ``functions._f4_noiseless`` must match bit for bit."""
+    s = 0.0
+    for i, v in enumerate(x, start=1):
+        v2 = v * v
+        s += i * v2 * v2
+    return s
+
+
+class TestF3AndF4MatchTheReferences:
+    def test_same_bits_in_the_box_and_at_its_corners(self):
+        f3, f4 = get_objective("f3"), get_objective("f4")
+        rng = np.random.default_rng(4)
+        for obj, reference, kernel in ((f3, reference_f3, _f3),
+                                       (f4, reference_f4_noiseless, _f4_noiseless)):
+            lo, hi, n = obj.box.lower[0], obj.box.upper[0], obj.dim
+            points = [tuple(p) for p in rng.uniform(lo, hi, size=(2_000, n)).tolist()]
+            points += [(lo,) * n, (hi,) * n, (0.0,) * n, (-0.0,) * n,
+                       tuple(float(round(v)) for v in np.linspace(lo, hi, n))]
+            for x in points:
+                assert kernel(x).hex() == obj.noiseless(x).hex() == reference(x).hex(), x
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 100])
+    def test_f4_same_bits_in_other_dimensions(self, n):
+        rng = np.random.default_rng(n)
+        points = [tuple(p) for p in rng.uniform(-1e3, 1e3, size=(500, n)).tolist()]
+        points += [tuple(p) for p in rng.standard_normal((500, n)).tolist()]
+        points += [(5e-324,) * n, (1e77,) * n]
+        for x in points:
+            assert _f4_noiseless(x).hex() == reference_f4_noiseless(x).hex(), x
+
+
 class TestEvaluator:
     def test_counts_cache_misses_only(self):
         ev = Evaluator(get_objective("f1"))
-        assert ev((1.0, 2.0, 3.0)) == 14.0
-        assert ev((1.0, 2.0, 3.0)) == 14.0
-        ev((0.0, 0.0, 0.0))
+        assert ev.value((1.0, 2.0, 3.0)) == 14.0
+        assert ev.value((1.0, 2.0, 3.0)) == 14.0
+        ev.value((0.0, 0.0, 0.0))
         assert ev.count == 2
 
     def test_values_are_the_objectives_own(self):
         # SLM applies the sign when maximizing; the Evaluator never does
         f2 = get_objective("f2")
         x = (0.5, -0.7)
-        assert Evaluator(f2)(x) == f2.evaluate(x) > 0.0
+        assert Evaluator(f2).value(x) == f2.evaluate(x) > 0.0
 
     def test_new_generation_counts_again(self):
         ev = Evaluator(get_objective("f1"))
         x = (1.0, 2.0, 3.0)
         ev.start_generation(1)
-        first = ev(x)
+        first = ev.value(x)
         ev.start_generation(2)
-        assert ev(x) == first
+        assert ev.value(x) == first
         assert ev.count == 2
 
     def test_common_noise_within_a_generation(self):
@@ -218,7 +262,7 @@ class TestEvaluator:
         points = [(0.0,) * 30, (0.5,) * 30, (1.0,) + (-0.25,) * 29]
 
         def noise():
-            return [ev(x) - f4.noiseless(x) for x in points]
+            return [ev.value(x) - f4.noiseless(x) for x in points]
 
         ev.start_generation(1)
         first = noise()
@@ -240,7 +284,7 @@ class TestEvaluator:
                 ev.start_generation(gen)
             for x in points:
                 fresh = f4.evaluate(x, rng=np.random.default_rng([seed, gen]))
-                assert ev(x) == fresh
+                assert ev.value(x) == fresh
 
     @pytest.mark.parametrize("run,cfg", [(ga_run, GaConfig(h_tol=0.02)),
                                          (slm_run, SlmConfig(h_tol=0.05))], ids=["slmga", "slm"])
@@ -258,23 +302,73 @@ class TestEvaluator:
         assert report.evaluations > len(draws)
         assert len(draws) == (report.generations + 1 if run is ga_run else 1)
 
-    @pytest.mark.parametrize("obj,h_tol", [(get_objective("f4"), 0.01), (noisy_f2(), 0.02)],
-                             ids=["f4", "noisy-f2"])
-    def test_traced_kernel_calls_are_the_evaluations(self, monkeypatch, obj, h_tol):
+    @pytest.mark.parametrize("run,obj,cfg", [
+        (ga_run, get_objective("f4"), GaConfig(h_tol=0.01)),
+        (ga_run, noisy_f2(), GaConfig(h_tol=0.02)),
+        (ga_run, get_objective("f2"), GaConfig(h_tol=1e-3, mutation_rate=0.5)),
+        *[(slm_run, obj, SlmConfig(h_tol=1e-3, neighbor_scheme=scheme, sense=sense))
+          for obj in (get_objective("f2"), noisy_f2())
+          for scheme in NeighborScheme for sense in Sense],
+    ], ids=["f4", "noisy-f2", "slmga-f2"] + [
+        "slm-%s-%s-%s" % (name, scheme.value, sense.value)
+        for name in ("f2", "noisy-f2") for scheme in NeighborScheme for sense in Sense])
+    def test_traced_kernel_calls_are_the_evaluations(self, monkeypatch, run, obj, cfg):
         # the benchmark's contract: one Objective.evaluate per evaluation,
-        # the noise included
+        # the noise included, and none for a value the cache holds; SLM's
+        # cache spans its run, and a maximizing run reads it through its sign
         monkeypatch.syspath_prepend(str(PERFBENCH))
         from tracer import KERNEL_SPAN, Tracer
 
         with Tracer().installed() as tracer:
-            report = ga_run(obj, GaConfig(h_tol=h_tol))
+            report = run(obj, cfg)
         assert tracer.stats[KERNEL_SPAN].calls == report.evaluations
+        if run is slm_run:
+            probes = tracer.stats["slm.best_neighbor"].probes
+            assert probes > tracer.stats["slm.best_neighbor"].kernel_calls > 0
+
+    def test_an_evaluator_is_freed_with_its_last_reference(self):
+        # its cache does not refer back to it, so no cyclic collection is
+        # needed to free the values it holds
+        ev = Evaluator(get_objective("f1"))
+        ev.value((1.0, 2.0, 3.0))
+        gone = weakref.ref(ev)
+        gc.disable()
+        try:
+            del ev
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_count_banks_the_misses_of_every_generation(self):
+        calls = []
+
+        def kernel(x):
+            calls.append(x)
+            if x[0] < 0.0:
+                raise ZeroDivisionError("undefined")
+            return math.nan if x[0] == 0.5 else x[0]
+
+        ev = Evaluator(Objective("partial", BoxDomain.cube(-1.0, 1.0, 1), kernel))
+        value = ev.value
+        assert value((0.25,)) == value((0.25,)) == 0.25
+        assert math.isnan(value((0.5,))) and math.isnan(value((0.5,)))  # NaN is cached
+        for _ in range(2):  # an evaluation that raises is counted, and not cached
+            with pytest.raises(ZeroDivisionError):
+                value((-0.5,))
+        assert (ev.count, value.cache_info().hits, len(calls)) == (4, 2, 4)
+        ev.start_generation(1)
+        assert (ev.count, value.cache_info().hits) == (4, 0)
+        assert value((0.25,)) == value((0.25,)) == value((0.25,))
+        ev.start_generation(2)
+        ev.start_generation(3)
+        assert value((0.5,)) != value((0.5,))
+        assert (ev.count, value.cache_info().hits, len(calls)) == (6, 1, 6)
 
     def test_values_are_python_floats_whatever_the_noise_returns(self):
         obj = noisy_f2(lambda rng, n: rng.standard_normal(n).sum())
         x = (0.5, -0.7)
         assert type(obj.evaluate(x, rng=np.random.default_rng(0))) is float
-        assert type(Evaluator(obj)(x)) is float
+        assert type(Evaluator(obj).value(x)) is float
         rep = slm_run(obj, SlmConfig(h_tol=0.5, sense=Sense.MAXIMIZE))
         assert {type(lv.candidate.f) for s in rep.steps for lv in s.labels} == {float}
         csv = emit_table([random_search(obj, RsConfig(budget=20))], "csv")

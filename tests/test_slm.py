@@ -121,7 +121,7 @@ def reference_slm_run(obj, cfg):
     counted = Evaluator(obj)
 
     def ev(x):
-        f = counted(x)
+        f = counted.value(x)
         return -f if negate else f
 
     rule = cfg.label_rule
@@ -572,6 +572,11 @@ def _json(rep):
     return emit_table([rep], "json")
 
 
+def _by_k(lattice):
+    """A step's labelled lattice, as ``_region_cells`` reads it, by ``k``."""
+    return {lv.candidate.point.k: lv for lv in lattice}
+
+
 class TestRegionCells:
     @given(_slm_case(), st.floats(0.1, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -580,9 +585,9 @@ class TestRegionCells:
         seen = []
         real = slm._region_cells
 
-        def recording(base, vertices, grid, best):
-            cells = real(base, vertices, grid, best)
-            seen.append((base, dict(vertices), grid, best, cells))
+        def recording(lattice, grid, best):
+            cells = real(lattice, grid, best)
+            seen.append((_by_k(lattice), grid, best, cells))
             return cells
 
         # both engines run slm.subdivide, which reads slm._region_cells
@@ -591,8 +596,8 @@ class TestRegionCells:
             slmga.ga_run(obj, slmga.GaConfig(h_tol=cfg.h_tol, max_generations=cfg.max_levels,
                                              mutation_rate=rate))
         assert len(seen) == 2 * cfg.max_levels
-        for base, vertices, grid, best, cells in seen:
-            assert base == min(vertices)
+        for vertices, grid, best, cells in seen:
+            assert list(vertices) == sorted(vertices)  # the lattice in C order
             level = grid.level
             complete = {c.anchor.k for c in find_complete_cells(
                 {GridPoint(k, level): lv.label for k, lv in vertices.items()})}
@@ -679,7 +684,9 @@ class TestOnePassChoosesAsTheChain:
     @settings(max_examples=300, deadline=None)
     def test_same_cell_as_the_three_passes(self, case):
         base, vertices, grid, best = case
-        got = slm._choose_cell(slm._region_cells(base, vertices, grid, best), grid.level)
+        assert base == min(vertices) and list(vertices) == sorted(vertices)
+        got = slm._choose_cell(slm._region_cells(list(vertices.values()), grid, best),
+                               grid.level)
         assert got == chain(vertices, grid, best)[0]
 
 
@@ -697,9 +704,9 @@ class TestPolicyBranches:
         seen = []
         real = slm._region_cells
 
-        def recording(base, vertices, grid, best):
-            seen.append(chain(vertices, grid, best))
-            return real(base, vertices, grid, best)
+        def recording(lattice, grid, best):
+            seen.append(chain(_by_k(lattice), grid, best))
+            return real(lattice, grid, best)
 
         with mock.patch.object(slm, "_region_cells", recording):
             rep = slm_run(obj, SlmConfig(h_tol=min(obj.box.width) / 2**8))
@@ -778,9 +785,9 @@ class TestPlaceCell:
                         eval_fn=lambda x: sum(math.sin(3.0 * v) for v in x))
         grid = GridSpec(box, cell.level + 1)
         ev, ev_reference = Evaluator(obj), Evaluator(obj)
-        got = slm._place_cell(cell, grid, ev)
+        got = slm._place_cell(cell, grid, ev.value)
         assert len(got) == 3**box.dim
-        want = [Candidate(x, ev_reference(x), point=p)
+        want = [Candidate(x, ev_reference.value(x), point=p)
                 for p in lattice_points(cell) for x in [position_of(p, grid)]]
         assert _placed(got) == _placed(want)
         assert ev.count == ev_reference.count
